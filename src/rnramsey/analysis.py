@@ -160,10 +160,9 @@ def check_homomorphism(h: Homomorphism) -> bool:
     for x, y in src.R:
         if (h.map[x], h.map[y]) not in tgt.R:
             return False
-    if isinstance(src, RNGraph):
-        for x, y in src.N:
-            if (h.map[x], h.map[y]) not in tgt.N:
-                return False
+    for x, y in src.N:
+        if (h.map[x], h.map[y]) not in tgt.N:
+            return False
     return True
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .embeddings import Copy, enumerate_copies
-from .structures import RNGraph, make_rn_graph
+from .structures import OrderedPoset, RNGraph, make_rn_graph
 
 _PREPASS_SEED = 0x5EED
 _PREPASS_SAMPLES = 64
@@ -93,31 +93,28 @@ def _induced(target, image: tuple[int, ...]):
     keep = set(image)
     order = tuple(idx[v] for v in target.order if v in keep)
     R = frozenset((idx[x], idx[y]) for x, y in target.R if x in keep and y in keep)
-    if isinstance(target, RNGraph):
-        N = frozenset((idx[x], idx[y]) for x, y in target.N if x in keep and y in keep)
-        return RNGraph(len(image), R, N, order)
-    from .structures import OrderedPoset
-
-    return OrderedPoset(len(image), R, order)
+    if isinstance(target, OrderedPoset):
+        return OrderedPoset(len(image), R, order)
+    N = frozenset((idx[x], idx[y]) for x, y in target.N if x in keep and y in keep)
+    return RNGraph(len(image), R, N, order)
 
 
-def _hyperedges(target, Q, P, limits: SearchLimits):
-    """Copies of P, copies of Q, and per Q-copy the indices of the P-copies inside it.
+def _hyperedges(p_copies, q_copies, Q, P) -> list[frozenset[int]]:
+    """Per Q-copy, the indices (into p_copies) of the P-copies inside it.
 
-    Membership is decided by image inclusion; the count per Q-copy must equal the
-    number of P-copies in Q itself, which cross-checks the two routes.
+    Each copy of P in Q itself is carried through the Q-copy's vertex map and looked up
+    by image.  Composed embeddings are embeddings, so every lookup must succeed; a miss
+    means a Q-copy that is not a copy.
     """
-    p_copies = enumerate_copies(P, target, limit=limits.max_copies)
-    q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    inner = len(enumerate_copies(P, Q))
-    p_sets = [frozenset(c.image) for c in p_copies]
+    index = {c.image: i for i, c in enumerate(p_copies)}
+    inner = enumerate_copies(P, Q)
     edges = []
     for q in q_copies:
-        q_set = frozenset(q.image)
-        members = frozenset(i for i, s in enumerate(p_sets) if s <= q_set)
-        assert len(members) == inner, "copy composition mismatch"
-        edges.append(members)
-    return p_copies, q_copies, edges
+        try:
+            edges.append(frozenset(index[tuple(q.map[u] for u in c.image)] for c in inner))
+        except KeyError as miss:
+            raise AssertionError(f"Q-copy {q.image} maps a P-copy onto non-copy {miss}") from None
+    return edges
 
 
 def _proper_coloring_search(m: int, edges, r: int, limits: SearchLimits):
@@ -220,13 +217,21 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     replayable through find_monochromatic.  HOLDS verdicts are proofs by exhaustion of
     the counterexample search.
     """
+    limits = limits or SearchLimits()
+    p_copies = enumerate_copies(P, target, limit=limits.max_copies)
+    q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
+    return _verdict(target, Q, P, r, p_copies, q_copies, limits)
+
+
+def _verdict(target, Q, P, r: int, p_copies, q_copies, limits: SearchLimits) -> ArrowVerdict:
+    """Decide whether every r-coloring of p_copies makes some member of q_copies
+    monochromatic; the copies are given, everything after enumeration happens here."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    limits = limits or SearchLimits()
-    p_copies, q_copies, edges = _hyperedges(target, Q, P, limits)
     if not q_copies:
         coloring = make_coloring(p_copies, [0] * len(p_copies), r)
         return ArrowVerdict(False, coloring, target, Q, P, r)
+    edges = _hyperedges(p_copies, q_copies, Q, P)
     if any(not e for e in edges):
         # a Q-copy without P-copies is monochromatic under every coloring
         return ArrowVerdict(True, None, target, Q, P, r)
@@ -253,7 +258,8 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     """First Q-copy (enumeration order) whose P-copies all share a color, else None.
 
     P-copies are enumerated inside each Q-copy's induced substructure and mapped back,
-    a deliberately different route from the checker's image-inclusion scan.
+    a deliberately different route from the checker, which carries the P-copies of Q
+    itself through each Q-copy's map.
     """
     p_in_q = len(enumerate_copies(P, Q))
     for q in enumerate_copies(Q, target):
@@ -280,8 +286,9 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
     Each copy takes the color that keeps the fewest Q-copies on track to be
     monochromatic; ties break to the smaller color.
     """
-    limits = SearchLimits()
-    p_copies, _, edges = _hyperedges(target, Q, P, limits)
+    cap = SearchLimits().max_copies
+    p_copies = enumerate_copies(P, target, limit=cap)
+    edges = _hyperedges(p_copies, enumerate_copies(Q, target, limit=cap), Q, P)
     containing: list[list[int]] = [[] for _ in p_copies]
     for e_idx, members in enumerate(edges):
         for i in members:

@@ -56,14 +56,13 @@ from .structures import (
 )
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env(name: str, fallback):
+    """Default for a flag from the environment, parsed as the fallback's type."""
     raw = os.environ.get(name)
-    return int(raw) if raw else fallback
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else fallback
+    try:
+        return type(fallback)(raw) if raw else fallback
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {type(fallback).__name__}") from None
 
 
 def _search_limits(args) -> SearchLimits:
@@ -74,13 +73,13 @@ def _search_limits(args) -> SearchLimits:
 
 def _add_arrow_limit_flags(sub) -> None:
     sub.add_argument(
-        "--max-nodes", type=int, default=_env_int("RNRAMSEY_MAX_NODES", 2_000_000)
+        "--max-nodes", type=int, default=_env("RNRAMSEY_MAX_NODES", 2_000_000)
     )
     sub.add_argument(
-        "--max-copies", type=int, default=_env_int("RNRAMSEY_MAX_COPIES", 200_000)
+        "--max-copies", type=int, default=_env("RNRAMSEY_MAX_COPIES", 200_000)
     )
     sub.add_argument(
-        "--time-budget", type=float, default=_env_float("RNRAMSEY_TIME_BUDGET", 120.0)
+        "--time-budget", type=float, default=_env("RNRAMSEY_TIME_BUDGET", 120.0)
     )
 
 
@@ -197,6 +196,15 @@ def cmd_tower(args) -> int:
     return 0
 
 
+def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
+    """Load the manifest's `<key>.file`, refusing it unless it matches `<key>.digest`."""
+    name = manifest[f"{key}.file"]
+    obj = load_structure(tower_dir / name)
+    if digest(obj) != manifest.get(f"{key}.digest"):
+        raise ParseError(f"{name} does not match its digest in the manifest")
+    return obj
+
+
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
@@ -204,8 +212,8 @@ def cmd_finish(args) -> int:
     key = f"stage.{lam}.file"
     if key not in manifest:
         raise TowerTooShort(f"tower directory has no stage {lam} (lambda = {lam})")
-    graph = load_structure(tower_dir / manifest[key])
-    B = load_structure(tower_dir / manifest["b.file"])
+    graph = _load_listed(tower_dir, manifest, f"stage.{lam}")
+    B = _load_listed(tower_dir, manifest, "b")
     result = finish_stage(graph, lam, B)
     out = Path(args.out) if args.out else tower_dir / "C.json"
     poset_digest = save_structure(out, result.poset)
@@ -285,22 +293,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--oracle", choices=("search", "file", "assume"), default="search")
     sub.add_argument("--witness", help="witness file for file/assume oracle modes")
     sub.add_argument(
-        "--size-bound", type=int, default=_env_int("RNRAMSEY_SIZE_BOUND", 16)
+        "--size-bound", type=int, default=_env("RNRAMSEY_SIZE_BOUND", 16)
     )
     sub.add_argument(
         "--candidate-budget",
         type=int,
-        default=_env_int("RNRAMSEY_CANDIDATE_BUDGET", 60_000),
+        default=_env("RNRAMSEY_CANDIDATE_BUDGET", 60_000),
     )
     sub.add_argument(
         "--oracle-time-bound",
         type=float,
-        default=_env_float("RNRAMSEY_ORACLE_TIME_BOUND", 60.0),
+        default=_env("RNRAMSEY_ORACLE_TIME_BOUND", 60.0),
     )
     sub.add_argument(
         "--max-picture-vertices",
         type=int,
-        default=_env_int("RNRAMSEY_MAX_PICTURE_VERTICES", 20_000),
+        default=_env("RNRAMSEY_MAX_PICTURE_VERTICES", 20_000),
     )
     sub.add_argument("--no-stabilize", action="store_true")
     sub.set_defaults(func=cmd_tower)
@@ -326,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (GlueConflict, ClosureIntersectsN, NoneFound, AssertionError) as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)

@@ -82,15 +82,13 @@ class Picture:
     """Part-structured snapshot of the recursion, one part per vertex of D.
 
     Part t holds the preimage of the t-th smallest D-vertex under f; parts are stored
-    ascending in the base order and occupy consecutive rank blocks.  provenance[v] is
-    the (copy index, source vertex) pair the creating step used to mint v, when known.
+    ascending in the base order and occupy consecutive rank blocks.
     """
 
     base: RNGraph
     D: RNGraph = field(compare=False)
     parts: tuple[tuple[int, ...], ...]
     f: Homomorphism = field(compare=False)
-    provenance: tuple[tuple[int, int], ...] | None = field(compare=False, default=None)
 
     def validate(self) -> None:
         check_partition(self.base, self.parts, self.D)
@@ -110,7 +108,6 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
         raise NoCopiesOfB(f"host on {D.n} vertices carries no copy of the pattern")
     ids: dict[tuple[int, int], int] = {}
     parts: list[tuple[int, ...]] = []
-    provenance: list[tuple[int, int]] = []
     fmap: list[int] = []
     counter = 0
     for t in range(D.n):
@@ -120,8 +117,6 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
             if dv in copy.image:
                 ids[(h, dv)] = counter
                 members.append(counter)
-                src = copy.map.index(dv)
-                provenance.append((h, src))
                 fmap.append(dv)
                 counter += 1
         parts.append(tuple(members))
@@ -134,7 +129,7 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
             N.add((ids[(h, copy.map[x])], ids[(h, copy.map[y])]))
     base = make_rn_graph(counter, R, N)
     f = Homomorphism(tuple(fmap), base, D)
-    picture = Picture(base, D, tuple(parts), f, tuple(provenance))
+    picture = Picture(base, D, tuple(parts), f)
     picture.validate()
     assert is_good(base), "disjoint copies of a good pattern must form a good graph"
     return picture
@@ -219,29 +214,13 @@ def _amalgamate_full(
     fid: dict[int, int] = {}
     fresh: dict[tuple[int, int], int] = {}
     parts_new: list[tuple[int, ...]] = []
-    provenance: list[tuple[int, int]] = []
     fmap: list[int] = []
     counter = 0
-    locals_of_part = [
-        [local[v] for v in sorted(P.parts[t], key=lambda v: P.base.rank[v])]
-        for t in spos
-    ]
     for t in range(P.D.n):
         members = []
         if t in s_index:
-            i = s_index[t]
-            for fv in used_per_part[i]:
+            for fv in used_per_part[s_index[t]]:
                 fid[fv] = counter
-                minted = None
-                for k, lift in enumerate(lifts):
-                    for loc in locals_of_part[i]:
-                        if lift.map[loc] == fv:
-                            minted = (k, chosen[loc])
-                            break
-                    if minted:
-                        break
-                assert minted is not None
-                provenance.append(minted)
                 members.append(counter)
                 fmap.append(P.D.order[t])
                 counter += 1
@@ -249,7 +228,6 @@ def _amalgamate_full(
             for x in sorted(P.parts[t], key=lambda v: P.base.rank[v]):
                 for k in range(K):
                     fresh[(k, x)] = counter
-                    provenance.append((k, x))
                     members.append(counter)
                     fmap.append(P.D.order[t])
                     counter += 1
@@ -286,7 +264,7 @@ def _amalgamate_full(
         if not is_embedding(vmap, P.base, base):
             raise GlueConflict(f"gluing damaged copy {k} of the old picture")
     f = Homomorphism(tuple(fmap), base, P.D)
-    picture = Picture(base, P.D, tuple(parts_new), f, tuple(provenance))
+    picture = Picture(base, P.D, tuple(parts_new), f)
     picture.validate()
     return picture, tuple(copy_maps)
 
@@ -534,11 +512,7 @@ def finish(tower: Tower) -> FinishResult:
     if stage is None:
         last = tower.stages[-1].ell
         raise TowerTooShort(f"needs stage {lam}, tower ends at stage {last}")
-    result = finish_stage(stage.C, lam, tower.B)
-    return FinishResult(
-        result.poset, stage.ell, lam,
-        result.b_copies_before, result.b_copies_intact, result.b_copies_after,
-    )
+    return finish_stage(stage.C, lam, tower.B)
 
 
 def extract_monochromatic_B(target, coloring: Coloring, B: RNGraph, A: RNGraph) -> Copy:

@@ -23,12 +23,6 @@ class Copy:
     target: object = field(compare=False)
 
 
-def _status(structure, x: int, y: int) -> str:
-    if isinstance(structure, RNGraph):
-        return structure.status(x, y)
-    return "R" if (x, y) in structure.R else ""
-
-
 def _compatible_kinds(pattern, target) -> None:
     both_rn = isinstance(pattern, RNGraph) and isinstance(target, RNGraph)
     both_poset = isinstance(pattern, OrderedPoset) and isinstance(target, OrderedPoset)
@@ -49,7 +43,7 @@ def is_embedding(vertex_map, pattern, target) -> bool:
             if i == j:
                 continue
             # pairwise status must match exactly, both relation and order
-            if _status(pattern, i, j) != _status(target, m[i], m[j]):
+            if pattern.status(i, j) != target.status(m[i], m[j]):
                 return False
             if pattern.before(i, j) != target.before(m[i], m[j]):
                 return False
@@ -73,7 +67,7 @@ def iter_copies(pattern, target):
         v = tgt[pos]
         for i, p in enumerate(chosen):
             u = tgt[p]
-            if _status(pattern, src[i], src[len(chosen)]) != _status(target, u, v):
+            if pattern.status(src[i], src[len(chosen)]) != target.status(u, v):
                 return False
         return True
 

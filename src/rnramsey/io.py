@@ -121,12 +121,20 @@ def _need(doc: dict, key: str, kind):
     return value
 
 
+def _ints(value, key: str) -> tuple[int, ...]:
+    """A list of plain integers; bools, floats and strings are refused, not coerced."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise ParseError(f"field {key!r}: expected a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def _pair_set(doc: dict, key: str) -> set[tuple[int, int]]:
     out = set()
     for entry in _need(doc, key, list):
-        if not (isinstance(entry, list) and len(entry) == 2):
+        pair = _ints(entry, key)
+        if len(pair) != 2:
             raise ParseError(f"field {key!r} must hold [x, y] pairs")
-        out.add((entry[0], entry[1]))
+        out.add(pair)
     return out
 
 
@@ -134,31 +142,31 @@ def from_doc(doc: dict):
     kind = _need(doc, "kind", str)
     if kind == "poset":
         return make_ordered_poset(
-            _need(doc, "n", int), _pair_set(doc, "R"), tuple(_need(doc, "order", list))
+            _need(doc, "n", int), _pair_set(doc, "R"), _ints(_need(doc, "order", list), "order")
         )
     if kind == "rn":
         return make_rn_graph(
             _need(doc, "n", int),
             _pair_set(doc, "R"),
             _pair_set(doc, "N"),
-            tuple(_need(doc, "order", list)),
+            _ints(_need(doc, "order", list), "order"),
         )
     if kind == "apartite":
         A = from_doc(_need(doc, "A", dict))
         base = from_doc(_need(doc, "base", dict))
-        parts = [tuple(part) for part in _need(doc, "parts", list)]
+        parts = [_ints(part, "parts") for part in _need(doc, "parts", list)]
         return make_apartite(A, base, parts)
     if kind == "picture":
         D = from_doc(_need(doc, "D", dict))
         base = from_doc(_need(doc, "base", dict))
-        parts = tuple(tuple(part) for part in _need(doc, "parts", list))
-        fmap = tuple(_need(doc, "f", list))
+        parts = tuple(_ints(part, "parts") for part in _need(doc, "parts", list))
+        fmap = _ints(_need(doc, "f", list), "f")
         picture = Picture(base, D, parts, Homomorphism(fmap, base, D))
         picture.validate()
         return picture
     if kind == "homomorphism":
         return HomomorphismDoc(
-            tuple(_need(doc, "map", list)),
+            _ints(_need(doc, "map", list), "map"),
             _need(doc, "source_digest", str),
             _need(doc, "target_digest", str),
         )
@@ -167,7 +175,7 @@ def from_doc(doc: dict):
         for entry in _need(doc, "entries", list):
             if not isinstance(entry, dict):
                 raise ParseError("coloring entries must be objects")
-            entries.append((tuple(_need(entry, "copy", list)), _need(entry, "color", int)))
+            entries.append((_ints(_need(entry, "copy", list), "copy"), _need(entry, "color", int)))
         return Coloring(tuple(sorted(entries)), _need(doc, "r", int))
     raise ParseError(f"unknown kind {kind!r}")
 
@@ -213,12 +221,9 @@ def export_dot(obj, name: str = "g") -> str:
     if isinstance(obj, (APartiteRNGraph, Picture)):
         parts = obj.parts
         obj = obj.base
-    if isinstance(obj, OrderedPoset):
-        R, N, order, n = obj.R, frozenset(), obj.order, obj.n
-    elif isinstance(obj, RNGraph):
-        R, N, order, n = obj.R, obj.N, obj.order, obj.n
-    else:
+    if not isinstance(obj, (OrderedPoset, RNGraph)):
         raise TypeError(f"cannot render {type(obj).__name__}")
+    R, N, order, n = obj.R, obj.N, obj.order, obj.n
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
     if parts is None:
         for v in range(n):

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .analysis import is_good
-from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _proper_coloring_search
-from .arrow import make_coloring, oracle_ramsey
-from .embeddings import Copy, enumerate_copies, is_embedding
+from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _verdict, oracle_ramsey
+from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
 from .structures import Homomorphism, RNGraph, StructureError, fuse, is_complete, make_rn_graph
 
 
@@ -118,35 +117,11 @@ def partite_embeddings(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[
     """Part-preserving copies of pattern in host (both over the same template)."""
     if pattern.A != host.A:
         raise StructureError("pattern and host are over different templates")
-    src = pattern.base.order
-    out: list[Copy] = []
-    image: list[int] = []
-
-    def extend(i: int) -> None:
-        if i == pattern.base.n:
-            vmap = [0] * pattern.base.n
-            for k, v in enumerate(image):
-                vmap[src[k]] = v
-            out.append(Copy(tuple(image), tuple(vmap), pattern.base, host.base))
-            return
-        v = src[i]
-        part = host.parts[pattern.part_of[v]]
-        floor = host.base.rank[image[-1]] if image else -1
-        for w in part:
-            if host.base.rank[w] <= floor:
-                continue
-            ok = True
-            for k in range(i):
-                if pattern.base.status(src[k], v) != host.base.status(image[k], w):
-                    ok = False
-                    break
-            if ok:
-                image.append(w)
-                extend(i + 1)
-                image.pop()
-
-    extend(0)
-    return out
+    return [
+        copy
+        for copy in iter_copies(pattern.base, host.base)
+        if all(host.part_of[w] == pattern.part_of[v] for v, w in enumerate(copy.map))
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,7 +138,6 @@ class ProductResult:
     certified: bool
     source: str
     lifts: tuple[Copy, ...]
-    base_e_copies: tuple[Copy, ...] = field(compare=False, default=())
     diagonals: tuple[tuple[Copy, Copy], ...] = field(compare=False, default=())
 
 
@@ -213,9 +187,8 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
     parts = tuple(tuple(range(t * wn, (t + 1) * wn)) for t in range(A.n))
     apartite = make_apartite(A, base, parts)
 
-    base_e_copies = tuple(enumerate_copies(fused_e, witness))
     lifts = []
-    for e_copy in base_e_copies:
+    for e_copy in enumerate_copies(fused_e, witness):
         vmap = tuple(
             ids[(pattern.part_of[v], e_copy.map[v])] for v in range(pattern.base.n)
         )
@@ -235,8 +208,7 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
         diagonals.append((a_copy, diag))
 
     return ProductResult(
-        apartite, witness, wit.certified, wit.source, tuple(lifts),
-        base_e_copies, tuple(diagonals),
+        apartite, witness, wit.certified, wit.source, tuple(lifts), tuple(diagonals)
     )
 
 
@@ -249,30 +221,6 @@ def check_partite_arrow(
 ) -> ArrowVerdict:
     """Exact partite arrow: every r-coloring of the template copies in the host admits
     a monochromatic member of the copy family (default: all part-respecting copies)."""
-    limits = limits or SearchLimits()
     a_copies = crossing_copies(host)
     members = list(family) if family is not None else partite_embeddings(pattern, host)
-    if not members:
-        coloring = make_coloring(a_copies, [0] * len(a_copies), r)
-        return ArrowVerdict(False, coloring, host.base, pattern.base, host.A, r)
-    index = {c.image: i for i, c in enumerate(a_copies)}
-    edges = []
-    for copy in members:
-        inside = frozenset(copy.image)
-        edges.append(
-            frozenset(i for i, ac in enumerate(a_copies) if frozenset(ac.image) <= inside)
-        )
-    if any(not e for e in edges):
-        return ArrowVerdict(True, None, host.base, pattern.base, host.A, r)
-    assignment, nodes = _proper_coloring_search(len(a_copies), edges, r, limits)
-    if assignment is None:
-        return ArrowVerdict(True, None, host.base, pattern.base, host.A, r, nodes_explored=nodes)
-    return ArrowVerdict(
-        False,
-        make_coloring(a_copies, assignment, r),
-        host.base,
-        pattern.base,
-        host.A,
-        r,
-        nodes_explored=nodes,
-    )
+    return _verdict(host.base, pattern.base, host.A, r, a_copies, members, limits or SearchLimits())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 Pair = tuple[int, int]
 
@@ -51,13 +52,8 @@ def _check_order(n: int, order: tuple[int, ...]) -> None:
         raise StructureError(f"order is not a permutation of 0..{n - 1}", order)
 
 
-@dataclass(frozen=True)
-class OrderedPoset:
-    """Strict partial order `R` (stored transitively closed) with linear extension `order`."""
-
-    n: int
-    R: frozenset[Pair]
-    order: tuple[int, ...]
+class _Ordered:
+    """Order and pair-status queries shared by OrderedPoset and RNGraph."""
 
     @cached_property
     def rank(self) -> tuple[int, ...]:
@@ -76,31 +72,6 @@ class OrderedPoset:
             for j in range(i + 1, self.n):
                 yield self.order[i], self.order[j]
 
-
-@dataclass(frozen=True)
-class RNGraph:
-    """Linear order with two disjoint forward relations R and N."""
-
-    n: int
-    R: frozenset[Pair]
-    N: frozenset[Pair]
-    order: tuple[int, ...]
-
-    @cached_property
-    def rank(self) -> tuple[int, ...]:
-        pos = [0] * self.n
-        for k, v in enumerate(self.order):
-            pos[v] = k
-        return tuple(pos)
-
-    def before(self, x: int, y: int) -> bool:
-        return self.rank[x] < self.rank[y]
-
-    def forward_pairs(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield self.order[i], self.order[j]
-
     def status(self, x: int, y: int) -> str:
         """Relation status of the ordered pair: 'R', 'N' or ''."""
         if (x, y) in self.R:
@@ -108,6 +79,26 @@ class RNGraph:
         if (x, y) in self.N:
             return "N"
         return ""
+
+
+@dataclass(frozen=True)
+class OrderedPoset(_Ordered):
+    """Strict partial order `R` (stored transitively closed) with linear extension `order`."""
+
+    n: int
+    R: frozenset[Pair]
+    order: tuple[int, ...]
+    N: ClassVar[frozenset[Pair]] = frozenset()
+
+
+@dataclass(frozen=True)
+class RNGraph(_Ordered):
+    """Linear order with two disjoint forward relations R and N."""
+
+    n: int
+    R: frozenset[Pair]
+    N: frozenset[Pair]
+    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,13 @@ def random_good_complete(rng: random.Random, n_max: int = 4) -> RNGraph:
     return poset_to_complete_rn(random_poset(rng, n_max))
 
 
-def random_apartite(rng: random.Random, p_max: int = 4, part_max: int = 3) -> APartiteRNGraph:
-    """Valid partite instance built directly from the definition."""
-    A = random_good_complete(rng, p_max)
+def random_apartite(
+    rng: random.Random, p_max: int = 4, part_max: int = 3, A: RNGraph | None = None
+) -> APartiteRNGraph:
+    """Valid partite instance built directly from the definition; over a random good
+    complete template unless `A` is given."""
+    if A is None:
+        A = random_good_complete(rng, p_max)
     sizes = [rng.randint(0, part_max) for _ in range(A.n)]
     if sum(sizes) == 0:
         sizes[rng.randrange(A.n)] = 1
@@ -173,18 +177,26 @@ def brute_arrow(target, Q, P, r: int) -> bool:
 
 
 def brute_copies(pattern, target) -> list[tuple[int, ...]]:
-    """All images of order/status-faithful injections, by trying every combination."""
-    from rnramsey.embeddings import _status
+    """All images of order/status-faithful injections, by trying every combination.
+
+    Pair status is read straight off R and N here, not through the library's own
+    status method, so the oracle stays independent of the code it checks.
+    """
+
+    def status(structure, x: int, y: int) -> str:
+        if (x, y) in structure.R:
+            return "R"
+        return "N" if (x, y) in getattr(structure, "N", ()) else ""
 
     out = []
-    for combo in itertools.combinations(sorted(range(target.n), key=lambda v: target.rank[v]), pattern.n):
-        src = sorted(range(pattern.n), key=lambda v: pattern.rank[v])
+    src = pattern.order
+    for combo in itertools.combinations(target.order, pattern.n):
         ok = True
         for i in range(pattern.n):
             for j in range(pattern.n):
                 if i == j:
                     continue
-                if _status(pattern, src[i], src[j]) != _status(target, combo[i], combo[j]):
+                if status(pattern, src[i], src[j]) != status(target, combo[i], combo[j]):
                     ok = False
         if ok:
             out.append(tuple(combo))  # already ascending in target order

@@ -93,6 +93,13 @@ def test_parse_errors(tmp_path):
         from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [[0, 1, 2]]})
     with pytest.raises(ParseError):
         from_doc({"kind": "mystery"})
+    # integers only: no string, float or bool coercion
+    with pytest.raises(ParseError):
+        from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [["0", 1.7]]})
+    with pytest.raises(ParseError):
+        from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [[False, True]]})
+    with pytest.raises(ParseError):
+        from_doc({"kind": "rn", "n": 2, "order": [0.0, 1.0], "R": [], "N": []})
     with pytest.raises(TypeError):
         to_doc(object())
 
@@ -186,6 +193,13 @@ def test_cli_arrow_env_default(tmp_path, capsys, monkeypatch):
     assert main(["arrow", c6, q, p]) == 2
 
 
+def test_cli_bad_env_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RNRAMSEY_MAX_NODES", "abc")
+    assert main(["make", "chain", "2", "--out", str(tmp_path / "c2.json")]) == 1
+    assert "ERROR: RNRAMSEY_MAX_NODES='abc'" in capsys.readouterr().err
+    assert not (tmp_path / "c2.json").exists()
+
+
 def _run_tower(tmp_path, out_name, *extra):
     a = _write(tmp_path, "a.json", chain(1))
     b = _write(tmp_path, "b.json", chain(2))
@@ -220,6 +234,24 @@ def test_cli_tower_and_finish(tmp_path, capsys):
     assert (out / "finish_report.txt").read_text() == report
     poset = load_structure(out / "C.json")
     assert poset == make_ordered_poset(3, {(0, 1), (0, 2), (1, 2)})
+
+
+@pytest.mark.parametrize(
+    "name, swap",
+    [
+        ("C3.json", ("antichain", "3", "--rn")),
+        ("C3.json", ("chain", "4")),
+        ("B.json", ("chain", "3", "--rn")),
+    ],
+)
+def test_cli_finish_refuses_swapped_files(tmp_path, capsys, name, swap):
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    assert main(["make", *swap, "--out", str(out / name)]) == 0
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    assert f"ERROR: {name} does not match its digest" in capsys.readouterr().err
+    assert not (out / "C.json").exists()
 
 
 def test_cli_tower_reruns_are_byte_identical(tmp_path, capsys):

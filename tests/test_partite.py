@@ -4,9 +4,12 @@ import pytest
 
 from rnramsey import (
     BaseOracle,
+    Copy,
     IntraPartEdge,
+    NotFoundWithinBounds,
     PartOrderViolation,
     PartProjectionViolation,
+    ResourceExceeded,
     StructureError,
     antichain,
     chain,
@@ -25,7 +28,7 @@ from rnramsey import (
     projection,
 )
 from rnramsey.partite import product_relations
-from helpers import random_apartite
+from helpers import brute_copies, random_apartite
 
 C2 = poset_to_complete_rn(chain(2))
 POINT = poset_to_complete_rn(chain(1))
@@ -122,6 +125,33 @@ def test_partite_embeddings_basic():
     assert not too_big
     with pytest.raises(StructureError):
         partite_embeddings(one_crossing_copy(A2), host)
+
+
+def _induced_apartite(rng, host):
+    """A partite pattern on a random vertex subset of host, so copies exist."""
+    keep = sorted(rng.sample(range(host.base.n), rng.randint(1, min(4, host.base.n))))
+    local = {v: k for k, v in enumerate(keep)}
+    R = {(local[x], local[y]) for x, y in host.base.R if x in local and y in local}
+    N = {(local[x], local[y]) for x, y in host.base.N if x in local and y in local}
+    parts = [tuple(local[v] for v in part if v in local) for part in host.parts]
+    return make_apartite(host.A, make_rn_graph(len(keep), R, N), parts)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partite_embeddings_match_brute_force(seed):
+    rng = random.Random(seed)
+    host = random_apartite(rng, p_max=3, part_max=3)
+    for pattern in (_induced_apartite(rng, host), random_apartite(rng, part_max=2, A=host.A)):
+        src = pattern.base.order
+        expected = [
+            image
+            for image in brute_copies(pattern.base, host.base)
+            if all(host.part_of[w] == pattern.part_of[v] for v, w in zip(src, image))
+        ]
+        embs = partite_embeddings(pattern, host)
+        assert [e.image for e in embs] == expected
+        for e in embs:
+            assert tuple(e.map[v] for v in src) == e.image
 
 
 def test_product_relations_frozen_examples():
@@ -226,6 +256,16 @@ def test_check_partite_arrow_no_members():
     assert not verdict.holds
 
 
+def test_check_partite_arrow_rejects_non_copy_family_member():
+    single = one_crossing_copy(C2)
+    host = make_apartite(C2, make_rn_graph(4, {(0, 2), (1, 3)}, set()), ((0, 1), (2, 3)))
+    assert check_partite_arrow(host, single, 2).holds
+    # (0, 3) respects the parts but is not an R-pair, so it is no copy of the pattern
+    bogus = Copy((0, 3), (0, 3), single.base, host.base)
+    with pytest.raises(AssertionError):
+        check_partite_arrow(host, single, 2, family=(bogus,))
+
+
 def test_products_on_random_patterns():
     rng = random.Random(42)
     built = 0
@@ -235,7 +275,7 @@ def test_products_on_random_patterns():
             continue
         try:
             result = product_construction(ap.A, ap, BaseOracle(size_bound=8))
-        except Exception:
+        except (ResourceExceeded, NotFoundWithinBounds):
             continue
         F = result.apartite
         assert is_good(F.base)
