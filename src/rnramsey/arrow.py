@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .embeddings import Copy, enumerate_copies
-from .structures import OrderedPoset, RNGraph, make_rn_graph
+from .structures import RNGraph, induced_substructure, make_rn_graph
 
 _PREPASS_SEED = 0x5EED
 _PREPASS_SAMPLES = 64
@@ -85,18 +85,6 @@ class ArrowVerdict:
         if found is None:
             raise AssertionError("arrow verdict holds but a coloring defeats it")
         return found
-
-
-def _induced(target, image: tuple[int, ...]):
-    """Induced substructure on an image set; local id i stands for image[i]."""
-    idx = {v: i for i, v in enumerate(image)}
-    keep = set(image)
-    order = tuple(idx[v] for v in target.order if v in keep)
-    R = frozenset((idx[x], idx[y]) for x, y in target.R if x in keep and y in keep)
-    if isinstance(target, OrderedPoset):
-        return OrderedPoset(len(image), R, order)
-    N = frozenset((idx[x], idx[y]) for x, y in target.N if x in keep and y in keep)
-    return RNGraph(len(image), R, N, order)
 
 
 def _hyperedges(p_copies, q_copies, Q, P) -> list[frozenset[int]]:
@@ -263,7 +251,7 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     """
     p_in_q = len(enumerate_copies(P, Q))
     for q in enumerate_copies(Q, target):
-        members = enumerate_copies(P, _induced(target, q.image))
+        members = enumerate_copies(P, induced_substructure(target, q.image))
         images = [tuple(q.image[local] for local in c.image) for c in members]
         assert len(images) == p_in_q, "copy composition mismatch"
         try:
@@ -318,8 +306,8 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
 class BaseOracle:
     """Source of Ramsey witnesses F with F -> (E)^A_2.
 
-    mode 'search' enumerates certified candidates; 'file' loads and certifies a
-    supplied witness; 'assume' passes a supplied witness through uncertified.
+    mode 'search' enumerates certified candidates; 'file' certifies the supplied
+    witness; 'assume' passes the supplied witness through uncertified.
     """
 
     mode: str = "search"
@@ -327,7 +315,6 @@ class BaseOracle:
     time_bound: float = 60.0
     candidate_budget: int = 60_000
     witness: RNGraph | None = None
-    witness_path: str | None = None
     arrow_limits: SearchLimits = field(default_factory=SearchLimits)
 
 
@@ -381,21 +368,15 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Produce F with F -> (E)^A_2 according to the oracle's mode.
 
     Search mode returns only witnesses certified by check_arrow.  File mode certifies
-    the loaded witness, downgrading to an uncertified pass-through only when the
+    the supplied witness, downgrading to an uncertified pass-through only when the
     certification itself exceeds its budgets.  Assume mode never certifies.
     """
+    graph = oracle.witness
+    if oracle.mode in ("assume", "file") and graph is None:
+        raise ValueError(f"{oracle.mode} mode requires a witness")
     if oracle.mode == "assume":
-        if oracle.witness is None:
-            raise ValueError("assume mode requires a witness")
-        return OracleWitness(oracle.witness, False, "assume")
+        return OracleWitness(graph, False, "assume")
     if oracle.mode == "file":
-        graph = oracle.witness
-        if graph is None:
-            if oracle.witness_path is None:
-                raise ValueError("file mode requires a witness or witness_path")
-            from .io import load_structure
-
-            graph = load_structure(oracle.witness_path)
         try:
             verdict = check_arrow(graph, E, A, 2, oracle.arrow_limits)
         except ResourceExceeded:
@@ -412,15 +393,17 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             f"beyond the size bound {oracle.size_bound}"
         )
     deadline = time.monotonic() + oracle.time_bound
-    tried: set[tuple[int, frozenset, frozenset]] = set()
+    # Enumerated candidates are pairwise distinct, so only a seed can be met twice.
+    seeds: set[tuple[int, frozenset, frozenset]] = set()
     budget = oracle.candidate_budget
     for graph, source in itertools.chain(
         _seed_candidates(A, E, oracle.size_bound), _enumerated_candidates(oracle.size_bound)
     ):
         key = (graph.n, graph.R, graph.N)
-        if key in tried:
+        if key in seeds:
             continue
-        tried.add(key)
+        if source != "search:enumeration":
+            seeds.add(key)
         budget -= 1
         if budget < 0:
             raise ResourceExceeded(f"candidate budget ({oracle.candidate_budget}) exhausted")

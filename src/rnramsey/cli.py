@@ -101,16 +101,11 @@ def cmd_validate(args) -> int:
             f"OK rn n={obj.n} |R|={len(obj.R)} |N|={len(obj.N)} "
             f"good={str(is_good(obj)).lower()} ell_rn_max={_ell_rn_max(obj)}"
         )
-    elif isinstance(obj, APartiteRNGraph):
+    elif isinstance(obj, (APartiteRNGraph, Picture)):
         g = obj.base
+        kind = "apartite" if isinstance(obj, APartiteRNGraph) else "picture"
         print(
-            f"OK apartite n={g.n} parts={len(obj.parts)} |R|={len(g.R)} "
-            f"|N|={len(g.N)} good={str(is_good(g)).lower()}"
-        )
-    elif isinstance(obj, Picture):
-        g = obj.base
-        print(
-            f"OK picture n={g.n} parts={len(obj.parts)} |R|={len(g.R)} "
+            f"OK {kind} n={g.n} parts={len(obj.parts)} |R|={len(g.R)} "
             f"|N|={len(g.N)} good={str(is_good(g)).lower()}"
         )
     elif isinstance(obj, HomomorphismDoc):
@@ -139,9 +134,9 @@ def cmd_arrow(args) -> int:
 
 def _oracle_from_args(args) -> BaseOracle:
     witness = None
-    if args.oracle in ("file", "assume") and not args.witness:
-        raise StructureError(f"--witness is required for oracle mode {args.oracle!r}")
-    if args.oracle == "assume":
+    if args.oracle in ("file", "assume"):
+        if not args.witness:
+            raise StructureError(f"--witness is required for oracle mode {args.oracle!r}")
         witness = load_structure(args.witness)
     return BaseOracle(
         mode=args.oracle,
@@ -149,7 +144,6 @@ def _oracle_from_args(args) -> BaseOracle:
         time_bound=args.oracle_time_bound,
         candidate_budget=args.candidate_budget,
         witness=witness,
-        witness_path=args.witness if args.oracle == "file" else None,
     )
 
 
@@ -196,9 +190,15 @@ def cmd_tower(args) -> int:
     return 0
 
 
+def _entry(manifest: dict[str, str], key: str) -> str:
+    if key not in manifest:
+        raise ParseError(f"manifest has no {key!r} entry")
+    return manifest[key]
+
+
 def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
     """Load the manifest's `<key>.file`, refusing it unless it matches `<key>.digest`."""
-    name = manifest[f"{key}.file"]
+    name = _entry(manifest, f"{key}.file")
     obj = load_structure(tower_dir / name)
     if digest(obj) != manifest.get(f"{key}.digest"):
         raise ParseError(f"{name} does not match its digest in the manifest")
@@ -208,7 +208,7 @@ def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
-    lam = int(manifest["lambda"])
+    lam = int(_entry(manifest, "lambda"))
     key = f"stage.{lam}.file"
     if key not in manifest:
         raise TowerTooShort(f"tower directory has no stage {lam} (lambda = {lam})")

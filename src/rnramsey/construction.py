@@ -12,6 +12,7 @@ stage into a partial order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .analysis import (
     check_homomorphism,
@@ -32,12 +33,13 @@ from .arrow import (
 )
 from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
 from .partite import APartiteRNGraph, ProductResult, check_partition, make_apartite
-from .partite import product_construction
+from .partite import part_owner, product_construction
 from .structures import (
     Homomorphism,
     OrderedPoset,
     RNGraph,
     StructureError,
+    induced_substructure,
     is_complete,
     make_ordered_poset,
     make_rn_graph,
@@ -88,17 +90,30 @@ class Picture:
     base: RNGraph
     D: RNGraph = field(compare=False)
     parts: tuple[tuple[int, ...], ...]
-    f: Homomorphism = field(compare=False)
+
+    @cached_property
+    def part_of(self) -> tuple[int, ...]:
+        return part_owner(self.parts, self.base.n)
+
+    @cached_property
+    def f(self) -> Homomorphism:
+        """The collapse map: each vertex onto the D-vertex that owns its part."""
+        return Homomorphism(tuple(self.D.order[t] for t in self.part_of), self.base, self.D)
 
     def validate(self) -> None:
+        """Partite over D; this also makes f a homomorphism onto D."""
         check_partition(self.base, self.parts, self.D)
-        if not check_homomorphism(self.f):
-            raise StructureError("part collapse is not a homomorphism")
-        for t, members in enumerate(self.parts):
-            want = self.D.order[t]
-            for v in members:
-                if self.f.map[v] != want:
-                    raise StructureError("collapse map disagrees with the parts", v)
+
+
+def _glue(n: int, structure: RNGraph, vmaps) -> RNGraph:
+    """The graph on n vertices carrying every image of structure's relations under the
+    vertex maps; two maps that put one pair in both R and N are a GlueConflict."""
+    R = {(m[x], m[y]) for m in vmaps for x, y in structure.R}
+    N = {(m[x], m[y]) for m in vmaps for x, y in structure.N}
+    both = R & N
+    if both:
+        raise GlueConflict(f"copies disagree on pair {min(both)}")
+    return make_rn_graph(n, R, N)
 
 
 def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
@@ -108,30 +123,18 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
         raise NoCopiesOfB(f"host on {D.n} vertices carries no copy of the pattern")
     ids: dict[tuple[int, int], int] = {}
     parts: list[tuple[int, ...]] = []
-    fmap: list[int] = []
-    counter = 0
-    for t in range(D.n):
-        dv = D.order[t]
+    for dv in D.order:
         members = []
         for h, copy in enumerate(copies):
             if dv in copy.image:
-                ids[(h, dv)] = counter
-                members.append(counter)
-                fmap.append(dv)
-                counter += 1
+                ids[(h, dv)] = len(ids)
+                members.append(ids[(h, dv)])
         parts.append(tuple(members))
-    R = set()
-    N = set()
-    for h, copy in enumerate(copies):
-        for x, y in B.R:
-            R.add((ids[(h, copy.map[x])], ids[(h, copy.map[y])]))
-        for x, y in B.N:
-            N.add((ids[(h, copy.map[x])], ids[(h, copy.map[y])]))
-    base = make_rn_graph(counter, R, N)
-    f = Homomorphism(tuple(fmap), base, D)
-    picture = Picture(base, D, tuple(parts), f)
+    vmaps = [tuple(ids[(h, w)] for w in copy.map) for h, copy in enumerate(copies)]
+    picture = Picture(_glue(len(ids), B, vmaps), D, tuple(parts))
     picture.validate()
-    assert is_good(base), "disjoint copies of a good pattern must form a good graph"
+    if not is_good(picture.base):
+        raise AssertionError("disjoint copies of a good pattern must form a good graph")
     return picture
 
 
@@ -156,16 +159,8 @@ def induced_subsystem(P: Picture, a_copy: Copy) -> APartiteRNGraph:
     relabeling is recoverable from (P, a_copy) alone.
     """
     A = a_copy.pattern
-    chosen = _subsystem_vertices(P, a_copy)
-    local = {v: k for k, v in enumerate(chosen)}
-    inside = set(chosen)
-    R = frozenset(
-        (local[x], local[y]) for x, y in P.base.R if x in inside and y in inside
-    )
-    N = frozenset(
-        (local[x], local[y]) for x, y in P.base.N if x in inside and y in inside
-    )
-    base = make_rn_graph(len(chosen), R, N)
+    sub = induced_substructure(P.base, tuple(_subsystem_vertices(P, a_copy)))
+    base = make_rn_graph(sub.n, sub.R, sub.N, sub.order)
     parts = []
     k = 0
     for t in _selected_positions(P, a_copy):
@@ -194,14 +189,10 @@ def _amalgamate_full(
 
     # A lift maps local sub-picture vertices into F; collect the image of each
     # sub-picture part across all lifts.  F vertices outside every lift are dropped.
-    part_of_local: list[int] = []
-    for i, t in enumerate(spos):
-        part_of_local.extend([i] * len(P.parts[t]))
-    used_sets: list[set[int]] = [set() for _ in spos]
-    for lift in lifts:
-        for k, fv in enumerate(lift.map):
-            used_sets[part_of_local[k]].add(fv)
-    used_per_part = [sorted(s, key=lambda u: F.base.rank[u]) for s in used_sets]
+    used_per_part = []
+    for t in spos:
+        used = {lift.map[local[v]] for lift in lifts for v in P.parts[t]}
+        used_per_part.append(sorted(used, key=lambda u: F.base.rank[u]))
 
     shared_total = sum(len(u) for u in used_per_part)
     projected = shared_total + K * (P.base.n - len(chosen))
@@ -214,7 +205,6 @@ def _amalgamate_full(
     fid: dict[int, int] = {}
     fresh: dict[tuple[int, int], int] = {}
     parts_new: list[tuple[int, ...]] = []
-    fmap: list[int] = []
     counter = 0
     for t in range(P.D.n):
         members = []
@@ -222,51 +212,31 @@ def _amalgamate_full(
             for fv in used_per_part[s_index[t]]:
                 fid[fv] = counter
                 members.append(counter)
-                fmap.append(P.D.order[t])
                 counter += 1
         else:
             for x in sorted(P.parts[t], key=lambda v: P.base.rank[v]):
                 for k in range(K):
                     fresh[(k, x)] = counter
                     members.append(counter)
-                    fmap.append(P.D.order[t])
                     counter += 1
         parts_new.append(tuple(members))
-    assert counter == projected
+    if counter != projected:
+        raise AssertionError(f"numbered {counter} vertices, projected {projected}")
 
-    part_pos = [0] * P.base.n
-    for t, members in enumerate(P.parts):
-        for v in members:
-            part_pos[v] = t
-    copy_maps = []
-    for k in range(K):
-        vmap = [0] * P.base.n
-        for x in range(P.base.n):
-            t = part_pos[x]
-            if t in s_index:
-                vmap[x] = fid[lifts[k].map[local[x]]]
-            else:
-                vmap[x] = fresh[(k, x)]
-        copy_maps.append(tuple(vmap))
-
-    R = set()
-    N = set()
-    for vmap in copy_maps:
-        for x, y in P.base.R:
-            R.add((vmap[x], vmap[y]))
-        for x, y in P.base.N:
-            N.add((vmap[x], vmap[y]))
-    both = R & N
-    if both:
-        raise GlueConflict(f"copies disagree on pair {min(both)}")
-    base = make_rn_graph(counter, R, N)
+    copy_maps = tuple(
+        tuple(
+            fid[lift.map[local[x]]] if t in s_index else fresh[(k, x)]
+            for x, t in enumerate(P.part_of)
+        )
+        for k, lift in enumerate(lifts)
+    )
+    base = _glue(counter, P.base, copy_maps)
     for k, vmap in enumerate(copy_maps):
         if not is_embedding(vmap, P.base, base):
             raise GlueConflict(f"gluing damaged copy {k} of the old picture")
-    f = Homomorphism(tuple(fmap), base, P.D)
-    picture = Picture(base, P.D, tuple(parts_new), f)
+    picture = Picture(base, P.D, tuple(parts_new))
     picture.validate()
-    return picture, tuple(copy_maps)
+    return picture, copy_maps
 
 
 def amalgamate(P: Picture, a_copy: Copy, F: APartiteRNGraph, lifts) -> Picture:
@@ -479,29 +449,21 @@ class FinishResult:
 def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     """Close one stage's R transitively into a poset and audit the pattern copies."""
     longest = longest_r_path_vertices(graph)
-    assert longest <= lam, (
-        f"an R-path on {longest} vertices contradicts the collapse onto stage 2"
-    )
+    if longest > lam:
+        raise AssertionError(
+            f"an R-path on {longest} vertices contradicts the collapse onto stage 2"
+        )
     closure = transitive_closure(graph.R, graph.n)
     overlap = closure & graph.N
     if overlap:
         raise ClosureIntersectsN(f"closure meets N at {min(overlap)}")
     poset = make_ordered_poset(graph.n, closure, graph.order)
     before = enumerate_copies(B, graph)
-    intact = 0
-    for copy in before:
-        ok = True
-        for i in range(B.n):
-            for j in range(B.n):
-                if i == j:
-                    continue
-                pair_closed = (copy.map[i], copy.map[j]) in closure
-                if pair_closed != ((i, j) in B.R):
-                    ok = False
-        if ok:
-            intact += 1
-    assert intact == len(before), "closure added a pair inside a pattern copy"
-    after = len(enumerate_copies(rn_to_poset(B), poset))
+    b_poset = rn_to_poset(B)
+    intact = sum(is_embedding(copy.map, b_poset, poset) for copy in before)
+    if intact != len(before):
+        raise AssertionError("closure added a pair inside a pattern copy")
+    after = len(enumerate_copies(b_poset, poset))
     return FinishResult(poset, lam, lam, len(before), intact, after)
 
 

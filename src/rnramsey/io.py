@@ -42,6 +42,8 @@ def _pairs(rel) -> list[list[int]]:
 
 
 def to_doc(obj) -> dict:
+    if isinstance(obj, Homomorphism):
+        obj = HomomorphismDoc(obj.map, digest(obj.source), digest(obj.target))
     if isinstance(obj, OrderedPoset):
         return {
             "kind": "poset",
@@ -71,13 +73,6 @@ def to_doc(obj) -> dict:
             "base": to_doc(obj.base),
             "parts": [list(part) for part in obj.parts],
             "f": list(obj.f.map),
-        }
-    if isinstance(obj, Homomorphism):
-        return {
-            "kind": "homomorphism",
-            "map": list(obj.map),
-            "source_digest": digest(obj.source),
-            "target_digest": digest(obj.target),
         }
     if isinstance(obj, HomomorphismDoc):
         return {
@@ -160,9 +155,11 @@ def from_doc(doc: dict):
         D = from_doc(_need(doc, "D", dict))
         base = from_doc(_need(doc, "base", dict))
         parts = tuple(_ints(part, "parts") for part in _need(doc, "parts", list))
-        fmap = _ints(_need(doc, "f", list), "f")
-        picture = Picture(base, D, parts, Homomorphism(fmap, base, D))
+        collapse = _ints(_need(doc, "f", list), "f")
+        picture = Picture(base, D, parts)
         picture.validate()
+        if collapse != picture.f.map:
+            raise ParseError("field 'f' is not the collapse map of the parts")
         return picture
     if kind == "homomorphism":
         return HomomorphismDoc(

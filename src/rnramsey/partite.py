@@ -39,15 +39,20 @@ class APartiteRNGraph:
 
     @cached_property
     def part_of(self) -> tuple[int, ...]:
-        owner = [-1] * self.base.n
-        for t, members in enumerate(self.parts):
-            for v in members:
-                owner[v] = t
-        return tuple(owner)
+        return part_owner(self.parts, self.base.n)
 
     def template_vertex(self, t: int) -> int:
         """Template vertex owning part t (the t-th smallest in A's order)."""
         return self.A.order[t]
+
+
+def part_owner(parts, n: int) -> tuple[int, ...]:
+    """owner[v] = index of the part holding vertex v (-1 when no part holds it)."""
+    owner = [-1] * n
+    for t, members in enumerate(parts):
+        for v in members:
+            owner[v] = t
+    return tuple(owner)
 
 
 def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
@@ -72,10 +77,7 @@ def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
                     f"part {t} is not a consecutive block of the order", v
                 )
         offset += len(members)
-    owner = [-1] * base.n
-    for t, members in enumerate(parts):
-        for v in members:
-            owner[v] = t
+    owner = part_owner(parts, base.n)
     for name, rel, template_rel in (("R", base.R, template.R), ("N", base.N, template.N)):
         for x, y in sorted(rel):
             s, t = owner[x], owner[y]
@@ -113,6 +115,10 @@ def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
     return copies
 
 
+def _keeps_parts(pattern: APartiteRNGraph, host: APartiteRNGraph, vmap) -> bool:
+    return all(host.part_of[w] == pattern.part_of[v] for v, w in enumerate(vmap))
+
+
 def partite_embeddings(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[Copy]:
     """Part-preserving copies of pattern in host (both over the same template)."""
     if pattern.A != host.A:
@@ -120,7 +126,7 @@ def partite_embeddings(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[
     return [
         copy
         for copy in iter_copies(pattern.base, host.base)
-        if all(host.part_of[w] == pattern.part_of[v] for v, w in enumerate(copy.map))
+        if _keeps_parts(pattern, host, copy.map)
     ]
 
 
@@ -187,29 +193,19 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
     parts = tuple(tuple(range(t * wn, (t + 1) * wn)) for t in range(A.n))
     apartite = make_apartite(A, base, parts)
 
-    lifts = []
-    for e_copy in enumerate_copies(fused_e, witness):
-        vmap = tuple(
-            ids[(pattern.part_of[v], e_copy.map[v])] for v in range(pattern.base.n)
-        )
-        image = tuple(sorted(vmap, key=lambda x: base.rank[x]))
-        lift = Copy(image, vmap, pattern.base, base)
-        assert is_embedding(vmap, pattern.base, base), "lift is not an embedding"
-        for v in range(pattern.base.n):
-            assert apartite.part_of[vmap[v]] == pattern.part_of[v], "lift moved a part"
-        lifts.append(lift)
+    def lift(graph: RNGraph, part_of, w_copy: Copy) -> Copy:
+        """Vertex v of graph goes to part part_of[v], above w_copy's image of v."""
+        vmap = tuple(ids[(part_of[v], w_copy.map[v])] for v in range(graph.n))
+        if not is_embedding(vmap, graph, base):
+            raise AssertionError(f"lift of witness copy {w_copy.image} is not an embedding")
+        if any(apartite.part_of[w] != part_of[v] for v, w in enumerate(vmap)):
+            raise AssertionError(f"lift of witness copy {w_copy.image} moved a part")
+        return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap, graph, base)
 
-    diagonals = []
-    for a_copy in enumerate_copies(fused_a, witness):
-        vmap = tuple(ids[(A.rank[a], a_copy.map[a])] for a in range(A.n))
-        image = tuple(sorted(vmap, key=lambda x: base.rank[x]))
-        diag = Copy(image, vmap, A, base)
-        assert is_embedding(vmap, A, base), "diagonal is not a copy of the template"
-        diagonals.append((a_copy, diag))
-
-    return ProductResult(
-        apartite, witness, wit.certified, wit.source, tuple(lifts), tuple(diagonals)
-    )
+    e_copies = enumerate_copies(fused_e, witness)
+    lifts = tuple(lift(pattern.base, pattern.part_of, c) for c in e_copies)
+    diagonals = tuple((c, lift(A, A.rank, c)) for c in enumerate_copies(fused_a, witness))
+    return ProductResult(apartite, witness, wit.certified, wit.source, lifts, diagonals)
 
 
 def check_partite_arrow(
@@ -221,6 +217,15 @@ def check_partite_arrow(
 ) -> ArrowVerdict:
     """Exact partite arrow: every r-coloring of the template copies in the host admits
     a monochromatic member of the copy family (default: all part-respecting copies)."""
+    if pattern.A != host.A:
+        raise StructureError("pattern and host are over different templates")
     a_copies = crossing_copies(host)
-    members = list(family) if family is not None else partite_embeddings(pattern, host)
+    if family is None:
+        members = partite_embeddings(pattern, host)
+    else:
+        members = list(family)
+        for copy in members:
+            if not (is_embedding(copy.map, pattern.base, host.base)
+                    and _keeps_parts(pattern, host, copy.map)):
+                raise StructureError("family member is not a part-preserving copy", copy.map)
     return _verdict(host.base, pattern.base, host.A, r, a_copies, members, limits or SearchLimits())

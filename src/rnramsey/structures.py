@@ -169,6 +169,18 @@ def rn_to_poset(graph: RNGraph) -> OrderedPoset:
     return make_ordered_poset(graph.n, graph.R, graph.order)
 
 
+def induced_substructure(target, image: tuple[int, ...]):
+    """Induced substructure on an image set; local id i stands for image[i]."""
+    idx = {v: i for i, v in enumerate(image)}
+    keep = set(image)
+    order = tuple(idx[v] for v in target.order if v in keep)
+    R = frozenset((idx[x], idx[y]) for x, y in target.R if x in keep and y in keep)
+    if isinstance(target, OrderedPoset):
+        return OrderedPoset(len(image), R, order)
+    N = frozenset((idx[x], idx[y]) for x, y in target.N if x in keep and y in keep)
+    return RNGraph(len(image), R, N, order)
+
+
 def is_complete(graph: RNGraph) -> bool:
     """True when every forward pair is related by exactly one of R, N."""
     return all(p in graph.R or p in graph.N for p in graph.forward_pairs())

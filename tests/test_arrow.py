@@ -14,6 +14,7 @@ from rnramsey import (
     enumerate_copies,
     find_monochromatic,
     greedy_adversarial_coloring,
+    load_structure,
     make_coloring,
     make_rn_graph,
     oracle_ramsey,
@@ -21,6 +22,7 @@ from rnramsey import (
     random_coloring,
     save_structure,
 )
+from rnramsey import arrow
 from helpers import brute_arrow, random_rn
 
 C2 = poset_to_complete_rn(chain(2))
@@ -168,6 +170,26 @@ def test_oracle_enumeration_fallback():
     assert w.graph.n == 3 and not w.graph.R and len(w.graph.N) == 3
 
 
+def test_oracle_tries_each_candidate_once(monkeypatch):
+    # the identity seed (the antichain itself) comes round again in the enumeration
+    a2 = poset_to_complete_rn(antichain(2))
+    tried = []
+
+    def counting_check_arrow(graph, *args):
+        tried.append((graph.n, graph.R, graph.N))
+        return check_arrow(graph, *args)
+
+    monkeypatch.setattr(arrow, "check_arrow", counting_check_arrow)
+    w = oracle_ramsey(BaseOracle(), POINT, a2)
+    assert w.source == "search:enumeration" and w.graph.n == 3
+    assert tried[0] == (2, a2.R, a2.N)
+    assert len(tried) == len(set(tried)) == 18
+    # the budget counts exactly the candidates tried
+    assert oracle_ramsey(BaseOracle(candidate_budget=18), POINT, a2) == w
+    with pytest.raises(ResourceExceeded):
+        oracle_ramsey(BaseOracle(candidate_budget=17), POINT, a2)
+
+
 def test_oracle_exhaustion_and_budget():
     with pytest.raises(NotFoundWithinBounds):
         oracle_ramsey(BaseOracle(size_bound=2), POINT, C2)
@@ -185,9 +207,9 @@ def test_oracle_assume_and_file_modes(tmp_path):
     assert not w.certified and w.source == "assume"
     path = tmp_path / "w.json"
     save_structure(path, witness)
-    w2 = oracle_ramsey(BaseOracle(mode="file", witness_path=str(path)), C2, C3)
+    w2 = oracle_ramsey(BaseOracle(mode="file", witness=load_structure(path)), C2, C3)
     assert w2.certified and w2.graph == witness
     bad = tmp_path / "bad.json"
     save_structure(bad, poset_to_complete_rn(chain(5)))
     with pytest.raises(CertificationFailed):
-        oracle_ramsey(BaseOracle(mode="file", witness_path=str(bad)), C2, C3)
+        oracle_ramsey(BaseOracle(mode="file", witness=load_structure(bad)), C2, C3)

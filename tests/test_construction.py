@@ -24,6 +24,7 @@ from rnramsey import (
     is_embedding,
     is_ell_rn,
     is_good,
+    load_structure,
     make_coloring,
     make_ordered_poset,
     make_rn_graph,
@@ -112,7 +113,7 @@ def test_amalgamate_disjoint_lifts_double_the_picture(tmp_path):
     witness = make_rn_graph(4, {(0, 1), (2, 3)}, set())
     path = tmp_path / "w.json"
     save_structure(path, witness)
-    oracle = BaseOracle(mode="file", witness_path=str(path))
+    oracle = BaseOracle(mode="file", witness=load_structure(path))
     product = product_construction(C2, sub, oracle)
     assert product.certified and len(product.lifts) == 2
     images = [set(l.image) for l in product.lifts]

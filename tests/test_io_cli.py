@@ -100,6 +100,11 @@ def test_parse_errors(tmp_path):
         from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [[False, True]]})
     with pytest.raises(ParseError):
         from_doc({"kind": "rn", "n": 2, "order": [0.0, 1.0], "R": [], "N": []})
+    # a picture's collapse map must be the one its parts determine
+    pic = to_doc(build_picture_zero(C3, C2))
+    pic["f"] = pic["f"][::-1]
+    with pytest.raises(ParseError):
+        from_doc(pic)
     with pytest.raises(TypeError):
         to_doc(object())
 
@@ -252,6 +257,18 @@ def test_cli_finish_refuses_swapped_files(tmp_path, capsys, name, swap):
     assert main(["finish", str(out)]) == 1
     assert f"ERROR: {name} does not match its digest" in capsys.readouterr().err
     assert not (out / "C.json").exists()
+
+
+@pytest.mark.parametrize("key", ["lambda", "b.file"])
+def test_cli_finish_names_missing_manifest_key(tmp_path, capsys, key):
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    del manifest[key]
+    (out / "manifest.txt").write_text(format_manifest(manifest))
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    assert f"ERROR: manifest has no '{key}' entry" in capsys.readouterr().err
 
 
 def test_cli_tower_reruns_are_byte_identical(tmp_path, capsys):

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rnramsey
 from rnramsey import (
     BaseOracle,
     Copy,
@@ -262,8 +267,42 @@ def test_check_partite_arrow_rejects_non_copy_family_member():
     assert check_partite_arrow(host, single, 2).holds
     # (0, 3) respects the parts but is not an R-pair, so it is no copy of the pattern
     bogus = Copy((0, 3), (0, 3), single.base, host.base)
-    with pytest.raises(AssertionError):
+    with pytest.raises(StructureError):
         check_partite_arrow(host, single, 2, family=(bogus,))
+    # the same map embeds an edgeless pattern, but that pattern is over another template
+    edgeless = make_apartite(A2, make_rn_graph(2, set(), set()), ((0,), (1,)))
+    other = Copy((0, 3), (0, 3), edgeless.base, host.base)
+    with pytest.raises(StructureError, match="different templates"):
+        check_partite_arrow(host, edgeless, 2, family=(other,))
+    # every template copy of this member is a template copy of the host, yet (1, 3) is
+    # an R-pair of the host over a non-pair of the pattern
+    pattern = make_apartite(C2, make_rn_graph(3, {(0, 2)}, set()), ((0, 1), (2,)))
+    host = make_apartite(
+        C2, make_rn_graph(4, {(0, 3), (1, 3), (2, 3)}, set()), ((0, 1, 2), (3,))
+    )
+    stray = Copy((0, 1, 3), (0, 1, 3), pattern.base, host.base)
+    with pytest.raises(StructureError):
+        check_partite_arrow(host, pattern, 2, family=(stray,))
+
+
+def test_lift_check_survives_optimize_flag():
+    script = (
+        "import rnramsey.partite as partite\n"
+        "from rnramsey import BaseOracle, chain, make_apartite, make_rn_graph, poset_to_complete_rn\n"
+        "partite.is_embedding = lambda *args: False\n"
+        "C2 = poset_to_complete_rn(chain(2))\n"
+        "pattern = make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))\n"
+        "assert False, 'asserts are live'\n"  # stripped under -O, like the old lift check
+        "partite.product_construction(C2, pattern, BaseOracle())\n"
+    )
+    src = str(Path(rnramsey.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1
+    assert "AssertionError: lift of witness copy" in done.stderr
+    assert "is not an embedding" in done.stderr
 
 
 def test_products_on_random_patterns():
