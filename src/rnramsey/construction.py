@@ -23,16 +23,9 @@ from .analysis import (
     longest_r_path_vertices,
     transitive_closure,
 )
-from .arrow import (
-    BaseOracle,
-    Coloring,
-    NotFoundWithinBounds,
-    ResourceExceeded,
-    find_monochromatic,
-    oracle_ramsey,
-)
-from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
-from .partite import APartiteRNGraph, ProductResult, check_partition, make_apartite
+from .arrow import BaseOracle, NotFoundWithinBounds, oracle_ramsey
+from .embeddings import Copy, ResourceExceeded, enumerate_copies, is_embedding, iter_copies
+from .partite import APartiteRNGraph, ProductResult, check_partition, collapse, make_apartite
 from .partite import part_owner, product_construction
 from .structures import (
     Homomorphism,
@@ -68,10 +61,6 @@ class ClosureIntersectsN(ConstructionError):
     pass
 
 
-class NoneFound(ConstructionError):
-    pass
-
-
 @dataclass(frozen=True)
 class BuildLimits:
     """Resource ceiling for one construction run."""
@@ -98,7 +87,7 @@ class Picture:
     @cached_property
     def f(self) -> Homomorphism:
         """The collapse map: each vertex onto the D-vertex that owns its part."""
-        return Homomorphism(tuple(self.D.order[t] for t in self.part_of), self.base, self.D)
+        return collapse(self.base, self.part_of, self.D)
 
     def validate(self) -> None:
         """Partite over D; this also makes f a homomorphism onto D."""
@@ -152,13 +141,12 @@ def _subsystem_vertices(P: Picture, a_copy: Copy) -> list[int]:
     return out
 
 
-def induced_subsystem(P: Picture, a_copy: Copy) -> APartiteRNGraph:
+def induced_subsystem(P: Picture, A: RNGraph, a_copy: Copy) -> APartiteRNGraph:
     """Sub-picture on the parts under one copy of A, re-typed over A itself.
 
     Local vertex k is the k-th entry of the part concatenation in base order, so the
     relabeling is recoverable from (P, a_copy) alone.
     """
-    A = a_copy.pattern
     sub = induced_substructure(P.base, tuple(_subsystem_vertices(P, a_copy)))
     base = make_rn_graph(sub.n, sub.R, sub.N, sub.order)
     parts = []
@@ -170,7 +158,7 @@ def induced_subsystem(P: Picture, a_copy: Copy) -> APartiteRNGraph:
     return make_apartite(A, base, tuple(parts))
 
 
-def _amalgamate_full(
+def amalgamate(
     P: Picture,
     a_copy: Copy,
     F: APartiteRNGraph,
@@ -239,21 +227,13 @@ def _amalgamate_full(
     return picture, copy_maps
 
 
-def amalgamate(P: Picture, a_copy: Copy, F: APartiteRNGraph, lifts) -> Picture:
-    """One gluing round; see _amalgamate_full for the vertex maps as well."""
-    picture, _ = _amalgamate_full(P, a_copy, F, tuple(lifts), BuildLimits())
-    return picture
-
-
 @dataclass(frozen=True)
 class AmalgamationStep:
-    index: int
     a_copy: Copy
     subsystem: APartiteRNGraph
     product: ProductResult
     picture: Picture
     copy_maps: tuple[tuple[int, ...], ...]
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -264,8 +244,12 @@ class ConstructionRun:
     initial: Picture
     steps: tuple[AmalgamationStep, ...]
     picture: Picture
-    certified: bool
     truncated: str | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Every round's base witness was certified by the exact arrow check."""
+        return all(step.product.certified for step in self.steps)
 
 
 def _require_pattern(graph: RNGraph, name: str) -> None:
@@ -297,39 +281,32 @@ def run_partite_construction(
     _require_pattern(B, "B")
     limits = limits or BuildLimits()
     initial = build_picture_zero(D, B)
-    if ell is not None:
-        assert is_ell_rn(initial.base, ell), "a good starting picture cannot fail this"
+    if ell is not None and not is_ell_rn(initial.base, ell):
+        raise AssertionError("a good starting picture cannot fail this")
     picture = initial
     steps: list[AmalgamationStep] = []
-    certified = True
     a_copies = enumerate_copies(A, D)
     if max_steps is not None:
         a_copies = a_copies[:max_steps]
     for j, a_copy in enumerate(a_copies):
         try:
-            subsystem = induced_subsystem(picture, a_copy)
+            subsystem = induced_subsystem(picture, A, a_copy)
             product = product_construction(A, subsystem, oracle)
-            picture, copy_maps = _amalgamate_full(
+            picture, copy_maps = amalgamate(
                 picture, a_copy, product.apartite, product.lifts, limits
             )
         except (NotFoundWithinBounds, ResourceExceeded) as exc:
             if allow_truncated:
                 return ConstructionRun(
-                    D, A, B, initial, tuple(steps), picture, certified,
-                    truncated=f"round {j}: {exc}",
+                    D, A, B, initial, tuple(steps), picture, truncated=f"round {j}: {exc}"
                 )
             raise
         if ell is not None and not is_ell_rn(picture.base, ell):
             raise AssertionError(
                 f"round {j} lost {ell}-freedom; the gluing argument is violated"
             )
-        certified = certified and product.certified
-        steps.append(
-            AmalgamationStep(
-                j, a_copy, subsystem, product, picture, copy_maps, product.certified
-            )
-        )
-    return ConstructionRun(D, A, B, initial, tuple(steps), picture, certified)
+        steps.append(AmalgamationStep(a_copy, subsystem, product, picture, copy_maps))
+    return ConstructionRun(D, A, B, initial, tuple(steps), picture)
 
 
 @dataclass(frozen=True)
@@ -338,8 +315,11 @@ class TowerStage:
     C: RNGraph
     h_down: Homomorphism | None
     certified: bool
-    stabilized: bool = False
-    source: str = ""
+    source: str
+
+    @property
+    def stabilized(self) -> bool:
+        return self.source == "stabilized"
 
 
 @dataclass(frozen=True)
@@ -348,15 +328,6 @@ class Tower:
     A: RNGraph
     B: RNGraph
     truncated: str | None = None
-
-    def __iter__(self):
-        return iter(self.stages)
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-    def __getitem__(self, i):
-        return self.stages[i]
 
     def stage_for(self, ell: int) -> TowerStage | None:
         for stage in self.stages:
@@ -406,13 +377,12 @@ def build_tower(
     a_rn = _as_complete_rn(A, "A")
     b_rn = _as_complete_rn(B, "B")
     wit = oracle_ramsey(oracle, a_rn, b_rn)
-    stages = [TowerStage(2, wit.graph, None, wit.certified, False, wit.source)]
+    stages = [TowerStage(2, wit.graph, None, wit.certified, wit.source)]
     for ell in range(3, ell_max + 1):
         prev = stages[-1]
         if stabilize and is_ell_rn(prev.C, ell):
             stage = TowerStage(
-                ell, prev.C, identity_homomorphism(prev.C), prev.certified, True,
-                "stabilized",
+                ell, prev.C, identity_homomorphism(prev.C), prev.certified, "stabilized"
             )
         else:
             try:
@@ -424,14 +394,15 @@ def build_tower(
                     tuple(stages), a_rn, b_rn, truncated=f"stage {ell}: {exc}"
                 )
             graph = run.picture.base
-            assert is_ell_rn(graph, ell), "completed stage failed its freedom check"
+            if not is_ell_rn(graph, ell):
+                raise AssertionError("completed stage failed its freedom check")
             if next(iter_copies(b_rn, graph), None) is None:
                 raise AssertionError("completed stage lost every copy of the pattern")
             stage = TowerStage(
-                ell, graph, run.picture.f, run.certified and prev.certified, False,
-                "construction",
+                ell, graph, run.picture.f, run.certified and prev.certified, "construction"
             )
-        assert stage.h_down is None or check_homomorphism(stage.h_down)
+        if not check_homomorphism(stage.h_down):
+            raise AssertionError(f"the map down from stage {ell} is not a homomorphism")
         stages.append(stage)
     return Tower(tuple(stages), a_rn, b_rn)
 
@@ -439,7 +410,6 @@ def build_tower(
 @dataclass(frozen=True)
 class FinishResult:
     poset: OrderedPoset
-    stage_ell: int
     lam: int
     b_copies_before: int
     b_copies_intact: int
@@ -464,26 +434,19 @@ def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     if intact != len(before):
         raise AssertionError("closure added a pair inside a pattern copy")
     after = len(enumerate_copies(b_poset, poset))
-    return FinishResult(poset, lam, lam, len(before), intact, after)
+    return FinishResult(poset, lam, len(before), intact, after)
+
+
+def finish_index(first: RNGraph) -> int:
+    """Lambda, the stage that finishing closes: the first stage's vertex count, at least 2."""
+    return max(2, first.n)
 
 
 def finish(tower: Tower) -> FinishResult:
     """Close the stage whose index matches the first stage's vertex count."""
-    lam = max(2, tower.stages[0].C.n)
+    lam = finish_index(tower.stages[0].C)
     stage = tower.stage_for(lam)
     if stage is None:
         last = tower.stages[-1].ell
         raise TowerTooShort(f"needs stage {lam}, tower ends at stage {last}")
     return finish_stage(stage.C, lam, tower.B)
-
-
-def extract_monochromatic_B(target, coloring: Coloring, B: RNGraph, A: RNGraph) -> Copy:
-    """A copy of B all of whose A-copies share one color; scans enumeration order.
-
-    target may be a Picture or a plain RN graph.
-    """
-    base = getattr(target, "base", target)
-    copy = find_monochromatic(base, coloring, B, A)
-    if copy is None:
-        raise NoneFound("no pattern copy is monochromatic under this coloring")
-    return copy

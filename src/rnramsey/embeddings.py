@@ -8,19 +8,21 @@ tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .structures import OrderedPoset, RNGraph
 
 
+class ResourceExceeded(RuntimeError):
+    """A configured node, copy, size or time budget ran out; the verdict is unknown."""
+
+
 @dataclass(frozen=True)
 class Copy:
-    """Embedded copy of `pattern` in `target`; image is listed in target order."""
+    """Embedded copy of a pattern in a target; image is listed in target order."""
 
     image: tuple[int, ...]
     map: tuple[int, ...]
-    pattern: object = field(compare=False)
-    target: object = field(compare=False)
 
 
 def _compatible_kinds(pattern, target) -> None:
@@ -55,7 +57,7 @@ def iter_copies(pattern, target):
     _compatible_kinds(pattern, target)
     k, n = pattern.n, target.n
     if k == 0:
-        yield Copy((), (), pattern, target)
+        yield Copy((), ())
         return
     if k > n:
         return
@@ -76,7 +78,7 @@ def iter_copies(pattern, target):
         vmap = [0] * k
         for i, v in enumerate(image):
             vmap[src[i]] = v
-        return Copy(image, tuple(vmap), pattern, target)
+        return Copy(image, tuple(vmap))
 
     stack = [0]
     while stack:
@@ -101,15 +103,12 @@ def iter_copies(pattern, target):
 def enumerate_copies(pattern, target, limit: int | None = None) -> list[Copy]:
     """All copies of pattern in target, in deterministic enumeration order.
 
-    `limit` caps the count; exceeding it raises ResourceExceeded (import-cycle-free
-    local import since the arrow module owns that error).
+    `limit` caps the count; exceeding it raises ResourceExceeded.
     """
     out: list[Copy] = []
     for copy in iter_copies(pattern, target):
         out.append(copy)
         if limit is not None and len(out) > limit:
-            from .arrow import ResourceExceeded
-
             raise ResourceExceeded(
                 f"more than {limit} copies of a {pattern.n}-vertex pattern in a "
                 f"{target.n}-vertex target"

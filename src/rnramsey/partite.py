@@ -41,10 +41,6 @@ class APartiteRNGraph:
     def part_of(self) -> tuple[int, ...]:
         return part_owner(self.parts, self.base.n)
 
-    def template_vertex(self, t: int) -> int:
-        """Template vertex owning part t (the t-th smallest in A's order)."""
-        return self.A.order[t]
-
 
 def part_owner(parts, n: int) -> tuple[int, ...]:
     """owner[v] = index of the part holding vertex v (-1 when no part holds it)."""
@@ -100,10 +96,14 @@ def make_apartite(A: RNGraph, base: RNGraph, parts) -> APartiteRNGraph:
     return APartiteRNGraph(A, base, parts)
 
 
+def collapse(base: RNGraph, part_of, template: RNGraph) -> Homomorphism:
+    """Each vertex onto the template vertex owning its part: the t-th smallest owns t."""
+    return Homomorphism(tuple(template.order[t] for t in part_of), base, template)
+
+
 def projection(graph: APartiteRNGraph) -> Homomorphism:
     """Collapse each part onto its template vertex."""
-    mapping = tuple(graph.template_vertex(graph.part_of[v]) for v in range(graph.base.n))
-    return Homomorphism(mapping, graph.base, graph.A)
+    return collapse(graph.base, graph.part_of, graph.A)
 
 
 def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
@@ -111,7 +111,8 @@ def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
     copies = enumerate_copies(graph.A, graph.base)
     for copy in copies:
         touched = sorted(graph.part_of[v] for v in copy.image)
-        assert touched == list(range(graph.A.n)), "template copy is not crossing"
+        if touched != list(range(graph.A.n)):
+            raise AssertionError("template copy is not crossing")
     return copies
 
 
@@ -200,7 +201,7 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
             raise AssertionError(f"lift of witness copy {w_copy.image} is not an embedding")
         if any(apartite.part_of[w] != part_of[v] for v, w in enumerate(vmap)):
             raise AssertionError(f"lift of witness copy {w_copy.image} moved a part")
-        return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap, graph, base)
+        return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap)
 
     e_copies = enumerate_copies(fused_e, witness)
     lifts = tuple(lift(pattern.base, pattern.part_of, c) for c in e_copies)

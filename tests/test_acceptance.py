@@ -15,7 +15,6 @@ from rnramsey import (
     chain,
     check_arrow,
     enumerate_copies,
-    extract_monochromatic_B,
     find_bad_quasicycle,
     find_monochromatic,
     finish,
@@ -95,7 +94,7 @@ def test_criterion_3_partite_shape():
             tx, ty = ap.part_of[x], ap.part_of[y]
             assert tx != ty
             assert tx < ty
-            assert ap.A.status(ap.template_vertex(tx), ap.template_vertex(ty)) == g.status(x, y)
+            assert ap.A.status(ap.A.order[tx], ap.A.order[ty]) == g.status(x, y)
         for copy in enumerate_copies(ap.A, g):
             hit = [ap.part_of[v] for v in copy.image]
             assert sorted(hit) == list(range(ap.A.n))
@@ -186,7 +185,7 @@ def test_criterion_6_end_to_end():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle())
     res = finish(tower)
     assert res.lam == tower.stages[0].C.n == 3
-    stage = tower.stage_for(res.stage_ell).C
+    stage = tower.stage_for(res.lam).C
     closure = transitive_closure(stage.R, stage.n)
     assert not (closure & stage.N)
     assert res.b_copies_intact == res.b_copies_before
@@ -198,9 +197,9 @@ def test_criterion_6_end_to_end():
     rng = random.Random(0x6E0E06)
     for _ in range(1000):
         coloring = random_coloring(c_rn, POINT, 2, rng)
-        extract_monochromatic_B(c_rn, coloring, C2, POINT)
+        assert find_monochromatic(c_rn, coloring, C2, POINT) is not None
     adversary = greedy_adversarial_coloring(c_rn, C2, POINT, 2)
-    extract_monochromatic_B(c_rn, adversary, C2, POINT)
+    assert find_monochromatic(c_rn, adversary, C2, POINT) is not None
     print(
         f"\nCRITERION 6 PASS: finished poset n={res.poset.n} valid, closure misses N, "
         f"copies intact {res.b_copies_intact}/{res.b_copies_before}, exact arrow HOLDS "

@@ -7,7 +7,6 @@ from rnramsey import (
     BuildLimits,
     ClosureIntersectsN,
     NoCopiesOfB,
-    NoneFound,
     TowerTooShort,
     antichain,
     build_picture_zero,
@@ -16,7 +15,7 @@ from rnramsey import (
     check_arrow,
     check_homomorphism,
     enumerate_copies,
-    extract_monochromatic_B,
+    find_monochromatic,
     finish,
     finish_stage,
     greedy_adversarial_coloring,
@@ -81,16 +80,16 @@ def test_picture_zero_no_copies():
 def test_induced_subsystem_examples():
     p0 = build_picture_zero(C3, C2)
     a_copies = enumerate_copies(C2, C3)
-    sub = induced_subsystem(p0, a_copies[2])  # the copy on host vertices {1, 2}
+    sub = induced_subsystem(p0, C2, a_copies[2])  # the copy on host vertices {1, 2}
     assert [len(part) for part in sub.parts] == [2, 2]
     assert len(sub.base.R) == 1 and not sub.base.N
     # a single-part subsystem under a point is edgeless
     point_copies = enumerate_copies(POINT, C3)
-    sub0 = induced_subsystem(p0, point_copies[0])
+    sub0 = induced_subsystem(p0, POINT, point_copies[0])
     assert sub0.base.n == 2 and not sub0.base.R and not sub0.base.N
     # a copy covering every part re-types the whole picture
     p0_self = build_picture_zero(C3, C3)
-    whole = induced_subsystem(p0_self, enumerate_copies(C3, C3)[0])
+    whole = induced_subsystem(p0_self, C3, enumerate_copies(C3, C3)[0])
     assert whole.base.n == p0_self.base.n
     assert whole.base.R == p0_self.base.R
 
@@ -98,10 +97,10 @@ def test_induced_subsystem_examples():
 def test_amalgamate_single_lift_is_isomorphic():
     p0 = build_picture_zero(C2, C2)
     a_copy = enumerate_copies(C2, C2)[0]
-    sub = induced_subsystem(p0, a_copy)
+    sub = induced_subsystem(p0, C2, a_copy)
     product = product_construction(C2, sub, BaseOracle())
     assert len(product.lifts) == 1
-    p1 = amalgamate(p0, a_copy, product.apartite, product.lifts)
+    p1, _ = amalgamate(p0, a_copy, product.apartite, product.lifts, BuildLimits())
     assert p1.base.n == p0.base.n
     assert p1.base.R == p0.base.R and p1.base.N == p0.base.N
 
@@ -109,7 +108,7 @@ def test_amalgamate_single_lift_is_isomorphic():
 def test_amalgamate_disjoint_lifts_double_the_picture(tmp_path):
     p0 = build_picture_zero(C2, C2)
     a_copy = enumerate_copies(C2, C2)[0]
-    sub = induced_subsystem(p0, a_copy)
+    sub = induced_subsystem(p0, C2, a_copy)
     witness = make_rn_graph(4, {(0, 1), (2, 3)}, set())
     path = tmp_path / "w.json"
     save_structure(path, witness)
@@ -118,7 +117,7 @@ def test_amalgamate_disjoint_lifts_double_the_picture(tmp_path):
     assert product.certified and len(product.lifts) == 2
     images = [set(l.image) for l in product.lifts]
     assert not (images[0] & images[1])
-    p1 = amalgamate(p0, a_copy, product.apartite, product.lifts)
+    p1, _ = amalgamate(p0, a_copy, product.apartite, product.lifts, BuildLimits())
     assert p1.base.n == 2 * p0.base.n
     assert len(p1.base.R) == 2 and not p1.base.N
     assert is_good(p1.base)
@@ -215,8 +214,8 @@ def test_resource_guard_on_picture_size():
 
 def test_build_tower_frozen_example():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle())
-    assert len(tower) == 2
-    s2, s3 = tower
+    assert len(tower.stages) == 2
+    s2, s3 = tower.stages
     assert s2.ell == 2 and s2.C == poset_to_complete_rn(chain(3))
     assert s2.certified and s2.source == "search:chain"
     assert s3.stabilized and s3.C == s2.C
@@ -227,14 +226,14 @@ def test_build_tower_frozen_example():
 
 def test_build_tower_single_stage_and_validation():
     tower = build_tower(chain(1), chain(2), 2, BaseOracle())
-    assert len(tower) == 1
+    assert len(tower.stages) == 1
     with pytest.raises(ValueError):
         build_tower(chain(1), chain(2), 1, BaseOracle())
 
 
 def test_build_tower_no_stabilize_hits_the_wall():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle(), stabilize=False)
-    assert len(tower) == 1
+    assert len(tower.stages) == 1
     assert tower.truncated and "stage 3" in tower.truncated
 
 
@@ -250,7 +249,7 @@ def test_build_tower_no_stabilize_small_instance():
 def test_finish_point_chain():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle())
     res = finish(tower)
-    assert res.lam == 3 and res.stage_ell == 3
+    assert res.lam == 3
     assert res.poset == make_ordered_poset(3, {(0, 1), (0, 2), (1, 2)})
     assert res.b_copies_before == 3
     assert res.b_copies_intact == 3
@@ -276,24 +275,23 @@ def test_extractor():
     target = tower.stages[-1].C
     copies = enumerate_copies(POINT, target)
     constant = make_coloring(copies, [0] * len(copies), 2)
-    copy = extract_monochromatic_B(target, constant, C2, POINT)
+    copy = find_monochromatic(target, constant, C2, POINT)
     assert copy.image == (0, 1)
     rng = random.Random(55)
     for _ in range(100):
         coloring = random_coloring(target, POINT, 2, rng)
-        extract_monochromatic_B(target, coloring, C2, POINT)
+        assert find_monochromatic(target, coloring, C2, POINT) is not None
     adv = greedy_adversarial_coloring(target, C2, POINT, 2)
-    extract_monochromatic_B(target, adv, C2, POINT)
-    # a defeated instance raises
+    assert find_monochromatic(target, adv, C2, POINT) is not None
+    # a defeated instance has none
     c5 = poset_to_complete_rn(chain(5))
     verdict = check_arrow(c5, C3, C2, 2)
-    with pytest.raises(NoneFound):
-        extract_monochromatic_B(c5, verdict.counterexample, C3, C2)
+    assert find_monochromatic(c5, verdict.counterexample, C3, C2) is None
 
 
 def test_extractor_accepts_pictures():
     p0 = build_picture_zero(C3, C2)
     copies = enumerate_copies(C2, p0.base)
     coloring = make_coloring(copies, [1] * len(copies), 2)
-    copy = extract_monochromatic_B(p0, coloring, C2, C2)
+    copy = find_monochromatic(p0.base, coloring, C2, C2)
     assert copy.image == copies[0].image

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -86,18 +87,26 @@ def test_iter_copies_is_lazy():
     assert next(gen).image == (0, 1)
 
 
+def _agrees_with_brute_force(pattern, target):
+    images = brute_copies(pattern, target)
+    assert [c.image for c in enumerate_copies(pattern, target)] == images
+    # is_embedding holds exactly for the injections that list a copy's image in
+    # pattern order
+    for vmap in itertools.permutations(range(target.n), pattern.n):
+        in_order = tuple(vmap[v] for v in pattern.order)
+        assert is_embedding(vmap, pattern, target) == (in_order in images)
+
+
 def test_against_brute_force_corpus():
     rng = random.Random(21)
     for _ in range(150):
         target = random_rn(rng, 7)
         pattern = random_rn(rng, 3)
-        got = [c.image for c in enumerate_copies(pattern, target)]
-        assert got == brute_copies(pattern, target)
+        _agrees_with_brute_force(pattern, target)
     for _ in range(100):
         target = random_poset(rng, 6)
         pattern = random_poset(rng, 3)
-        got = [c.image for c in enumerate_copies(pattern, target)]
-        assert got == brute_copies(pattern, target)
+        _agrees_with_brute_force(pattern, target)
 
 
 def test_pattern_larger_than_target():

@@ -271,6 +271,19 @@ def test_cli_finish_names_missing_manifest_key(tmp_path, capsys, key):
     assert f"ERROR: manifest has no '{key}' entry" in capsys.readouterr().err
 
 
+def test_cli_finish_refuses_edited_lambda(tmp_path, capsys):
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    manifest["lambda"] = "2"
+    (out / "manifest.txt").write_text(format_manifest(manifest))
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR: manifest lambda 2 disagrees with stage 2, which gives 3" in err
+    assert not (out / "C.json").exists()
+
+
 def test_cli_tower_reruns_are_byte_identical(tmp_path, capsys):
     _, out1 = _run_tower(tmp_path, "run1")
     _, out2 = _run_tower(tmp_path, "run2")

@@ -1,7 +1,9 @@
+import ast
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -266,43 +268,84 @@ def test_check_partite_arrow_rejects_non_copy_family_member():
     host = make_apartite(C2, make_rn_graph(4, {(0, 2), (1, 3)}, set()), ((0, 1), (2, 3)))
     assert check_partite_arrow(host, single, 2).holds
     # (0, 3) respects the parts but is not an R-pair, so it is no copy of the pattern
-    bogus = Copy((0, 3), (0, 3), single.base, host.base)
+    bogus = Copy((0, 3), (0, 3))
     with pytest.raises(StructureError):
         check_partite_arrow(host, single, 2, family=(bogus,))
     # the same map embeds an edgeless pattern, but that pattern is over another template
     edgeless = make_apartite(A2, make_rn_graph(2, set(), set()), ((0,), (1,)))
-    other = Copy((0, 3), (0, 3), edgeless.base, host.base)
     with pytest.raises(StructureError, match="different templates"):
-        check_partite_arrow(host, edgeless, 2, family=(other,))
+        check_partite_arrow(host, edgeless, 2, family=(bogus,))
     # every template copy of this member is a template copy of the host, yet (1, 3) is
     # an R-pair of the host over a non-pair of the pattern
     pattern = make_apartite(C2, make_rn_graph(3, {(0, 2)}, set()), ((0, 1), (2,)))
     host = make_apartite(
         C2, make_rn_graph(4, {(0, 3), (1, 3), (2, 3)}, set()), ((0, 1, 2), (3,))
     )
-    stray = Copy((0, 1, 3), (0, 1, 3), pattern.base, host.base)
+    stray = Copy((0, 1, 3), (0, 1, 3))
     with pytest.raises(StructureError):
         check_partite_arrow(host, pattern, 2, family=(stray,))
 
 
 def test_lift_check_survives_optimize_flag():
-    script = (
-        "import rnramsey.partite as partite\n"
-        "from rnramsey import BaseOracle, chain, make_apartite, make_rn_graph, poset_to_complete_rn\n"
-        "partite.is_embedding = lambda *args: False\n"
-        "C2 = poset_to_complete_rn(chain(2))\n"
-        "pattern = make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))\n"
-        "assert False, 'asserts are live'\n"  # stripped under -O, like the old lift check
-        "partite.product_construction(C2, pattern, BaseOracle())\n"
+    script = textwrap.dedent(
+        """
+        import types
+        import rnramsey.arrow as arrow
+        import rnramsey.construction as construction
+        import rnramsey.partite as partite
+        from rnramsey import BaseOracle, chain, enumerate_copies, make_apartite, make_coloring
+        from rnramsey import make_rn_graph, poset_to_complete_rn
+        C2, C3 = poset_to_complete_rn(chain(2)), poset_to_complete_rn(chain(3))
+        assert False, "asserts are live"  # stripped under -O, like the old checks
+
+        def fires(call):
+            try:
+                call()
+            except AssertionError as exc:
+                print("fired:", exc)
+
+        fires(lambda: partite.crossing_copies(partite.APartiteRNGraph(C2, C2, ((0, 1), ()))))
+        arrow.induced_substructure = lambda target, image: make_rn_graph(len(image), (), ())
+        coloring = make_coloring(enumerate_copies(C2, C3), [0, 0, 0], 2)
+        fires(lambda: arrow.find_monochromatic(C3, coloring, C2, C2))
+        construction.check_homomorphism = lambda h: False
+        fires(lambda: construction.build_tower(chain(1), chain(2), 3, BaseOracle()))
+        construction.is_ell_rn = lambda graph, ell: False
+        fires(lambda: construction.run_partite_construction(C2, C2, C2, BaseOracle(), ell=3))
+        stub = types.SimpleNamespace(picture=types.SimpleNamespace(base=C2))
+        construction.run_partite_construction = lambda *args, **kwargs: stub
+        fires(lambda: construction.build_tower(chain(1), chain(2), 3, BaseOracle(),
+                                               stabilize=False))
+        partite.is_embedding = lambda *args: False
+        pattern = make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))
+        partite.product_construction(C2, pattern, BaseOracle())
+        """
     )
     src = str(Path(rnramsey.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
+    assert done.stdout.splitlines() == [
+        "fired: template copy is not crossing",
+        "fired: copy composition mismatch",
+        "fired: the map down from stage 3 is not a homomorphism",
+        "fired: a good starting picture cannot fail this",
+        "fired: completed stage failed its freedom check",
+    ]
     assert done.returncode == 1
     assert "AssertionError: lift of witness copy" in done.stderr
     assert "is not an embedding" in done.stderr
+
+
+def test_no_bare_assert_in_sources():
+    """`python -O` strips assert statements, so invariants raise AssertionError instead."""
+    found = []
+    for path in sorted(Path(rnramsey.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_products_on_random_patterns():
