@@ -30,6 +30,14 @@ class CertificationFailed(RuntimeError):
     """A supplied witness was refuted by check_arrow."""
 
 
+def require_non_negative(record, *names: str) -> None:
+    """A negative budget is an input error, not a ceiling that runs out at once."""
+    for name in names:
+        value = getattr(record, name)
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class SearchLimits:
     """Budgets for one exact arrow decision."""
@@ -37,6 +45,9 @@ class SearchLimits:
     max_nodes: int = 2_000_000
     max_copies: int = 200_000
     time_budget: float = 120.0
+
+    def __post_init__(self) -> None:
+        require_non_negative(self, "max_nodes", "max_copies", "time_budget")
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,6 @@ class ArrowVerdict:
     target: object = field(compare=False)
     Q: object = field(compare=False)
     P: object = field(compare=False)
-    r: int = 2
     nodes_explored: int = field(compare=False, default=0)
 
     def monochromatic_copy(self, coloring: Coloring) -> Copy:
@@ -83,19 +93,18 @@ class ArrowVerdict:
         return found
 
 
-def _hyperedges(p_copies, q_copies, Q, P) -> list[frozenset[int]]:
+def _hyperedges(p_copies, q_copies, p_in_q) -> list[frozenset[int]]:
     """Per Q-copy, the indices (into p_copies) of the P-copies inside it.
 
-    Each copy of P in Q itself is carried through the Q-copy's vertex map and looked up
-    by image.  Composed embeddings are embeddings, so every lookup must succeed; a miss
-    means a Q-copy that is not a copy.
+    Each copy of P in Q itself (p_in_q) is carried through the Q-copy's vertex map and
+    looked up by image.  Composed embeddings are embeddings, so every lookup must
+    succeed; a miss means a Q-copy that is not a copy.
     """
     index = {c.image: i for i, c in enumerate(p_copies)}
-    inner = enumerate_copies(P, Q)
     edges = []
     for q in q_copies:
         try:
-            edges.append(frozenset(index[tuple(q.map[u] for u in c.image)] for c in inner))
+            edges.append(frozenset(index[tuple(q.map[u] for u in c.image)] for c in p_in_q))
         except KeyError as miss:
             raise AssertionError(f"Q-copy {q.image} maps a P-copy onto non-copy {miss}") from None
     return edges
@@ -204,21 +213,24 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     limits = limits or SearchLimits()
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
     q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    return _verdict(target, Q, P, r, p_copies, q_copies, limits)
+    return _verdict(target, Q, P, r, p_copies, q_copies, enumerate_copies(P, Q), limits)
 
 
-def _verdict(target, Q, P, r: int, p_copies, q_copies, limits: SearchLimits) -> ArrowVerdict:
+def _verdict(
+    target, Q, P, r: int, p_copies, q_copies, p_in_q, limits: SearchLimits
+) -> ArrowVerdict:
     """Decide whether every r-coloring of p_copies makes some member of q_copies
-    monochromatic; the copies are given, everything after enumeration happens here."""
+    monochromatic; the copies (and the copies p_in_q of P in Q itself) are given,
+    everything after enumeration happens here."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     if not q_copies:
         coloring = make_coloring(p_copies, [0] * len(p_copies), r)
-        return ArrowVerdict(False, coloring, target, Q, P, r)
-    edges = _hyperedges(p_copies, q_copies, Q, P)
+        return ArrowVerdict(False, coloring, target, Q, P)
+    edges = _hyperedges(p_copies, q_copies, p_in_q)
     if any(not e for e in edges):
         # a Q-copy without P-copies is monochromatic under every coloring
-        return ArrowVerdict(True, None, target, Q, P, r)
+        return ArrowVerdict(True, None, target, Q, P)
     m = len(p_copies)
     if m > 2000:
         raise ResourceExceeded(f"{m} P-copies is beyond the exact search ceiling")
@@ -228,13 +240,13 @@ def _verdict(target, Q, P, r: int, p_copies, q_copies, limits: SearchLimits) -> 
         for _ in range(_PREPASS_SAMPLES):
             sample = [rng.randrange(r) for _ in range(m)]
             if all(len({sample[i] for i in e}) > 1 for e in edges):
-                return ArrowVerdict(False, make_coloring(p_copies, sample, r), target, Q, P, r)
+                return ArrowVerdict(False, make_coloring(p_copies, sample, r), target, Q, P)
 
     assignment, nodes = _proper_coloring_search(m, edges, r, limits)
     if assignment is None:
-        return ArrowVerdict(True, None, target, Q, P, r, nodes_explored=nodes)
+        return ArrowVerdict(True, None, target, Q, P, nodes_explored=nodes)
     return ArrowVerdict(
-        False, make_coloring(p_copies, assignment, r), target, Q, P, r, nodes_explored=nodes
+        False, make_coloring(p_copies, assignment, r), target, Q, P, nodes_explored=nodes
     )
 
 
@@ -273,7 +285,8 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
     """
     cap = SearchLimits().max_copies
     p_copies = enumerate_copies(P, target, limit=cap)
-    edges = _hyperedges(p_copies, enumerate_copies(Q, target, limit=cap), Q, P)
+    q_copies = enumerate_copies(Q, target, limit=cap)
+    edges = _hyperedges(p_copies, q_copies, enumerate_copies(P, Q))
     containing: list[list[int]] = [[] for _ in p_copies]
     for e_idx, members in enumerate(edges):
         for i in members:
@@ -313,6 +326,9 @@ class BaseOracle:
     candidate_budget: int = 60_000
     witness: RNGraph | None = None
 
+    def __post_init__(self) -> None:
+        require_non_negative(self, "size_bound", "time_bound", "candidate_budget")
+
 
 @dataclass(frozen=True)
 class OracleWitness:
@@ -341,27 +357,50 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
             yield poset_to_complete_rn(chain(n)), "search:chain"
 
 
-def _enumerated_candidates(size_bound: int):
-    """Every (R, N) assignment over forward pairs of the identity order, by size.
+def _enumerated_candidates(size_bound: int, states: tuple[str, ...]):
+    """Every assignment of the pair states over forward pairs of the identity order,
+    by size.
 
     With the order fixed to the identity, distinct relation sets are distinct up to
-    order-preserving isomorphism, so the enumeration is canonical.  Pair states run
-    R, then N, then absent, earliest pair most significant.
+    order-preserving isomorphism, so the enumeration is canonical.  Pair states run in
+    the order given, "R", "N" and "" (absent), earliest pair most significant; leaving
+    "N" out keeps the N-free graphs in the same order.
+
+    oracle_ramsey leaves "N" out when A is a complete R-chain and E has no N, and loses
+    no witness size by it.  Let F* be F with its N pairs made absent.  A-copies use only
+    R pairs, so F and F* have the same A-copies.  An E-copy uses only R and absent
+    pairs, which F* keeps, so every E-copy of F is an E-copy of F*.  So F*'s hypergraph
+    has the same vertices and more edges: a coloring that leaves every E-copy of F*
+    non-monochromatic does the same for F.  If F -> (E)^A_2, then F* -> (E)^A_2, and
+    F* has as many vertices as F.
     """
     for n in range(1, size_bound + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-            R = frozenset(p for p, s in zip(pairs, states) if s == 0)
-            N = frozenset(p for p, s in zip(pairs, states) if s == 1)
+        for assignment in itertools.product(states, repeat=len(pairs)):
+            R = frozenset(p for p, s in zip(pairs, assignment) if s == "R")
+            N = frozenset(p for p, s in zip(pairs, assignment) if s == "N")
             yield RNGraph(n, R, N, tuple(range(n))), "search:enumeration"
+
+
+def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLimits) -> bool:
+    """graph -> (E)^A_2 on the verdict path of check_arrow, with the E-copies listed
+    first: a graph without one is no witness, so its A-copies are never listed."""
+    q_copies = enumerate_copies(E, graph, limit=limits.max_copies)
+    if not q_copies:
+        return False
+    p_copies = enumerate_copies(A, graph, limit=limits.max_copies)
+    return _verdict(graph, E, A, 2, p_copies, q_copies, p_in_q, limits).holds
 
 
 def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Produce F with F -> (E)^A_2 according to the oracle's mode.
 
-    Search mode returns only witnesses certified by check_arrow.  File mode certifies
-    the supplied witness, downgrading to an uncertified pass-through only when the
-    certification itself exceeds its budgets.  Assume mode never certifies.
+    Search mode returns only witnesses certified by the exact verdict path of
+    check_arrow; when A is a complete R-chain and E has no N (every fused product
+    query), it tries only N-free candidates, which loses no witness size (see
+    _enumerated_candidates).  File mode certifies the supplied witness, downgrading to
+    an uncertified pass-through only when the certification itself exceeds its
+    budgets.  Assume mode never certifies.
     """
     graph = oracle.witness
     limits = SearchLimits()
@@ -385,12 +424,16 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             f"every witness contains a copy of the {E.n}-vertex pattern, "
             f"beyond the size bound {oracle.size_bound}"
         )
+    n_free = _is_complete_chain(A) and not E.N
+    states = ("R", "") if n_free else ("R", "N", "")
+    p_in_q = enumerate_copies(A, E)
     deadline = time.monotonic() + oracle.time_bound
     # Enumerated candidates are pairwise distinct, so only a seed can be met twice.
     seeds: set[tuple[int, frozenset, frozenset]] = set()
     budget = oracle.candidate_budget
     for graph, source in itertools.chain(
-        _seed_candidates(A, E, oracle.size_bound), _enumerated_candidates(oracle.size_bound)
+        _seed_candidates(A, E, oracle.size_bound),
+        _enumerated_candidates(oracle.size_bound, states),
     ):
         key = (graph.n, graph.R, graph.N)
         if key in seeds:
@@ -402,7 +445,12 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             raise ResourceExceeded(f"candidate budget ({oracle.candidate_budget}) exhausted")
         if time.monotonic() > deadline:
             raise ResourceExceeded(f"search time budget ({oracle.time_bound}s) exhausted")
-        verdict = check_arrow(graph, E, A, 2, limits)
-        if verdict.holds:
+        if _is_witness(graph, A, E, p_in_q, limits):
             return OracleWitness(graph, True, source)
+    if n_free:
+        raise NotFoundWithinBounds(
+            f"no witness among the N-free candidates up to {oracle.size_bound} vertices; "
+            "A is a complete R-chain and E has no N, so a candidate with N pairs is a "
+            "witness only if it stays one with them made absent"
+        )
     raise NotFoundWithinBounds(f"no witness among candidates up to {oracle.size_bound} vertices")

@@ -23,7 +23,7 @@ from .analysis import (
     longest_r_path_vertices,
     transitive_closure,
 )
-from .arrow import BaseOracle, NotFoundWithinBounds, oracle_ramsey
+from .arrow import BaseOracle, NotFoundWithinBounds, oracle_ramsey, require_non_negative
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, is_embedding, iter_copies
 from .partite import APartiteRNGraph, ProductResult, check_partition, collapse, make_apartite
 from .partite import part_owner, product_construction
@@ -66,6 +66,9 @@ class BuildLimits:
     """Resource ceiling for one construction run."""
 
     max_picture_vertices: int = 20_000
+
+    def __post_init__(self) -> None:
+        require_non_negative(self, "max_picture_vertices")
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,6 @@ def amalgamate(
 
 @dataclass(frozen=True)
 class AmalgamationStep:
-    a_copy: Copy
     subsystem: APartiteRNGraph
     product: ProductResult
     picture: Picture
@@ -238,9 +240,6 @@ class AmalgamationStep:
 
 @dataclass(frozen=True)
 class ConstructionRun:
-    D: RNGraph
-    A: RNGraph
-    B: RNGraph
     initial: Picture
     steps: tuple[AmalgamationStep, ...]
     picture: Picture
@@ -298,15 +297,15 @@ def run_partite_construction(
         except (NotFoundWithinBounds, ResourceExceeded) as exc:
             if allow_truncated:
                 return ConstructionRun(
-                    D, A, B, initial, tuple(steps), picture, truncated=f"round {j}: {exc}"
+                    initial, tuple(steps), picture, truncated=f"round {j}: {exc}"
                 )
             raise
         if ell is not None and not is_ell_rn(picture.base, ell):
             raise AssertionError(
                 f"round {j} lost {ell}-freedom; the gluing argument is violated"
             )
-        steps.append(AmalgamationStep(a_copy, subsystem, product, picture, copy_maps))
-    return ConstructionRun(D, A, B, initial, tuple(steps), picture)
+        steps.append(AmalgamationStep(subsystem, product, picture, copy_maps))
+    return ConstructionRun(initial, tuple(steps), picture)
 
 
 @dataclass(frozen=True)

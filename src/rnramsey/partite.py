@@ -229,4 +229,8 @@ def check_partite_arrow(
             if not (is_embedding(copy.map, pattern.base, host.base)
                     and _keeps_parts(pattern, host, copy.map)):
                 raise StructureError("family member is not a part-preserving copy", copy.map)
-    return _verdict(host.base, pattern.base, host.A, r, a_copies, members, limits or SearchLimits())
+    a_in_pattern = enumerate_copies(host.A, pattern.base)
+    return _verdict(
+        host.base, pattern.base, host.A, r, a_copies, members, a_in_pattern,
+        limits or SearchLimits(),
+    )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from rnramsey import (
     check_arrow,
     enumerate_copies,
     find_monochromatic,
+    fuse,
     greedy_adversarial_coloring,
     load_structure,
     make_coloring,
@@ -175,11 +177,13 @@ def test_oracle_tries_each_candidate_once(monkeypatch):
     a2 = poset_to_complete_rn(antichain(2))
     tried = []
 
-    def counting_check_arrow(graph, *args):
-        tried.append((graph.n, graph.R, graph.N))
-        return check_arrow(graph, *args)
+    def recording_enumerate_copies(pattern, target, *args, **kwargs):
+        # every candidate is decided by listing its copies of the pattern E first
+        if pattern == a2:
+            tried.append((target.n, target.R, target.N))
+        return enumerate_copies(pattern, target, *args, **kwargs)
 
-    monkeypatch.setattr(arrow, "check_arrow", counting_check_arrow)
+    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
     w = oracle_ramsey(BaseOracle(), POINT, a2)
     assert w.source == "search:enumeration" and w.graph.n == 3
     assert tried[0] == (2, a2.R, a2.N)
@@ -213,3 +217,59 @@ def test_oracle_assume_and_file_modes(tmp_path):
     save_structure(bad, poset_to_complete_rn(chain(5)))
     with pytest.raises(CertificationFailed):
         oracle_ramsey(BaseOracle(mode="file", witness=load_structure(bad)), C2, C3)
+
+
+def _identity_graphs(max_n: int):
+    """Every graph on the identity order with up to max_n vertices, by size, pair
+    states R, N, absent, earliest pair most significant: the reference 3-state scan,
+    written apart from the oracle's enumerator."""
+    for n in range(1, max_n + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for assignment in itertools.product("RN-", repeat=len(pairs)):
+            R = [p for p, s in zip(pairs, assignment) if s == "R"]
+            N = [p for p, s in zip(pairs, assignment) if s == "N"]
+            yield make_rn_graph(n, R, N)
+
+
+def test_n_free_lemma():
+    # A a complete R-chain, E without N: a witness stays one with its N pairs made absent
+    rng = random.Random(34)
+    with_n = 0
+    for _ in range(4):
+        E = fuse(random_rn(rng, 3))
+        for A in (POINT, C2):
+            for F in _identity_graphs(4):
+                if F.N and check_arrow(F, E, A, 2).holds:
+                    with_n += 1
+                    assert check_arrow(make_rn_graph(F.n, F.R, ()), E, A, 2).holds
+    assert with_n >= 1000
+
+
+def test_oracle_loop_agrees_with_check_arrow():
+    # A is a complete R-chain throughout, so the N-free queries are those with E.N empty
+    queries = [
+        (POINT, poset_to_complete_rn(antichain(2))),
+        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, {(1, 2)})),
+        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, ())),
+        (C2, make_rn_graph(3, {(0, 2), (1, 2)}, ())),
+        (POINT, make_rn_graph(3, {(0, 1)}, ())),
+    ]
+    for A, E in queries:
+        p_in_q = enumerate_copies(A, E)
+        witnesses = []
+        for F in _identity_graphs(4):
+            holds = check_arrow(F, E, A, 2).holds
+            assert arrow._is_witness(F, A, E, p_in_q, SearchLimits()) == holds
+            if holds:
+                witnesses.append(F)
+        if not witnesses:
+            with pytest.raises(NotFoundWithinBounds, match="N-free candidates"):
+                oracle_ramsey(BaseOracle(size_bound=4), A, E)
+            continue
+        w = oracle_ramsey(BaseOracle(size_bound=4), A, E)
+        assert w.source == "search:enumeration" and w.certified
+        if E.N:
+            assert w.graph == witnesses[0]
+        else:
+            assert w.graph == next(F for F in witnesses if not F.N)
+            assert w.graph.n <= witnesses[0].n

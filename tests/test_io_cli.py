@@ -205,6 +205,31 @@ def test_cli_bad_env_value(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "c2.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("tower", "--candidate-budget", "-5"),
+        ("tower", "--size-bound", "-1"),
+        ("tower", "--oracle-time-bound", "-1"),
+        ("tower", "--max-picture-vertices", "-1"),
+        ("arrow", "--max-nodes", "-1"),
+        ("arrow", "--max-copies", "-1"),
+        ("arrow", "--time-budget", "-1"),
+    ],
+)
+def test_cli_negative_budget_is_an_input_error(tmp_path, capsys, command, flag, value):
+    if command == "tower":
+        code, out = _run_tower(tmp_path, "t", flag, value)
+        assert not out.exists()
+    else:
+        c5 = _write(tmp_path, "c5.json", poset_to_complete_rn(chain(5)))
+        q = _write(tmp_path, "q.json", C3)
+        p = _write(tmp_path, "p.json", C2)
+        code = main(["arrow", c5, q, p, flag, value])
+    assert code == 1
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def _run_tower(tmp_path, out_name, *extra):
     a = _write(tmp_path, "a.json", chain(1))
     b = _write(tmp_path, "b.json", chain(2))
