@@ -5,6 +5,11 @@ the target admits a copy of Q all of whose P-copies share one color.  The verdic
 from an exact backtracking search for a counterexample coloring (one with no
 monochromatic Q-copy); exhaustion proves the arrow.  A seeded random pre-pass hunts for
 counterexamples early on larger instances but never decides the positive side.
+
+The P-copies are the slots and the Q-copies the edges of a hypergraph.  The search, the
+pre-pass and greedy_adversarial_coloring all keep their edge state as Python int masks
+over the edges, built from one incidence list (_incidence): per color, the edges with a
+member of that color, and the edges that carry two colors.
 """
 
 from __future__ import annotations
@@ -110,56 +115,49 @@ def _hyperedges(p_copies, q_copies, p_in_q) -> list[frozenset[int]]:
     return edges
 
 
-def _proper_coloring_search(m: int, edges, r: int, limits: SearchLimits):
-    """Assignment with no monochromatic edge, or None when none exists.
-
-    Backtracks over slots 0..m-1 with incremental edge state; a slot's color is capped
-    at one past the maximum color already in use, which loses no generality for
-    existence.  Branches die as soon as some edge is complete and single-colored; the
-    search ends early as soon as every edge carries two colors.
-    """
-    containing: list[list[int]] = [[] for _ in range(m)]
+def _incidence(m: int, edges) -> list[int]:
+    """inc[i] is the int mask of the edges (bit e for edges[e]) that hold slot i."""
+    inc = [0] * m
     for e_idx, members in enumerate(edges):
+        bit = 1 << e_idx
         for i in members:
-            containing[i].append(e_idx)
-    edge_size = [len(e) for e in edges]
-    seen = [-1] * len(edges)  # -1 untouched, -2 spoiled, else its single color
-    remaining = edge_size[:]
-    live = len(edges)
+            inc[i] |= bit
+    return inc
+
+
+def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
+    """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when none
+    exists.
+
+    Backtracks over the slots in that fixed order; a slot's color is capped at one
+    past the maximum color already in use, which loses no generality for existence.
+    The edge state lives in int masks over the edges: has[c] marks the edges with an
+    assigned member of color c, and spoiled those that carry two colors.  Slot i
+    completes the edges of inc[i] that hold no later slot, so color c is refused at i
+    exactly when one of those edges has no member of another color.  Branches die as
+    soon as some edge is complete and single-colored; the search ends early as soon
+    as every edge carries two colors.  Undo restores the slot's saved (has[c],
+    spoiled) pair.
+
+    The masks only store the state.  The branch order (slots in index order, colors
+    ascending under the cap) alone fixes the node count and the returned coloring,
+    and tests pin both on chain instances.
+    """
+    m = len(inc)
+    full = (1 << n_edges) - 1
+    completes = [0] * m
+    later = 0  # edges holding a slot after i
+    for i in range(m - 1, -1, -1):
+        completes[i] = inc[i] & ~later
+        later |= inc[i]
+    has = [0] * r
+    spoiled = 0
+    saved = [(0, 0)] * m
     colors = [-1] * m
-    trail: list[tuple[int, int]] = []
     nodes = 0
     deadline = time.monotonic() + limits.time_budget
 
-    def assign(i: int, c: int) -> tuple[bool, int]:
-        nonlocal live
-        mark = len(trail)
-        ok = True
-        for e in containing[i]:
-            remaining[e] -= 1
-            if seen[e] == -1:
-                trail.append((e, -1))
-                seen[e] = c
-            elif seen[e] >= 0 and seen[e] != c:
-                trail.append((e, seen[e]))
-                seen[e] = -2
-                live -= 1
-            if remaining[e] == 0 and seen[e] != -2:
-                ok = False
-        return ok, mark
-
-    def undo(i: int, mark: int) -> None:
-        nonlocal live
-        for e in containing[i]:
-            remaining[e] += 1
-        while len(trail) > mark:
-            e, prev = trail.pop()
-            if seen[e] == -2 and prev >= 0:
-                live += 1
-            seen[e] = prev
-
     choice = [0] * (m + 1)
-    marks = [0] * m
     used_before = [0] * m
     max_used = -1
     i = 0
@@ -171,35 +169,37 @@ def _proper_coloring_search(m: int, edges, r: int, limits: SearchLimits):
             raise ResourceExceeded(f"arrow search time budget after {nodes} nodes")
         if i == m:
             return colors[:], nodes
-        if live == 0:
+        if spoiled == full:
             for j in range(i, m):
                 colors[j] = 0
             return colors[:], nodes
         cap = min(r - 1, max_used + 1)
         c = choice[i]
-        advanced = False
         while c <= cap:
-            ok, mark = assign(i, c)
-            if ok:
-                colors[i] = c
-                marks[i] = mark
-                used_before[i] = max_used
-                max_used = max(max_used, c)
-                choice[i] = c
-                i += 1
-                choice[i] = 0
-                advanced = True
+            other = 0
+            for d in range(max_used + 1):
+                if d != c:
+                    other |= has[d]
+            if not completes[i] & ~other:
                 break
-            undo(i, mark)
             c += 1
-        if advanced:
+        if c <= cap:
+            saved[i] = (has[c], spoiled)
+            spoiled |= inc[i] & other
+            has[c] |= inc[i]
+            colors[i] = c
+            used_before[i] = max_used
+            if c > max_used:
+                max_used = c
+            choice[i] = c
+            i += 1
+            choice[i] = 0
             continue
         if i == 0:
             return None, nodes
         i -= 1
-        undo(i, marks[i])
+        has[colors[i]], spoiled = saved[i]
         max_used = used_before[i]
-        colors[i] = -1
         choice[i] += 1
 
 
@@ -235,14 +235,23 @@ def _verdict(
     if m > 2000:
         raise ResourceExceeded(f"{m} P-copies is beyond the exact search ceiling")
 
+    inc = _incidence(m, edges)
     if m > 16 and r >= 2:
+        full = (1 << len(edges)) - 1
         rng = random.Random(_PREPASS_SEED)
         for _ in range(_PREPASS_SAMPLES):
             sample = [rng.randrange(r) for _ in range(m)]
-            if all(len({sample[i] for i in e}) > 1 for e in edges):
+            has = [0] * r
+            for i, c in enumerate(sample):
+                has[c] |= inc[i]
+            seen = spoiled = 0
+            for mask in has:
+                spoiled |= seen & mask
+                seen |= mask
+            if spoiled == full:
                 return ArrowVerdict(False, make_coloring(p_copies, sample, r), target, Q, P)
 
-    assignment, nodes = _proper_coloring_search(m, edges, r, limits)
+    assignment, nodes = _proper_coloring_search(inc, len(edges), r, limits)
     if assignment is None:
         return ArrowVerdict(True, None, target, Q, P, nodes_explored=nodes)
     return ArrowVerdict(
@@ -272,11 +281,6 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     return None
 
 
-def random_coloring(target, P, r: int, rng: random.Random) -> Coloring:
-    copies = enumerate_copies(P, target)
-    return make_coloring(copies, [rng.randrange(r) for _ in copies], r)
-
-
 def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
     """Greedy anti-monochromatic assignment, processing P-copies in enumeration order.
 
@@ -287,24 +291,17 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
     p_copies = enumerate_copies(P, target, limit=cap)
     q_copies = enumerate_copies(Q, target, limit=cap)
     edges = _hyperedges(p_copies, q_copies, enumerate_copies(P, Q))
-    containing: list[list[int]] = [[] for _ in p_copies]
-    for e_idx, members in enumerate(edges):
-        for i in members:
-            containing[i].append(e_idx)
-    seen: list[int] = [-1] * len(edges)
+    has = [0] * r  # edges with a member of each color, as in the exact search
+    spoiled = 0
     colors = []
-    for i in range(len(p_copies)):
-        threat = [0] * r
-        for e in containing[i]:
-            if seen[e] >= 0:
-                threat[seen[e]] += 1
-        c = min(range(r), key=lambda col: (threat[col], col))
+    for row in _incidence(len(p_copies), edges):
+        single = row & ~spoiled
+        c = min(range(r), key=lambda col: ((single & has[col]).bit_count(), col))
         colors.append(c)
-        for e in containing[i]:
-            if seen[e] == -1:
-                seen[e] = c
-            elif seen[e] >= 0 and seen[e] != c:
-                seen[e] = -2
+        for d in range(r):
+            if d != c:
+                spoiled |= row & has[d]
+        has[c] |= row
     return make_coloring(p_copies, colors, r)
 
 

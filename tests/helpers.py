@@ -12,10 +12,12 @@ import random
 
 from rnramsey import (
     APartiteRNGraph,
+    Coloring,
     OrderedPoset,
     RNGraph,
     enumerate_copies,
     make_apartite,
+    make_coloring,
     make_ordered_poset,
     make_rn_graph,
 )
@@ -164,7 +166,7 @@ def brute_closure(rel, n: int) -> frozenset:
 
 def brute_arrow(target, Q, P, r: int) -> bool:
     """Exhaust every r-coloring of the P-copies; feasible only for tiny instances."""
-    from rnramsey import find_monochromatic, make_coloring
+    from rnramsey import find_monochromatic
 
     p_copies = enumerate_copies(P, target)
     if not enumerate_copies(Q, target):
@@ -174,6 +176,20 @@ def brute_arrow(target, Q, P, r: int) -> bool:
         if find_monochromatic(target, coloring, Q, P) is None:
             return False
     return True
+
+
+def random_coloring(target, P, r: int, rng: random.Random) -> Coloring:
+    """Uniform seeded coloring of the copies of P in target."""
+    copies = enumerate_copies(P, target)
+    return make_coloring(copies, [rng.randrange(r) for _ in copies], r)
+
+
+def brute_proper_coloring_exists(m: int, edges, r: int) -> bool:
+    """Try every r-coloring of m slots for one that leaves no edge single-colored."""
+    return any(
+        all(len({colors[i] for i in e}) > 1 for e in edges)
+        for colors in itertools.product(range(r), repeat=m)
+    )
 
 
 def brute_copies(pattern, target) -> list[tuple[int, ...]]:

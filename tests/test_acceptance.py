@@ -24,7 +24,6 @@ from rnramsey import (
     make_apartite,
     make_rn_graph,
     poset_to_complete_rn,
-    random_coloring,
     run_partite_construction,
     save_structure,
     transitive_closure,
@@ -37,6 +36,7 @@ from rnramsey.embeddings import is_embedding
 from helpers import (
     brute_bad_quasicycle_exists,
     random_apartite,
+    random_coloring,
     random_rn,
 )
 

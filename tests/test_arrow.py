@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -21,15 +22,22 @@ from rnramsey import (
     make_rn_graph,
     oracle_ramsey,
     poset_to_complete_rn,
-    random_coloring,
     save_structure,
 )
 from rnramsey import arrow
-from helpers import brute_arrow, random_rn
+from helpers import brute_arrow, brute_proper_coloring_exists, random_coloring, random_rn
 
 C2 = poset_to_complete_rn(chain(2))
 C3 = poset_to_complete_rn(chain(3))
 POINT = poset_to_complete_rn(chain(1))
+
+
+def _digest(assignment) -> str:
+    return hashlib.sha256(repr(assignment).encode()).hexdigest()[:16]
+
+
+def _rn_chain(k: int):
+    return poset_to_complete_rn(chain(k))
 
 
 def test_ordered_ramsey_three_three():
@@ -121,6 +129,85 @@ def test_resource_limits():
         check_arrow(target, C3, C2, 2, SearchLimits(max_nodes=5))
     with pytest.raises(ResourceExceeded):
         check_arrow(target, C3, C2, 2, SearchLimits(max_copies=3))
+
+
+def test_node_budget_fires_at_budget_plus_one():
+    target = poset_to_complete_rn(chain(6))
+    verdict = check_arrow(target, C3, C2, 2, SearchLimits(max_nodes=987))
+    assert verdict.holds and verdict.nodes_explored == 987
+    with pytest.raises(ResourceExceeded, match=r"node budget \(986\)"):
+        check_arrow(target, C3, C2, 2, SearchLimits(max_nodes=986))
+
+
+def test_time_budget_fires():
+    # the search reads the clock every 4,096 nodes; this instance needs millions
+    with pytest.raises(ResourceExceeded, match="time budget after 4096 nodes"):
+        check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
+
+
+def _search(n: int, q: int, p: int, r: int):
+    """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no pre-pass."""
+    target, Q, P = (_rn_chain(k) for k in (n, q, p))
+    p_copies = enumerate_copies(P, target)
+    edges = arrow._hyperedges(p_copies, enumerate_copies(Q, target), enumerate_copies(P, Q))
+    inc = arrow._incidence(len(p_copies), edges)
+    assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+    coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
+    return coloring, nodes
+
+
+@pytest.mark.parametrize(
+    "n, q, p, r, holds, nodes, digest",
+    [
+        (13, 5, 1, 3, True, 36_755, None),
+        (6, 3, 2, 2, True, 987, None),
+        (5, 3, 2, 2, False, 67, "b3ef70c8cf145198"),
+        # the pre-pass finds these two, so no node is searched
+        (9, 4, 2, 2, False, 0, "2b12129c0980ad59"),
+        (7, 3, 2, 3, False, 0, "9ac378663ba7dda8"),
+    ],
+)
+def test_search_tree_is_pinned(n, q, p, r, holds, nodes, digest):
+    """Node counts and counterexample bytes are part of the contract: a change to the
+    search's state that keeps its branch order keeps every one of these."""
+    verdict = check_arrow(_rn_chain(n), _rn_chain(q), _rn_chain(p), r)
+    assert (verdict.holds, verdict.nodes_explored) == (holds, nodes)
+    if digest is not None:
+        assert _digest(verdict.counterexample.assignment) == digest
+
+
+def test_search_alone_is_pinned():
+    coloring, nodes = _search(9, 4, 2, 2)
+    assert nodes == 12_458 and _digest(coloring.assignment) == "0358cf21313df96b"
+    coloring, nodes = _search(7, 3, 2, 3)
+    assert nodes == 1_353 and _digest(coloring.assignment) == "a2b076e11fd77138"
+
+
+def test_greedy_colorings_are_pinned():
+    for (n, q, r), digest in [((9, 4, 2), "4258d1ba25d8165c"), ((7, 3, 3), "c6b40f31bfb693e9")]:
+        coloring = greedy_adversarial_coloring(_rn_chain(n), _rn_chain(q), C2, r)
+        assert _digest(coloring.assignment) == digest
+
+
+def test_search_agrees_with_brute_force():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(300):
+        m = rng.randint(1, 10)
+        r = rng.choice((1, 2, 3))
+        edges = [
+            frozenset(rng.sample(range(m), rng.randint(1, min(4, m))))
+            for _ in range(rng.randint(0, 12))
+        ]
+        inc = arrow._incidence(m, edges)
+        assignment, _ = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+        expected = brute_proper_coloring_exists(m, edges, r)
+        assert (assignment is not None) == expected
+        if assignment is not None:
+            assert len(assignment) == m and all(0 <= c < r for c in assignment)
+            assert all(len({assignment[i] for i in e}) > 1 for e in edges)
+        outcomes.add((r, expected))
+    assert outcomes == {(1, True), (1, False), (2, True), (2, False), (3, True), (3, False)}
 
 
 def test_verdict_deterministic():

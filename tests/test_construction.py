@@ -28,12 +28,12 @@ from rnramsey import (
     make_ordered_poset,
     make_rn_graph,
     poset_to_complete_rn,
-    random_coloring,
     run_partite_construction,
     save_structure,
 )
 from rnramsey.construction import amalgamate
 from rnramsey.partite import product_construction
+from helpers import random_coloring
 
 POINT = poset_to_complete_rn(chain(1))
 C2 = poset_to_complete_rn(chain(2))
