@@ -40,20 +40,36 @@ def is_embedding(vertex_map, pattern, target) -> bool:
         return False
     if any(not (0 <= v < target.n) for v in m):
         return False
-    for i in range(pattern.n):
-        for j in range(pattern.n):
-            if i == j:
-                continue
-            # pairwise status must match exactly, both relation and order
-            if pattern.status(i, j) != target.status(m[i], m[j]):
-                return False
-            if pattern.before(i, j) != target.before(m[i], m[j]):
+    # Both orders are total, so the order biconditional is: target ranks increase
+    # along the pattern order.
+    rank = target.rank
+    ranks = [rank[m[v]] for v in pattern.order]
+    if any(a >= b for a, b in zip(ranks, ranks[1:])):
+        return False
+    # Relation biconditional: each mapped row, cut to the image, is the pattern row
+    # pushed through the map.
+    image = 0
+    for t in ranks:
+        image |= 1 << t
+    for p_rows, t_rows in zip(pattern.rows, target.rows):
+        for p, row in enumerate(p_rows):
+            pushed = 0
+            while row:
+                low = row & -row
+                pushed |= 1 << ranks[low.bit_length() - 1]
+                row ^= low
+            if t_rows[ranks[p]] & image != pushed:
                 return False
     return True
 
 
 def iter_copies(pattern, target):
-    """Yield copies of pattern in target, lexicographically by image position tuple."""
+    """Yield copies of pattern in target, lexicographically by image position tuple.
+
+    Positions are target ranks.  The candidates for pattern position d are the AND of
+    the chosen positions' rows of the kind each pair (i, d) has in the pattern, cut to
+    the positions that leave room for the rest; they are walked lowest bit first.
+    """
     _compatible_kinds(pattern, target)
     k, n = pattern.n, target.n
     if k == 0:
@@ -63,41 +79,49 @@ def iter_copies(pattern, target):
         return
     src = pattern.order  # source vertices, ascending in pattern order
     tgt = target.order
+    # For each pattern position d: the earlier positions that must reach it by an R,
+    # an N, or by neither (an absent pair).
+    p_R, p_N = pattern.rows
+    needs = []
+    for d in range(k):
+        bit = 1 << d
+        kinds = ([], [], [])
+        for i in range(d):
+            kinds[0 if p_R[i] & bit else 1 if p_N[i] & bit else 2].append(i)
+        needs.append(kinds)
+    if k > 1:  # one vertex needs no rows, and the rows cost more than its scan
+        t_R, t_N = target.rows
     chosen: list[int] = []  # target positions, strictly increasing
-
-    def fits(pos: int) -> bool:
-        v = tgt[pos]
-        for i, p in enumerate(chosen):
-            u = tgt[p]
-            if pattern.status(src[i], src[len(chosen)]) != target.status(u, v):
-                return False
-        return True
-
-    def emit() -> Copy:
-        image = tuple(tgt[p] for p in chosen)
-        vmap = [0] * k
-        for i, v in enumerate(image):
-            vmap[src[i]] = v
-        return Copy(image, tuple(vmap))
-
-    stack = [0]
+    stack = [(1 << (n - k + 1)) - 1]  # candidates for the next pattern position
     while stack:
-        pos = stack[-1]
-        limit = n - (k - len(chosen) - 1)
-        if pos >= limit:
+        cand = stack[-1]
+        if not cand:
             stack.pop()
             if chosen:
-                stack[-1] = chosen.pop() + 1
+                chosen.pop()
             continue
-        if fits(pos):
-            chosen.append(pos)
-            if len(chosen) == k:
-                yield emit()
-                stack[-1] = chosen.pop() + 1
-            else:
-                stack.append(pos + 1)
-        else:
-            stack[-1] = pos + 1
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        chosen.append(low.bit_length() - 1)
+        d = len(chosen)
+        if d == k:
+            image = tuple(tgt[p] for p in chosen)
+            vmap = [0] * k
+            for i, v in enumerate(image):
+                vmap[src[i]] = v
+            yield Copy(image, tuple(vmap))
+            chosen.pop()
+            continue
+        # above the last chosen position, and at most n - (k - d)
+        cand = ((1 << (n - k + d + 1)) - 1) & -(2 << chosen[-1])
+        in_R, in_N, absent = needs[d]
+        for i in in_R:
+            cand &= t_R[chosen[i]]
+        for i in in_N:
+            cand &= t_N[chosen[i]]
+        for i in absent:
+            cand &= ~(t_R[chosen[i]] | t_N[chosen[i]])
+        stack.append(cand)
 
 
 def enumerate_copies(pattern, target, limit: int | None = None) -> list[Copy]:

@@ -96,9 +96,13 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest(obj) -> str:
     doc = obj if isinstance(obj, dict) else to_doc(obj)
-    return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
+    return _sha256(dumps_canonical(doc))
 
 
 def _need(doc: dict, key: str, kind):
@@ -178,10 +182,10 @@ def from_doc(doc: dict):
 
 
 def save_structure(path, obj) -> str:
-    """Write the canonical file; returns its digest."""
-    doc = to_doc(obj)
-    Path(path).write_text(dumps_canonical(doc))
-    return digest(doc)
+    """Write the canonical file; returns its digest, the hash of the text written."""
+    text = dumps_canonical(to_doc(obj))
+    Path(path).write_text(text)
+    return _sha256(text)
 
 
 def load_structure(path):

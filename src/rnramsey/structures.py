@@ -63,6 +63,20 @@ class _Ordered:
             pos[v] = k
         return tuple(pos)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Rank-indexed int masks: bit q of rows[0][p] (rows[1][p]) is set when
+        (order[p], order[q]) is in R (in N).  Relations point forward, so only bits
+        above p are ever set; the absent row of p is the rest of the bits above p."""
+        rank = self.rank
+        out = []
+        for rel in (self.R, self.N):
+            row = [0] * self.n
+            for x, y in rel:
+                row[rank[x]] |= 1 << rank[y]
+            out.append(tuple(row))
+        return out[0], out[1]
+
     def before(self, x: int, y: int) -> bool:
         return self.rank[x] < self.rank[y]
 

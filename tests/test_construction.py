@@ -6,6 +6,7 @@ from rnramsey import (
     BaseOracle,
     BuildLimits,
     ClosureIntersectsN,
+    GlueConflict,
     NoCopiesOfB,
     TowerTooShort,
     antichain,
@@ -31,6 +32,7 @@ from rnramsey import (
     run_partite_construction,
     save_structure,
 )
+from rnramsey import construction
 from rnramsey.construction import amalgamate
 from rnramsey.partite import product_construction
 from helpers import random_coloring
@@ -121,6 +123,49 @@ def test_amalgamate_disjoint_lifts_double_the_picture(tmp_path):
     assert p1.base.n == 2 * p0.base.n
     assert len(p1.base.R) == 2 and not p1.base.N
     assert is_good(p1.base)
+
+
+def test_glue_refuses_a_pair_in_both_relations():
+    # the second map swaps vertices 1 and 2, so each relation lands on the other's pair
+    structure = make_rn_graph(3, {(0, 1)}, {(0, 2)})
+    with pytest.raises(GlueConflict, match=r"pair \(0, 1\)"):
+        construction._glue(3, structure, [(0, 1, 2), (0, 2, 1)])
+
+
+def _lost_pair(n, R, N):
+    return R - {min(R)}, N
+
+
+def _lost_n_pair(n, R, N):
+    return R, N - {min(N)}
+
+
+def _extra_pair(n, R, N):
+    spare = min((x, y) for x in range(n) for y in range(x + 1, n) if (x, y) not in R | N)
+    return R | {spare}, N
+
+
+@pytest.mark.parametrize(
+    "D, B, damage",
+    [(C3, C2, _lost_pair), (A2, A2, _lost_n_pair), (C3, C2, _extra_pair)],
+    ids=["lost R pair", "lost N pair", "extra R pair"],
+)
+def test_amalgamate_recheck_catches_a_damaged_copy(monkeypatch, D, B, damage):
+    p0 = build_picture_zero(D, B)
+    a_copy = enumerate_copies(B, D)[0]
+    sub = induced_subsystem(p0, B, a_copy)
+    product = product_construction(B, sub, BaseOracle())
+    assert len(product.lifts) == 1
+    glue = construction._glue
+
+    def damaged_glue(n, structure, vmaps):
+        glued = glue(n, structure, vmaps)
+        R, N = damage(n, set(glued.R), set(glued.N))
+        return make_rn_graph(n, R, N)
+
+    monkeypatch.setattr(construction, "_glue", damaged_glue)
+    with pytest.raises(GlueConflict, match="damaged copy 0"):
+        amalgamate(p0, a_copy, product.apartite, product.lifts, BuildLimits())
 
 
 def test_run_vacuous_when_pattern_absent():

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnramsey import (
+    BaseOracle,
     ResourceExceeded,
     antichain,
     chain,
@@ -14,8 +19,9 @@ from rnramsey import (
     make_ordered_poset,
     make_rn_graph,
     poset_to_complete_rn,
+    run_partite_construction,
 )
-from helpers import brute_copies, random_poset, random_rn
+from helpers import brute_closure, brute_copies, random_poset, random_rn
 
 
 def test_chain_copy_counts_binomial():
@@ -111,3 +117,69 @@ def test_against_brute_force_corpus():
 
 def test_pattern_larger_than_target():
     assert not enumerate_copies(chain(4), chain(3))
+
+
+@st.composite
+def rn_graphs(draw, max_n: int):
+    """RN graph over a random order; each forward pair is R, N or absent."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    states = draw(st.lists(st.sampled_from("RN-"), min_size=len(pairs), max_size=len(pairs)))
+    R = {p for p, s in zip(pairs, states) if s == "R"}
+    N = {p for p, s in zip(pairs, states) if s == "N"}
+    return make_rn_graph(n, R, N, order)
+
+
+@st.composite
+def posets(draw, max_n: int):
+    """Closure of random forward pairs over a random order."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_ordered_poset(n, brute_closure([p for p, k in zip(pairs, keep) if k], n), order)
+
+
+# Derandomized and without an example database, so every run tries the same cases.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(rn_graphs(4), rn_graphs(7))
+def test_rows_agree_with_brute_force_on_rn_graphs(pattern, target):
+    _agrees_with_brute_force(pattern, target)
+
+
+@PROPERTY
+@given(posets(4), posets(7))
+def test_rows_agree_with_brute_force_on_posets(pattern, target):
+    _agrees_with_brute_force(pattern, target)
+
+
+def _image_digest(copies) -> str:
+    return hashlib.sha256(json.dumps([list(c.image) for c in copies]).encode()).hexdigest()
+
+
+def test_copy_order_is_pinned_on_a_large_picture():
+    # One gluing round over chain(5) gives a 567-vertex picture, beyond brute force; the
+    # counts and digests of the image sequences were recorded with the per-position scan
+    # that the row masks replaced.
+    point, c2 = poset_to_complete_rn(chain(1)), poset_to_complete_rn(chain(2))
+    run = run_partite_construction(
+        poset_to_complete_rn(chain(5)), point, c2, BaseOracle(), max_steps=1
+    )
+    picture = run.picture.base
+    assert picture.n == 567
+    copies = enumerate_copies(c2, picture)
+    assert len(copies) == 350
+    assert _image_digest(copies) == (
+        "00acbb19768d4b032e5c9e0182b52c81c8d7478ee425ffde2f612d6adcabc21e"
+    )
+    # an R pair beside a vertex related to neither end: two absent pairs per copy
+    edge_and_point = make_rn_graph(3, {(0, 1)}, set())
+    copies = enumerate_copies(edge_and_point, picture)
+    assert len(copies) == 78120
+    assert _image_digest(copies) == (
+        "8f3e9cf7eb0a73db917a5af69a83420c5c3484800cd044a6c56e8a433f1ceeb5"
+    )
