@@ -4,12 +4,15 @@
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
 monochromatic Q-copy); exhaustion proves the arrow.  A seeded random pre-pass hunts for
-counterexamples early on larger instances but never decides the positive side.
+counterexamples early on larger instances but never decides the positive side.  The
+verdict record holds only the verdict (holds, counterexample, nodes); colorings replay
+through find_monochromatic.
 
-The P-copies are the slots and the Q-copies the edges of a hypergraph.  The search, the
-pre-pass and greedy_adversarial_coloring all keep their edge state as Python int masks
-over the edges, built from one incidence list (_incidence): per color, the edges with a
-member of that color, and the edges that carry two colors.
+The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
+masks over the edges (_incidence).  The search, the pre-pass and
+greedy_adversarial_coloring keep their edge state in such masks: per color, the edges
+with a member of that color, and the edges that carry two colors.  The oracle certifies
+searched and file witnesses on one route (_is_witness).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class NotFoundWithinBounds(RuntimeError):
 
 
 class CertificationFailed(RuntimeError):
-    """A supplied witness was refuted by check_arrow."""
+    """A supplied witness was refuted by the exact arrow search."""
 
 
 def require_non_negative(record, *names: str) -> None:
@@ -66,9 +69,8 @@ class Coloring:
     def _table(self) -> dict[tuple[int, ...], int]:
         return dict(self.assignment)
 
-    def of(self, copy_or_image) -> int:
-        image = copy_or_image.image if isinstance(copy_or_image, Copy) else tuple(copy_or_image)
-        return self._table[image]
+    def of(self, image) -> int:
+        return self._table[tuple(image)]
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -83,44 +85,26 @@ def make_coloring(copies, colors, r: int) -> Coloring:
 class ArrowVerdict:
     holds: bool
     counterexample: Coloring | None
-    target: object = field(compare=False)
-    Q: object = field(compare=False)
-    P: object = field(compare=False)
     nodes_explored: int = field(compare=False, default=0)
 
-    def monochromatic_copy(self, coloring: Coloring) -> Copy:
-        """For a holding arrow, produce the promised copy under any total coloring."""
-        if not self.holds:
-            raise ValueError("verdict does not hold; no monochromatic copy is promised")
-        found = find_monochromatic(self.target, coloring, self.Q, self.P)
-        if found is None:
-            raise AssertionError("arrow verdict holds but a coloring defeats it")
-        return found
 
-
-def _hyperedges(p_copies, q_copies, p_in_q) -> list[frozenset[int]]:
-    """Per Q-copy, the indices (into p_copies) of the P-copies inside it.
+def _incidence(p_copies, q_copies, p_in_q) -> list[int]:
+    """inc[i] is the int mask of the edges (bit e for q_copies[e]) that hold slot i,
+    the P-copy p_copies[i].
 
     Each copy of P in Q itself (p_in_q) is carried through the Q-copy's vertex map and
     looked up by image.  Composed embeddings are embeddings, so every lookup must
     succeed; a miss means a Q-copy that is not a copy.
     """
     index = {c.image: i for i, c in enumerate(p_copies)}
-    edges = []
-    for q in q_copies:
-        try:
-            edges.append(frozenset(index[tuple(q.map[u] for u in c.image)] for c in p_in_q))
-        except KeyError as miss:
-            raise AssertionError(f"Q-copy {q.image} maps a P-copy onto non-copy {miss}") from None
-    return edges
-
-
-def _incidence(m: int, edges) -> list[int]:
-    """inc[i] is the int mask of the edges (bit e for edges[e]) that hold slot i."""
-    inc = [0] * m
-    for e_idx, members in enumerate(edges):
+    inc = [0] * len(p_copies)
+    for e_idx, q in enumerate(q_copies):
         bit = 1 << e_idx
-        for i in members:
+        for c in p_in_q:
+            image = tuple(q.map[u] for u in c.image)
+            i = index.get(image)
+            if i is None:
+                raise AssertionError(f"Q-copy {q.image} maps a P-copy onto non-copy {image}")
             inc[i] |= bit
     return inc
 
@@ -213,31 +197,27 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     limits = limits or SearchLimits()
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
     q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    return _verdict(target, Q, P, r, p_copies, q_copies, enumerate_copies(P, Q), limits)
+    return _verdict(r, p_copies, q_copies, enumerate_copies(P, Q), limits)
 
 
-def _verdict(
-    target, Q, P, r: int, p_copies, q_copies, p_in_q, limits: SearchLimits
-) -> ArrowVerdict:
+def _verdict(r: int, p_copies, q_copies, p_in_q, limits: SearchLimits) -> ArrowVerdict:
     """Decide whether every r-coloring of p_copies makes some member of q_copies
     monochromatic; the copies (and the copies p_in_q of P in Q itself) are given,
     everything after enumeration happens here."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     if not q_copies:
-        coloring = make_coloring(p_copies, [0] * len(p_copies), r)
-        return ArrowVerdict(False, coloring, target, Q, P)
-    edges = _hyperedges(p_copies, q_copies, p_in_q)
-    if any(not e for e in edges):
-        # a Q-copy without P-copies is monochromatic under every coloring
-        return ArrowVerdict(True, None, target, Q, P)
+        return ArrowVerdict(False, make_coloring(p_copies, [0] * len(p_copies), r))
+    if not p_in_q:
+        # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
+        return ArrowVerdict(True, None)
+    inc = _incidence(p_copies, q_copies, p_in_q)
     m = len(p_copies)
     if m > 2000:
         raise ResourceExceeded(f"{m} P-copies is beyond the exact search ceiling")
 
-    inc = _incidence(m, edges)
     if m > 16 and r >= 2:
-        full = (1 << len(edges)) - 1
+        full = (1 << len(q_copies)) - 1
         rng = random.Random(_PREPASS_SEED)
         for _ in range(_PREPASS_SAMPLES):
             sample = [rng.randrange(r) for _ in range(m)]
@@ -249,14 +229,12 @@ def _verdict(
                 spoiled |= seen & mask
                 seen |= mask
             if spoiled == full:
-                return ArrowVerdict(False, make_coloring(p_copies, sample, r), target, Q, P)
+                return ArrowVerdict(False, make_coloring(p_copies, sample, r))
 
-    assignment, nodes = _proper_coloring_search(inc, len(edges), r, limits)
+    assignment, nodes = _proper_coloring_search(inc, len(q_copies), r, limits)
     if assignment is None:
-        return ArrowVerdict(True, None, target, Q, P, nodes_explored=nodes)
-    return ArrowVerdict(
-        False, make_coloring(p_copies, assignment, r), target, Q, P, nodes_explored=nodes
-    )
+        return ArrowVerdict(True, None, nodes)
+    return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
 
 
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
@@ -290,11 +268,10 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
     cap = SearchLimits().max_copies
     p_copies = enumerate_copies(P, target, limit=cap)
     q_copies = enumerate_copies(Q, target, limit=cap)
-    edges = _hyperedges(p_copies, q_copies, enumerate_copies(P, Q))
     has = [0] * r  # edges with a member of each color, as in the exact search
     spoiled = 0
     colors = []
-    for row in _incidence(len(p_copies), edges):
+    for row in _incidence(p_copies, q_copies, enumerate_copies(P, Q)):
         single = row & ~spoiled
         c = min(range(r), key=lambda col: ((single & has[col]).bit_count(), col))
         colors.append(c)
@@ -386,7 +363,7 @@ def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLi
     if not q_copies:
         return False
     p_copies = enumerate_copies(A, graph, limit=limits.max_copies)
-    return _verdict(graph, E, A, 2, p_copies, q_copies, p_in_q, limits).holds
+    return _verdict(2, p_copies, q_copies, p_in_q, limits).holds
 
 
 def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
@@ -395,9 +372,9 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     Search mode returns only witnesses certified by the exact verdict path of
     check_arrow; when A is a complete R-chain and E has no N (every fused product
     query), it tries only N-free candidates, which loses no witness size (see
-    _enumerated_candidates).  File mode certifies the supplied witness, downgrading to
-    an uncertified pass-through only when the certification itself exceeds its
-    budgets.  Assume mode never certifies.
+    _enumerated_candidates).  File mode certifies the supplied witness on that route,
+    downgrading to an uncertified pass-through only when the certification itself
+    exceeds its budgets.  Assume mode never certifies.
     """
     graph = oracle.witness
     limits = SearchLimits()
@@ -407,11 +384,11 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         return OracleWitness(graph, False, "assume")
     if oracle.mode == "file":
         try:
-            verdict = check_arrow(graph, E, A, 2, limits)
+            certified = _is_witness(graph, A, E, enumerate_copies(A, E), limits)
         except ResourceExceeded:
             return OracleWitness(graph, False, "file:conditionally-correct")
-        if not verdict.holds:
-            raise CertificationFailed("supplied witness is refuted by check_arrow")
+        if not certified:
+            raise CertificationFailed("supplied witness is refuted by the exact arrow search")
         return OracleWitness(graph, True, "file")
     if oracle.mode != "search":
         raise ValueError(f"unknown oracle mode {oracle.mode!r}")

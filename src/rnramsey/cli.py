@@ -56,30 +56,21 @@ from .structures import (
 )
 
 
-def _env(name: str, fallback):
-    """Default for a flag from the environment, parsed as the fallback's type."""
+def _budget_flag(sub, flag: str, fallback) -> None:
+    """Add a budget flag of the fallback's type.  Its default is the fallback, the
+    record's own default, unless RNRAMSEY_<FLAG> in the environment gives another."""
+    name = "RNRAMSEY_" + flag[2:].replace("-", "_").upper()
     raw = os.environ.get(name)
     try:
-        return type(fallback)(raw) if raw else fallback
+        default = type(fallback)(raw) if raw else fallback
     except ValueError:
         raise ValueError(f"{name}={raw!r} is not a valid {type(fallback).__name__}") from None
+    sub.add_argument(flag, type=type(fallback), default=default)
 
 
 def _search_limits(args) -> SearchLimits:
     return SearchLimits(
         max_nodes=args.max_nodes, max_copies=args.max_copies, time_budget=args.time_budget
-    )
-
-
-def _add_arrow_limit_flags(sub) -> None:
-    sub.add_argument(
-        "--max-nodes", type=int, default=_env("RNRAMSEY_MAX_NODES", 2_000_000)
-    )
-    sub.add_argument(
-        "--max-copies", type=int, default=_env("RNRAMSEY_MAX_COPIES", 200_000)
-    )
-    sub.add_argument(
-        "--time-budget", type=float, default=_env("RNRAMSEY_TIME_BUDGET", 120.0)
     )
 
 
@@ -281,7 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("P")
     sub.add_argument("-r", type=int, default=2)
     sub.add_argument("--counterexample-out", default="counterexample.json")
-    _add_arrow_limit_flags(sub)
+    _budget_flag(sub, "--max-nodes", SearchLimits.max_nodes)
+    _budget_flag(sub, "--max-copies", SearchLimits.max_copies)
+    _budget_flag(sub, "--time-budget", SearchLimits.time_budget)
     sub.set_defaults(func=cmd_arrow)
 
     sub = subs.add_parser("tower", help="build the stage tower for a pattern pair")
@@ -291,24 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     sub.add_argument("--oracle", choices=("search", "file", "assume"), default="search")
     sub.add_argument("--witness", help="witness file for file/assume oracle modes")
-    sub.add_argument(
-        "--size-bound", type=int, default=_env("RNRAMSEY_SIZE_BOUND", 16)
-    )
-    sub.add_argument(
-        "--candidate-budget",
-        type=int,
-        default=_env("RNRAMSEY_CANDIDATE_BUDGET", 60_000),
-    )
-    sub.add_argument(
-        "--oracle-time-bound",
-        type=float,
-        default=_env("RNRAMSEY_ORACLE_TIME_BOUND", 60.0),
-    )
-    sub.add_argument(
-        "--max-picture-vertices",
-        type=int,
-        default=_env("RNRAMSEY_MAX_PICTURE_VERTICES", 20_000),
-    )
+    _budget_flag(sub, "--size-bound", BaseOracle.size_bound)
+    _budget_flag(sub, "--candidate-budget", BaseOracle.candidate_budget)
+    _budget_flag(sub, "--oracle-time-bound", BaseOracle.time_bound)
+    _budget_flag(sub, "--max-picture-vertices", BuildLimits.max_picture_vertices)
     sub.add_argument("--no-stabilize", action="store_true")
     sub.set_defaults(func=cmd_tower)
 

@@ -172,12 +172,20 @@ def from_doc(doc: dict):
             _need(doc, "target_digest", str),
         )
     if kind == "coloring":
-        entries = []
+        r = _need(doc, "r", int)
+        if r < 1:
+            raise ParseError(f"field 'r' must be positive, got {r}")
+        table: dict[tuple[int, ...], int] = {}
         for entry in _need(doc, "entries", list):
             if not isinstance(entry, dict):
                 raise ParseError("coloring entries must be objects")
-            entries.append((_ints(_need(entry, "copy", list), "copy"), _need(entry, "color", int)))
-        return Coloring(tuple(sorted(entries)), _need(doc, "r", int))
+            image, color = _ints(_need(entry, "copy", list), "copy"), _need(entry, "color", int)
+            if not 0 <= color < r:
+                raise ParseError(f"copy {list(image)} has color {color}, outside 0..{r - 1}")
+            if image in table:
+                raise ParseError(f"copy {list(image)} is listed twice")
+            table[image] = color
+        return Coloring(tuple(sorted(table.items())), r)
     raise ParseError(f"unknown kind {kind!r}")
 
 
@@ -188,10 +196,20 @@ def save_structure(path, obj) -> str:
     return _sha256(text)
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a repeated key is an input error, not a silent overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_structure(path):
     raw = Path(path).read_text()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -211,6 +229,8 @@ def parse_manifest(text: str) -> dict[str, str]:
         if ": " not in line:
             raise ParseError(f"manifest line {lineno} is not 'key: value'")
         key, value = line.split(": ", 1)
+        if key in out:
+            raise ParseError(f"manifest line {lineno} repeats key {key!r}")
         out[key] = value
     return out
 

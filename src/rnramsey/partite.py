@@ -230,7 +230,4 @@ def check_partite_arrow(
                     and _keeps_parts(pattern, host, copy.map)):
                 raise StructureError("family member is not a part-preserving copy", copy.map)
     a_in_pattern = enumerate_copies(host.A, pattern.base)
-    return _verdict(
-        host.base, pattern.base, host.A, r, a_copies, members, a_in_pattern,
-        limits or SearchLimits(),
-    )
+    return _verdict(r, a_copies, members, a_in_pattern, limits or SearchLimits())

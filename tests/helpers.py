@@ -184,6 +184,11 @@ def random_coloring(target, P, r: int, rng: random.Random) -> Coloring:
     return make_coloring(copies, [rng.randrange(r) for _ in copies], r)
 
 
+def incidence_masks(m: int, edges) -> list[int]:
+    """Per slot 0..m-1, the int mask of the edges (bit e for edges[e]) that hold it."""
+    return [sum(1 << e for e, members in enumerate(edges) if i in members) for i in range(m)]
+
+
 def brute_proper_coloring_exists(m: int, edges, r: int) -> bool:
     """Try every r-coloring of m slots for one that leaves no edge single-colored."""
     return any(

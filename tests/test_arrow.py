@@ -7,7 +7,9 @@ import pytest
 from rnramsey import (
     BaseOracle,
     CertificationFailed,
+    Copy,
     NotFoundWithinBounds,
+    OracleWitness,
     ResourceExceeded,
     SearchLimits,
     antichain,
@@ -25,7 +27,13 @@ from rnramsey import (
     save_structure,
 )
 from rnramsey import arrow
-from helpers import brute_arrow, brute_proper_coloring_exists, random_coloring, random_rn
+from helpers import (
+    brute_arrow,
+    brute_proper_coloring_exists,
+    incidence_masks,
+    random_coloring,
+    random_rn,
+)
 
 C2 = poset_to_complete_rn(chain(2))
 C3 = poset_to_complete_rn(chain(3))
@@ -108,19 +116,17 @@ def test_vacuous_holds_when_pattern_absent_from_copies():
     assert verdict.holds
 
 
-def test_monochromatic_copy_accessor():
+def test_holding_verdict_replays_under_every_coloring():
     target = poset_to_complete_rn(chain(6))
-    verdict = check_arrow(target, C3, C2, 2)
+    assert check_arrow(target, C3, C2, 2).holds
     rng = random.Random(33)
     for _ in range(20):
         coloring = random_coloring(target, C2, 2, rng)
-        copy = verdict.monochromatic_copy(coloring)
+        copy = find_monochromatic(target, coloring, C3, C2)
+        assert copy is not None
         inner = enumerate_copies(C2, target)
-        colors = {coloring.of(c) for c in inner if set(c.image) <= set(copy.image)}
+        colors = {coloring.of(c.image) for c in inner if set(c.image) <= set(copy.image)}
         assert len(colors) == 1
-    failing = check_arrow(poset_to_complete_rn(chain(5)), C3, C2, 2)
-    with pytest.raises(ValueError):
-        failing.monochromatic_copy(coloring)
 
 
 def test_resource_limits():
@@ -148,10 +154,9 @@ def test_time_budget_fires():
 def _search(n: int, q: int, p: int, r: int):
     """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no pre-pass."""
     target, Q, P = (_rn_chain(k) for k in (n, q, p))
-    p_copies = enumerate_copies(P, target)
-    edges = arrow._hyperedges(p_copies, enumerate_copies(Q, target), enumerate_copies(P, Q))
-    inc = arrow._incidence(len(p_copies), edges)
-    assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+    p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
+    inc = arrow._incidence(p_copies, q_copies, enumerate_copies(P, Q))
+    assignment, nodes = arrow._proper_coloring_search(inc, len(q_copies), r, SearchLimits())
     coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
     return coloring, nodes
 
@@ -199,7 +204,7 @@ def test_search_agrees_with_brute_force():
             frozenset(rng.sample(range(m), rng.randint(1, min(4, m))))
             for _ in range(rng.randint(0, 12))
         ]
-        inc = arrow._incidence(m, edges)
+        inc = incidence_masks(m, edges)
         assignment, _ = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
         expected = brute_proper_coloring_exists(m, edges, r)
         assert (assignment is not None) == expected
@@ -208,6 +213,15 @@ def test_search_agrees_with_brute_force():
             assert all(len({assignment[i] for i in e}) > 1 for e in edges)
         outcomes.add((r, expected))
     assert outcomes == {(1, True), (1, False), (2, True), (2, False), (3, True), (3, False)}
+
+
+def test_incidence_refuses_a_forged_q_copy():
+    # 0<1<2 with the pair (0, 2) absent: C3's copy (0, 2) of C2 lands on a non-copy
+    target = make_rn_graph(3, {(0, 1), (1, 2)}, ())
+    p_copies = enumerate_copies(C2, target)
+    forged = [Copy((0, 1, 2), (0, 1, 2))]
+    with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)"):
+        arrow._verdict(2, p_copies, forged, enumerate_copies(C2, C3), SearchLimits())
 
 
 def test_verdict_deterministic():
@@ -220,8 +234,8 @@ def test_coloring_helpers():
     target = poset_to_complete_rn(chain(4))
     copies = enumerate_copies(C2, target)
     coloring = make_coloring(copies, list(range(len(copies))), len(copies))
-    for copy in copies:
-        assert coloring.of(copy) == coloring.of(copy.image)
+    assert [coloring.of(copy.image) for copy in copies] == list(range(len(copies)))
+    assert coloring.of(list(copies[2].image)) == 2
     rng1 = random_coloring(target, C2, 2, random.Random(5))
     rng2 = random_coloring(target, C2, 2, random.Random(5))
     assert rng1 == rng2
@@ -304,6 +318,28 @@ def test_oracle_assume_and_file_modes(tmp_path):
     save_structure(bad, poset_to_complete_rn(chain(5)))
     with pytest.raises(CertificationFailed):
         oracle_ramsey(BaseOracle(mode="file", witness=load_structure(bad)), C2, C3)
+
+
+def test_oracle_file_mode_certifies_on_the_search_route(monkeypatch):
+    # a witness without a copy of E is refused before its A-copies are listed
+    listed = []
+
+    def recording_enumerate_copies(pattern, target, *args, **kwargs):
+        listed.append((pattern.n, target.n))
+        return enumerate_copies(pattern, target, *args, **kwargs)
+
+    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
+    with pytest.raises(CertificationFailed):
+        oracle_ramsey(BaseOracle(mode="file", witness=make_rn_graph(4, (), ())), POINT, C2)
+    assert listed == [(1, 2), (2, 4)]
+
+
+def test_oracle_file_mode_downgrades_past_the_search_ceiling():
+    # 2,001 A-copies are beyond the exact search's 2,000 slots, so certification runs
+    # out and the witness passes through uncertified
+    witness = make_rn_graph(2001, (), ())
+    w = oracle_ramsey(BaseOracle(mode="file", witness=witness), POINT, POINT)
+    assert w == OracleWitness(witness, False, "file:conditionally-correct")
 
 
 def _identity_graphs(max_n: int):

@@ -5,8 +5,10 @@ import pytest
 
 from rnramsey import (
     BaseOracle,
+    BuildLimits,
     Homomorphism,
     ParseError,
+    SearchLimits,
     antichain,
     build_picture_zero,
     build_tower,
@@ -28,7 +30,7 @@ from rnramsey import (
     save_structure,
     to_doc,
 )
-from rnramsey.cli import main
+from rnramsey.cli import _build_parser, main
 from rnramsey.io import HomomorphismDoc
 
 C2 = poset_to_complete_rn(chain(2))
@@ -85,6 +87,14 @@ def test_parse_errors(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ParseError):
         load_structure(bad)
+    # a repeated key is refused, not overwritten, at any depth
+    bad.write_text('{"kind": "rn", "n": 2, "n": 3, "order": [0, 1, 2], "R": [], "N": []}')
+    with pytest.raises(ParseError, match="repeated key 'n'"):
+        load_structure(bad)
+    repeated = '{"copy": [0], "color": 0, "color": 1}'
+    bad.write_text(f'{{"kind": "coloring", "r": 2, "entries": [{repeated}]}}')
+    with pytest.raises(ParseError, match="repeated key 'color'"):
+        load_structure(bad)
     with pytest.raises(ParseError):
         from_doc({"kind": "poset", "n": 2})
     with pytest.raises(ParseError):
@@ -105,6 +115,18 @@ def test_parse_errors(tmp_path):
     pic["f"] = pic["f"][::-1]
     with pytest.raises(ParseError):
         from_doc(pic)
+    # a coloring needs r >= 1, colors in 0..r-1, and each copy listed once
+    entries = [{"copy": [0, 1], "color": 1}, {"copy": [0, 2], "color": 0}]
+    from_doc({"kind": "coloring", "r": 2, "entries": entries})
+    for r, entry in [
+        (0, {"copy": [0, 1], "color": 0}),
+        (-1, {"copy": [1, 2], "color": 0}),
+        (2, {"copy": [1, 2], "color": 7}),
+        (2, {"copy": [1, 2], "color": -1}),
+        (2, {"copy": [0, 1], "color": 0}),
+    ]:
+        with pytest.raises(ParseError):
+            from_doc({"kind": "coloring", "r": r, "entries": [*entries, entry]})
     with pytest.raises(TypeError):
         to_doc(object())
 
@@ -123,6 +145,8 @@ def test_manifest_roundtrip():
     assert parse_manifest(text) == entries
     with pytest.raises(ParseError):
         parse_manifest("no separator here\n")
+    with pytest.raises(ParseError, match="manifest line 4 repeats key 'a.file'"):
+        parse_manifest(text + "a.file: B.json\n")
 
 
 def test_export_dot_frozen():
@@ -172,6 +196,16 @@ def test_cli_validate_rejects(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("INVALID bad.json:")
     bad.write_text(json.dumps({"kind": "poset", "n": 3, "order": [0, 1, 2], "R": [[0, 1], [1, 2]]}))
     assert main(["validate", str(bad)]) == 1
+    for r, entries, message in [
+        (-1, [([0, 1], 0)], "field 'r' must be positive, got -1"),
+        (2, [([0, 1], 7)], "copy [0, 1] has color 7, outside 0..1"),
+        (2, [([0, 1], 0), ([0, 1], 1)], "copy [0, 1] is listed twice"),
+    ]:
+        entries = [{"copy": copy, "color": color} for copy, color in entries]
+        bad.write_text(json.dumps({"kind": "coloring", "r": r, "entries": entries}))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().out == f"INVALID bad.json: {message}\n"
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
 
 
@@ -294,6 +328,49 @@ def test_cli_finish_names_missing_manifest_key(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(["finish", str(out)]) == 1
     assert f"ERROR: manifest has no '{key}' entry" in capsys.readouterr().err
+
+
+def test_cli_finish_refuses_repeated_manifest_key(tmp_path, capsys):
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    text = (out / "manifest.txt").read_text()
+    lines = len(text.splitlines())
+    (out / "manifest.txt").write_text(text + "stage.2.digest: 0\n")
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR: manifest line {lines + 1} repeats key 'stage.2.digest'" in err
+    assert not (out / "C.json").exists()
+
+
+BUDGET_FLAGS = ("max_nodes", "max_copies", "time_budget", "size_bound", "candidate_budget",
+                "oracle_time_bound", "max_picture_vertices")
+
+
+def test_cli_budget_defaults_are_the_record_defaults(monkeypatch):
+    for name in BUDGET_FLAGS:
+        monkeypatch.delenv(f"RNRAMSEY_{name.upper()}", raising=False)
+    parser = _build_parser()
+    args = parser.parse_args(["arrow", "t.json", "q.json", "p.json"])
+    limits = SearchLimits()
+    assert (args.max_nodes, args.max_copies, args.time_budget) == (
+        limits.max_nodes, limits.max_copies, limits.time_budget
+    )
+    assert (type(args.max_nodes), type(args.time_budget)) == (int, float)
+    args = parser.parse_args(["tower", "a.json", "b.json", "--ell-max", "3", "--out", "o"])
+    oracle = BaseOracle()
+    assert (args.size_bound, args.candidate_budget, args.oracle_time_bound) == (
+        oracle.size_bound, oracle.candidate_budget, oracle.time_bound
+    )
+    assert args.max_picture_vertices == BuildLimits().max_picture_vertices
+    # each flag still reads its own environment variable
+    for name in BUDGET_FLAGS:
+        monkeypatch.setenv(f"RNRAMSEY_{name.upper()}", "7")
+    parser = _build_parser()
+    arrow_args = parser.parse_args(["arrow", "t.json", "q.json", "p.json"])
+    tower_args = parser.parse_args(["tower", "a.json", "b.json", "--ell-max", "3", "--out", "o"])
+    values = {**vars(arrow_args), **vars(tower_args)}
+    assert all(values[name] == 7 for name in BUDGET_FLAGS)
 
 
 def test_cli_finish_refuses_edited_lambda(tmp_path, capsys):
