@@ -286,7 +286,7 @@ def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
 # Base witness oracle
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaseOracle:
     """Source of Ramsey witnesses F with F -> (E)^A_2.
 
@@ -302,6 +302,10 @@ class BaseOracle:
 
     def __post_init__(self) -> None:
         require_non_negative(self, "size_bound", "time_bound", "candidate_budget")
+        if self.mode not in ("search", "file", "assume"):
+            raise ValueError(f"unknown oracle mode {self.mode!r}")
+        if self.mode != "search" and self.witness is None:
+            raise ValueError(f"{self.mode} mode requires a witness")
 
 
 @dataclass(frozen=True)
@@ -378,8 +382,6 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     """
     graph = oracle.witness
     limits = SearchLimits()
-    if oracle.mode in ("assume", "file") and graph is None:
-        raise ValueError(f"{oracle.mode} mode requires a witness")
     if oracle.mode == "assume":
         return OracleWitness(graph, False, "assume")
     if oracle.mode == "file":
@@ -390,8 +392,6 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         if not certified:
             raise CertificationFailed("supplied witness is refuted by the exact arrow search")
         return OracleWitness(graph, True, "file")
-    if oracle.mode != "search":
-        raise ValueError(f"unknown oracle mode {oracle.mode!r}")
 
     if E.n > oracle.size_bound:
         raise NotFoundWithinBounds(

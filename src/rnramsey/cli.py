@@ -124,11 +124,7 @@ def cmd_arrow(args) -> int:
 
 
 def _oracle_from_args(args) -> BaseOracle:
-    witness = None
-    if args.oracle in ("file", "assume"):
-        if not args.witness:
-            raise StructureError(f"--witness is required for oracle mode {args.oracle!r}")
-        witness = load_structure(args.witness)
+    witness = load_structure(args.witness) if args.witness and args.oracle != "search" else None
     return BaseOracle(
         mode=args.oracle,
         size_bound=args.size_bound,

@@ -76,7 +76,7 @@ class Picture:
     """Part-structured snapshot of the recursion, one part per vertex of D.
 
     Part t holds the preimage of the t-th smallest D-vertex under f; parts are stored
-    ascending in the base order and occupy consecutive rank blocks.
+    ascending in the base order and occupy consecutive rank blocks (validate checks it).
     """
 
     base: RNGraph
@@ -108,40 +108,54 @@ def _glue(n: int, structure: RNGraph, vmaps) -> RNGraph:
     return make_rn_graph(n, R, N)
 
 
+def _assemble(D: RNGraph, keyed_parts, structure: RNGraph, keyed_maps, projected: int):
+    """The picture over D glued from copies of structure, and the copies' vertex maps.
+
+    Part t gets one new vertex per key of keyed_parts[t], numbered part by part; each
+    copy lists one key per vertex of structure.  The count must be the projected one:
+    a repeated key would silently merge two vertices.
+    """
+    ids: dict = {}
+    parts = tuple(tuple(ids.setdefault(key, len(ids)) for key in keys) for keys in keyed_parts)
+    if len(ids) != projected:
+        raise AssertionError(f"numbered {len(ids)} vertices, projected {projected}")
+    vmaps = tuple(tuple(ids[key] for key in keys) for keys in keyed_maps)
+    base = _glue(len(ids), structure, vmaps)
+    for k, vmap in enumerate(vmaps):
+        if not is_embedding(vmap, structure, base):
+            raise GlueConflict(f"gluing damaged copy {k}")
+    picture = Picture(base, D, parts)
+    picture.validate()
+    return picture, vmaps
+
+
 def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
     """Disjoint union of all copies of B in D, spread over the parts they touch."""
     copies = enumerate_copies(B, D)
     if not copies:
         raise NoCopiesOfB(f"host on {D.n} vertices carries no copy of the pattern")
-    ids: dict[tuple[int, int], int] = {}
-    parts: list[tuple[int, ...]] = []
-    for dv in D.order:
-        members = []
-        for h, copy in enumerate(copies):
-            if dv in copy.image:
-                ids[(h, dv)] = len(ids)
-                members.append(ids[(h, dv)])
-        parts.append(tuple(members))
-    vmaps = [tuple(ids[(h, w)] for w in copy.map) for h, copy in enumerate(copies)]
-    picture = Picture(_glue(len(ids), B, vmaps), D, tuple(parts))
-    picture.validate()
+    picture, _ = _assemble(
+        D,
+        ([(h, dv) for h, copy in enumerate(copies) if dv in copy.image] for dv in D.order),
+        B,
+        ([(h, w) for w in copy.map] for h, copy in enumerate(copies)),
+        len(copies) * B.n,
+    )
     if not is_good(picture.base):
         raise AssertionError("disjoint copies of a good pattern must form a good graph")
     return picture
 
 
 def _selected_positions(P: Picture, a_copy: Copy) -> list[int]:
-    """Part positions of P touched by a copy of A in D, ascending."""
-    return sorted(P.D.rank[v] for v in a_copy.image)
+    """Part positions of P touched by a copy of A in D, ascending: the image is listed
+    in D order."""
+    return [P.D.rank[v] for v in a_copy.image]
 
 
 def _subsystem_vertices(P: Picture, a_copy: Copy) -> list[int]:
     """Picture vertices inside the selected parts, in base order; this fixed listing
     is the local-id correspondence shared by induced_subsystem and amalgamate."""
-    out: list[int] = []
-    for t in _selected_positions(P, a_copy):
-        out.extend(sorted(P.parts[t], key=lambda v: P.base.rank[v]))
-    return out
+    return [v for t in _selected_positions(P, a_copy) for v in P.parts[t]]
 
 
 def induced_subsystem(P: Picture, A: RNGraph, a_copy: Copy) -> APartiteRNGraph:
@@ -150,15 +164,12 @@ def induced_subsystem(P: Picture, A: RNGraph, a_copy: Copy) -> APartiteRNGraph:
     Local vertex k is the k-th entry of the part concatenation in base order, so the
     relabeling is recoverable from (P, a_copy) alone.
     """
-    sub = induced_substructure(P.base, tuple(_subsystem_vertices(P, a_copy)))
+    chosen = _subsystem_vertices(P, a_copy)
+    sub = induced_substructure(P.base, tuple(chosen))
     base = make_rn_graph(sub.n, sub.R, sub.N, sub.order)
-    parts = []
-    k = 0
-    for t in _selected_positions(P, a_copy):
-        size = len(P.parts[t])
-        parts.append(tuple(range(k, k + size)))
-        k += size
-    return make_apartite(A, base, tuple(parts))
+    local = {v: k for k, v in enumerate(chosen)}
+    parts = (tuple(local[v] for v in P.parts[t]) for t in _selected_positions(P, a_copy))
+    return make_apartite(A, base, parts)
 
 
 def amalgamate(
@@ -172,62 +183,32 @@ def amalgamate(
     per-copy vertex maps into the new picture."""
     if not lifts:
         raise ConstructionError("product carries no lifted copies of the sub-picture")
-    spos = _selected_positions(P, a_copy)
-    s_index = {t: i for i, t in enumerate(spos)}
-    chosen = _subsystem_vertices(P, a_copy)
-    local = {v: k for k, v in enumerate(chosen)}
+    s_index = {t: i for i, t in enumerate(_selected_positions(P, a_copy))}
+    local = {v: k for k, v in enumerate(_subsystem_vertices(P, a_copy))}
     K = len(lifts)
 
-    # A lift maps local sub-picture vertices into F; collect the image of each
-    # sub-picture part across all lifts.  F vertices outside every lift are dropped.
-    used_per_part = []
-    for t in spos:
-        used = {lift.map[local[v]] for lift in lifts for v in P.parts[t]}
-        used_per_part.append(sorted(used, key=lambda u: F.base.rank[u]))
-
-    shared_total = sum(len(u) for u in used_per_part)
-    projected = shared_total + K * (P.base.n - len(chosen))
+    # A lift maps local sub-picture vertices into F, part to part.  F vertices outside
+    # every lift are dropped.
+    used = {u for lift in lifts for u in lift.map}
+    projected = len(used) + K * (P.base.n - len(local))
     if projected > limits.max_picture_vertices:
         raise ResourceExceeded(
             f"amalgamation would need {projected} vertices "
             f"(ceiling {limits.max_picture_vertices}, {K} lifted copies)"
         )
 
-    fid: dict[int, int] = {}
-    fresh: dict[tuple[int, int], int] = {}
-    parts_new: list[tuple[int, ...]] = []
-    counter = 0
-    for t in range(P.D.n):
-        members = []
-        if t in s_index:
-            for fv in used_per_part[s_index[t]]:
-                fid[fv] = counter
-                members.append(counter)
-                counter += 1
-        else:
-            for x in sorted(P.parts[t], key=lambda v: P.base.rank[v]):
-                for k in range(K):
-                    fresh[(k, x)] = counter
-                    members.append(counter)
-                    counter += 1
-        parts_new.append(tuple(members))
-    if counter != projected:
-        raise AssertionError(f"numbered {counter} vertices, projected {projected}")
-
-    copy_maps = tuple(
-        tuple(
-            fid[lift.map[local[x]]] if t in s_index else fresh[(k, x)]
-            for x, t in enumerate(P.part_of)
-        )
+    # A selected part is keyed by F-vertex, every other part by (lift, old vertex).
+    keyed_parts = (
+        [u for u in F.parts[s_index[t]] if u in used]
+        if t in s_index
+        else [(k, x) for x in members for k in range(K)]
+        for t, members in enumerate(P.parts)
+    )
+    keyed_maps = (
+        [lift.map[local[x]] if t in s_index else (k, x) for x, t in enumerate(P.part_of)]
         for k, lift in enumerate(lifts)
     )
-    base = _glue(counter, P.base, copy_maps)
-    for k, vmap in enumerate(copy_maps):
-        if not is_embedding(vmap, P.base, base):
-            raise GlueConflict(f"gluing damaged copy {k} of the old picture")
-    picture = Picture(base, P.D, tuple(parts_new))
-    picture.validate()
-    return picture, copy_maps
+    return _assemble(P.D, keyed_parts, P.base, keyed_maps, projected)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,8 @@ def _pair_set(doc: dict, key: str) -> set[tuple[int, int]]:
         pair = _ints(entry, key)
         if len(pair) != 2:
             raise ParseError(f"field {key!r} must hold [x, y] pairs")
+        if pair in out:
+            raise ParseError(f"field {key!r} lists pair {list(pair)} twice")
         out.add(pair)
     return out
 

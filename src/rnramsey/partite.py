@@ -1,14 +1,14 @@
 """Part-structured RN graphs over a good complete template, and the product step.
 
 A graph is partite over a template A (one part per template vertex, parts consecutive
-in the linear order) when every R-edge projects to an R-pair of A and every N-edge to
-an N-pair.  Intra-part pairs are forced empty by irreflexivity, cross edges ascend with
-the parts, and every copy of A meets each part exactly once.
+in the linear order and listed ascending) when every R-edge projects to an R-pair of
+A and every N-edge to an N-pair.  Intra-part pairs are forced empty by irreflexivity,
+cross edges ascend with the parts, and every copy of A meets each part exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .analysis import is_good
@@ -52,27 +52,24 @@ def part_owner(parts, n: int) -> tuple[int, ...]:
 
 
 def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
-    """Shared partite-condition checker: cover, consecutive blocks, edge projection."""
+    """Shared partite-condition checker: RN graphs only, part t lists the t-th block
+    of the order ascending, the blocks cover the vertex set, edges project."""
+    if not (isinstance(base, RNGraph) and isinstance(template, RNGraph)):
+        raise StructureError("a partite graph and its template must be RN graphs")
     if len(parts) != template.n:
         raise StructureError(f"expected {template.n} parts, got {len(parts)}")
-    seen: set[int] = set()
-    for members in parts:
-        for v in members:
-            if v in seen or not (0 <= v < base.n):
-                raise StructureError("parts do not partition the vertex set", v)
-            seen.add(v)
-    if len(seen) != base.n:
-        missing = min(set(range(base.n)) - seen)
-        raise StructureError("parts do not cover the vertex set", missing)
-    offset = 0
+    rank = 0
     for t, members in enumerate(parts):
-        block = set(range(offset, offset + len(members)))
         for v in members:
-            if base.rank[v] not in block:
+            if not 0 <= v < base.n:
+                raise StructureError("part vertex out of range", v)
+            if base.rank[v] != rank:
                 raise PartOrderViolation(
-                    f"part {t} is not a consecutive block of the order", v
+                    f"part {t} is not the next block of the order, ascending", v
                 )
-        offset += len(members)
+            rank += 1
+    if rank != base.n:
+        raise StructureError("parts do not cover the vertex set", base.order[rank])
     owner = part_owner(parts, base.n)
     for name, rel, template_rel in (("R", base.R, template.R), ("N", base.N, template.N)):
         for x, y in sorted(rel):
@@ -135,9 +132,7 @@ def partite_embeddings(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[
 class ProductResult:
     """Partite product of a template with a base witness, plus its lift bookkeeping.
 
-    lifts[i] is the part-respecting copy of the pattern obtained from base E-copy i;
-    diagonals pairs each template-clique copy in the base witness with the template
-    copy it induces in the product.
+    lifts[i] is the part-respecting copy of the pattern obtained from base E-copy i.
     """
 
     apartite: APartiteRNGraph
@@ -145,7 +140,6 @@ class ProductResult:
     certified: bool
     source: str
     lifts: tuple[Copy, ...]
-    diagonals: tuple[tuple[Copy, Copy], ...] = field(compare=False, default=())
 
 
 def product_relations(A: RNGraph, witness: RNGraph):
@@ -160,16 +154,12 @@ def product_relations(A: RNGraph, witness: RNGraph):
     for t in range(A.n):
         for k, u in enumerate(witness.order):
             ids[(t, u)] = t * wn + k
-    R = set()
-    N = set()
-    for a, a2 in A.R:
-        s, t = A.rank[a], A.rank[a2]
-        for u, w in witness.R:
-            R.add((ids[(s, u)], ids[(t, w)]))
-    for a, a2 in A.N:
-        s, t = A.rank[a], A.rank[a2]
-        for u, w in witness.R:
-            N.add((ids[(s, u)], ids[(t, w)]))
+    R, N = set(), set()
+    for rel, out in ((A.R, R), (A.N, N)):
+        for a, a2 in rel:
+            s, t = A.rank[a], A.rank[a2]
+            for u, w in witness.R:
+                out.add((ids[(s, u)], ids[(t, w)]))
     return frozenset(R), frozenset(N), ids
 
 
@@ -194,19 +184,18 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
     parts = tuple(tuple(range(t * wn, (t + 1) * wn)) for t in range(A.n))
     apartite = make_apartite(A, base, parts)
 
-    def lift(graph: RNGraph, part_of, w_copy: Copy) -> Copy:
-        """Vertex v of graph goes to part part_of[v], above w_copy's image of v."""
-        vmap = tuple(ids[(part_of[v], w_copy.map[v])] for v in range(graph.n))
-        if not is_embedding(vmap, graph, base):
+    def lift(w_copy: Copy) -> Copy:
+        """Pattern vertex v goes to its part, above w_copy's image of v."""
+        part_of = pattern.part_of
+        vmap = tuple(ids[(part_of[v], w_copy.map[v])] for v in range(pattern.base.n))
+        if not is_embedding(vmap, pattern.base, base):
             raise AssertionError(f"lift of witness copy {w_copy.image} is not an embedding")
         if any(apartite.part_of[w] != part_of[v] for v, w in enumerate(vmap)):
             raise AssertionError(f"lift of witness copy {w_copy.image} moved a part")
         return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap)
 
-    e_copies = enumerate_copies(fused_e, witness)
-    lifts = tuple(lift(pattern.base, pattern.part_of, c) for c in e_copies)
-    diagonals = tuple((c, lift(A, A.rank, c)) for c in enumerate_copies(fused_a, witness))
-    return ProductResult(apartite, witness, wit.certified, wit.source, lifts, diagonals)
+    lifts = tuple(lift(c) for c in enumerate_copies(fused_e, witness))
+    return ProductResult(apartite, witness, wit.certified, wit.source, lifts)
 
 
 def check_partite_arrow(

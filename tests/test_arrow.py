@@ -253,6 +253,14 @@ def test_find_monochromatic_requires_total_coloring():
         find_monochromatic(target, partial, C3, C2)
 
 
+def test_find_monochromatic_on_posets():
+    # posets take the poset branch of induced_substructure, with the same answer
+    coloring = make_coloring(enumerate_copies(chain(1), chain(3)), [0, 1, 0], 2)
+    assert find_monochromatic(chain(3), coloring, chain(2), chain(1)).image == (0, 2)
+    rn_coloring = make_coloring(enumerate_copies(POINT, C3), [0, 1, 0], 2)
+    assert find_monochromatic(C3, rn_coloring, C2, POINT).image == (0, 2)
+
+
 def test_oracle_seed_families():
     oracle = BaseOracle()
     w = oracle_ramsey(oracle, POINT, C2)
@@ -304,6 +312,19 @@ def test_oracle_exhaustion_and_budget():
     a2 = poset_to_complete_rn(antichain(2))
     with pytest.raises(ResourceExceeded):
         oracle_ramsey(BaseOracle(candidate_budget=5), POINT, a2)
+    # E has an N pair, so all three pair states are tried, and the text says no more
+    with pytest.raises(NotFoundWithinBounds, match="^no witness among candidates up to 2 "):
+        oracle_ramsey(BaseOracle(size_bound=2), POINT, a2)
+    with pytest.raises(ResourceExceeded, match="search time budget"):
+        oracle_ramsey(BaseOracle(time_bound=0), POINT, a2)
+
+
+def test_oracle_is_checked_when_built():
+    with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+        BaseOracle(mode="bogus")
+    for mode in ("file", "assume"):
+        with pytest.raises(ValueError, match=f"{mode} mode requires a witness"):
+            BaseOracle(mode=mode)
 
 
 def test_oracle_assume_and_file_modes(tmp_path):

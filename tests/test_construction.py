@@ -168,6 +168,12 @@ def test_amalgamate_recheck_catches_a_damaged_copy(monkeypatch, D, B, damage):
         amalgamate(p0, a_copy, product.apartite, product.lifts, BuildLimits())
 
 
+def test_assemble_refuses_a_repeated_key():
+    # two parts listing one key would silently share a vertex
+    with pytest.raises(AssertionError, match="numbered 1 vertices, projected 2"):
+        construction._assemble(C2, [["k"], ["k"]], C2, [["k", "k"]], 2)
+
+
 def test_run_vacuous_when_pattern_absent():
     run = run_partite_construction(A3, C2, A2, BaseOracle())
     assert not run.steps
@@ -267,6 +273,8 @@ def test_build_tower_frozen_example():
     assert check_homomorphism(s3.h_down)
     assert check_homomorphism(tower.composed_map(3))
     assert not tower.truncated
+    # complete RN inputs give the same tower
+    assert build_tower(POINT, C2, 3, BaseOracle()) == tower
 
 
 def test_build_tower_single_stage_and_validation():
@@ -274,6 +282,8 @@ def test_build_tower_single_stage_and_validation():
     assert len(tower.stages) == 1
     with pytest.raises(ValueError):
         build_tower(chain(1), chain(2), 1, BaseOracle())
+    with pytest.raises(TypeError, match="must be an OrderedPoset or a complete RNGraph"):
+        build_tower(POINT, C2.R, 2, BaseOracle())
 
 
 def test_build_tower_no_stabilize_hits_the_wall():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rnramsey import (
     BaseOracle,
+    Copy,
     ResourceExceeded,
     antichain,
     chain,
@@ -22,6 +23,12 @@ from rnramsey import (
     run_partite_construction,
 )
 from helpers import brute_closure, brute_copies, random_poset, random_rn
+
+
+def test_empty_pattern_has_one_copy():
+    empty = make_rn_graph(0, (), ())
+    for target in (empty, poset_to_complete_rn(chain(3))):
+        assert enumerate_copies(empty, target) == [Copy((), ())]
 
 
 def test_chain_copy_counts_binomial():

@@ -110,6 +110,13 @@ def test_parse_errors(tmp_path):
         from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [[False, True]]})
     with pytest.raises(ParseError):
         from_doc({"kind": "rn", "n": 2, "order": [0.0, 1.0], "R": [], "N": []})
+    # a pair listed twice is refused, not merged
+    for key in ("R", "N"):
+        doc = {"kind": "rn", "n": 2, "order": [0, 1], "R": [], "N": [], key: [[0, 1], [0, 1]]}
+        with pytest.raises(ParseError, match=f"field '{key}' lists pair \\[0, 1\\] twice"):
+            from_doc(doc)
+    with pytest.raises(ParseError):
+        from_doc({"kind": "poset", "n": 2, "order": [0, 1], "R": [[0, 1], [0, 1]]})
     # a picture's collapse map must be the one its parts determine
     pic = to_doc(build_picture_zero(C3, C2))
     pic["f"] = pic["f"][::-1]
@@ -206,6 +213,18 @@ def test_cli_validate_rejects(tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 1
         assert capsys.readouterr().out == f"INVALID bad.json: {message}\n"
+    # parts must list their blocks ascending, and partite records hold RN graphs only
+    apartite, picture = to_doc(_apartite_example()), to_doc(build_picture_zero(C3, C2))
+    for doc, message in [
+        ({**apartite, "parts": [[1, 0], [2, 3]]}, "part 0 is not the next block"),
+        ({**picture, "parts": [[0, 1], [3, 2], [4, 5]]}, "part 1 is not the next block"),
+        ({**apartite, "A": to_doc(chain(2))}, "must be RN graphs"),
+        ({**picture, "D": to_doc(chain(3)), "base": to_doc(chain(6))}, "must be RN graphs"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 1
+        assert message in capsys.readouterr().out
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
 
 
@@ -404,6 +423,22 @@ def test_cli_tower_truncation_exit_code(tmp_path, capsys):
     manifest = parse_manifest((out / "manifest.txt").read_text())
     assert "truncated" in manifest and "stage.3.file" not in manifest
     assert main(["finish", str(out)]) == 1
+
+
+def test_cli_tower_on_complete_rn_files(tmp_path, capsys):
+    # `make --rn` files give the same stages and the same manifest as the posets
+    code, from_posets = _run_tower(tmp_path, "posets")
+    assert code == 0
+    printed = capsys.readouterr().out
+    a, b = str(tmp_path / "point_rn.json"), str(tmp_path / "c2_rn.json")
+    assert main(["make", "chain", "1", "--rn", "--out", a]) == 0
+    assert main(["make", "chain", "2", "--rn", "--out", b]) == 0
+    out = tmp_path / "rn"
+    capsys.readouterr()
+    assert main(["tower", a, b, "--ell-max", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest == (from_posets / "manifest.txt").read_text()
 
 
 def test_cli_tower_assume_mode(tmp_path, capsys):

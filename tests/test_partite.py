@@ -60,8 +60,15 @@ def test_validation_errors():
         make_apartite(
             C2, make_rn_graph(4, set(), set(), order=(0, 2, 1, 3)), ((0, 1), (2, 3))
         )
+    with pytest.raises(PartOrderViolation):  # the right block, listed descending
+        make_apartite(C2, make_rn_graph(4, set(), set()), ((1, 0), (2, 3)))
     with pytest.raises(StructureError):
         make_apartite(C2, make_rn_graph(2, set(), set()), ((0,),))
+    # partite graphs and their templates are RN graphs, never posets
+    with pytest.raises(StructureError, match="must be RN graphs"):
+        make_apartite(chain(2), make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))
+    with pytest.raises(StructureError, match="must be RN graphs"):
+        make_apartite(C2, chain(2), ((0,), (1,)))
     with pytest.raises(StructureError):  # template must be complete
         make_apartite(make_rn_graph(2, set(), set()), make_rn_graph(2, set(), set()), ((0,), (1,)))
     bad = make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)})  # complete but not good
@@ -222,15 +229,17 @@ def test_product_construction_antichain_template_needs_fused_query():
 def test_product_diagonals_are_template_copies():
     single = one_crossing_copy(C2)
     result = product_construction(C2, single, BaseOracle())
+    _, _, ids = product_relations(C2, result.base_witness)
     fused_a_copies = enumerate_copies(fuse(C2), result.base_witness)
-    assert len(result.diagonals) == len(fused_a_copies)
-    for base_copy, diag in result.diagonals:
-        assert is_embedding(diag.map, C2, result.apartite.base)
+    assert fused_a_copies
+    for base_copy in fused_a_copies:
+        diag = tuple(ids[(C2.rank[a], base_copy.map[a])] for a in range(C2.n))
+        assert is_embedding(diag, C2, result.apartite.base)
         # the diagonal sits above the base copy coordinatewise
         wn = result.base_witness.n
         for t in range(C2.n):
             u = base_copy.map[t]
-            assert diag.map[t] == t * wn + result.base_witness.rank[u]
+            assert diag[t] == t * wn + result.base_witness.rank[u]
 
 
 def test_lift_count_lower_bound_for_partite_embeddings():
