@@ -12,7 +12,8 @@ The P-copies are the slots and the Q-copies the edges of a hypergraph, built onc
 masks over the edges (_incidence).  The search, the pre-pass and
 greedy_adversarial_coloring keep their edge state in such masks: per color, the edges
 with a member of that color, and the edges that carry two colors.  The oracle certifies
-searched and file witnesses on one route (_is_witness).
+searched and file witnesses on one route (_is_witness), and its scan skips, without
+certifying, the candidates that the minimal-witness lemma rules out.
 """
 
 from __future__ import annotations
@@ -324,7 +325,12 @@ def _edgeless(n: int) -> RNGraph:
 
 
 def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
-    """Closed-form candidate families; every yield is still certified before use."""
+    """Closed-form candidate families; every yield is still certified before use.
+
+    Each seed has every vertex in a copy of E (E itself, an edgeless graph at least
+    as large as an edgeless E, a chain longer than a chain E), so the scan never
+    skips one as uncovered, and oracle_ramsey passes over a scanned seed uncounted.
+    """
     yield E, "search:identity"
     if A.n == 1 and not E.R and not E.N:
         n = 2 * (E.n - 1) + 1
@@ -335,29 +341,116 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
             yield poset_to_complete_rn(chain(n)), "search:chain"
 
 
-def _enumerated_candidates(size_bound: int, states: tuple[str, ...]):
-    """Every assignment of the pair states over forward pairs of the identity order,
-    by size.
+def _columns(j: int, states: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Every state assignment to the pairs (i, j), i < j, as the masks (R bits, N bits)
+    over i; earliest i most significant, states in the order given."""
+    out = []
+    for assignment in itertools.product(states, repeat=j):
+        r = n = 0
+        for i, s in enumerate(assignment):
+            if s == "R":
+                r |= 1 << i
+            elif s == "N":
+                n |= 1 << i
+        out.append((r, n))
+    return out
 
-    With the order fixed to the identity, distinct relation sets are distinct up to
-    order-preserving isomorphism, so the enumeration is canonical.  Pair states run in
-    the order given, "R", "N" and "" (absent), earliest pair most significant; leaving
-    "N" out keeps the N-free graphs in the same order.
 
-    oracle_ramsey leaves "N" out when A is a complete R-chain and E has no N, and loses
-    no witness size by it.  Let F* be F with its N pairs made absent.  A-copies use only
-    R pairs, so F and F* have the same A-copies.  An E-copy uses only R and absent
-    pairs, which F* keeps, so every E-copy of F is an E-copy of F*.  So F*'s hypergraph
-    has the same vertices and more edges: a coloring that leaves every E-copy of F*
-    non-monochromatic does the same for F.  If F -> (E)^A_2, then F* -> (E)^A_2, and
-    F* has as many vertices as F.
+def _mask(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
+def _enumerated_candidates(E: RNGraph, size_bound: int, states: tuple[str, ...]):
+    """Every graph on the identity order, by size and within a size in column order;
+    yields (n, graph) for a candidate that may be the first witness and (n, None) for
+    one the minimal-witness lemma skips.
+
+    Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
+    column: the states of the pairs (i, n-1), earliest i most significant, states in
+    the order given, "R", "N" and "" (absent).  The prefixes run in their own order,
+    each followed by all its columns.  With the order fixed to the identity, distinct
+    relation sets are distinct up to order-preserving isomorphism, so the scan is
+    canonical; leaving "N" out keeps the N-free graphs in the same order.
+
+    N-free lemma.  oracle_ramsey leaves "N" out when A is a complete R-chain and E has
+    no N, and loses no witness size by it.  Let F* be F with its N pairs made absent.
+    A-copies use only R pairs, so F and F* have the same A-copies.  An E-copy uses only
+    R and absent pairs, which F* keeps, so every E-copy of F is an E-copy of F*.  So
+    F*'s hypergraph has the same vertices and more edges: a coloring that leaves every
+    E-copy of F* non-monochromatic does the same for F.  If F -> (E)^A_2, then
+    F* -> (E)^A_2, and F* has as many vertices as F.
+
+    Minimal-witness lemma (exact).  Both families, all graphs and the N-free graphs,
+    are closed under deleting a vertex, and sizes ascend, so when F has n vertices,
+    F - v was met at size n - 1 and is no witness: it was certified and rejected,
+    skipped by this lemma, or a seed that was.  If v lies in no E-copy of F, the
+    E-copies of F are those of F - v, and the A-copies through v lie in no E-copy, so
+    their colors never matter: F -> (E)^A_2 exactly when F - v -> (E)^A_2.  So F is
+    skipped when the union of its E-copy images is not all n vertices.  At n = 1 this
+    is "no E-copy, no witness"; E has at least one vertex here, since with none the
+    identity seed answers first.
+
+    One-vertex extension.  For each prefix, its E-copies and its copies of E minus
+    its last vertex are listed once (_extension).  An E-copy through the new vertex
+    n-1 maps E's last vertex there, so it extends a copy of E minus its last vertex,
+    with image I, whose pairs to n-1 have the states E wants: colR & I == wantR and
+    colN & I == wantN (_coverage).  No graph is built for a candidate the lemma skips.
     """
+    e_minus = induced_substructure(E, E.order[:-1])
+    columns = [[(0, 0)]]
     for n in range(1, size_bound + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for assignment in itertools.product(states, repeat=len(pairs)):
-            R = frozenset(p for p, s in zip(pairs, assignment) if s == "R")
-            N = frozenset(p for p, s in zip(pairs, assignment) if s == "N")
-            yield RNGraph(n, R, N, tuple(range(n))), "search:enumeration"
+        top = n - 1
+        if top:
+            columns.append(_columns(top, states))
+        new, full = 1 << top, (1 << n) - 1
+        for prefix in itertools.product(*columns[:top]):
+            R = [(i, j) for j, (r, _) in enumerate(prefix) for i in range(j) if r >> i & 1]
+            N = [(i, j) for j, (_, m) in enumerate(prefix) for i in range(j) if m >> i & 1]
+            cover, extensions = _extension(
+                E, e_minus, RNGraph(top, frozenset(R), frozenset(N), tuple(range(top)))
+            )
+            for column in columns[top]:
+                if _coverage(cover, extensions, column, new) != full:
+                    yield n, None
+                    continue
+                col_r, col_n = column
+                yield n, RNGraph(
+                    n,
+                    frozenset(R + [(i, top) for i in range(top) if col_r >> i & 1]),
+                    frozenset(N + [(i, top) for i in range(top) if col_n >> i & 1]),
+                    tuple(range(n)),
+                )
+
+
+def _extension(E: RNGraph, e_minus: RNGraph, prefix: RNGraph):
+    """(cover, extensions) of a prefix: cover is the union of its E-copy images as a
+    vertex mask, and extensions lists each copy of e_minus (E without its last vertex)
+    as (image mask, wantR, wantN), the R and N bits that a column must have on the
+    image for the copy to extend to an E-copy through the new vertex."""
+    last = E.n - 1
+    cover = 0
+    for c in enumerate_copies(E, prefix):
+        cover |= _mask(c.image)
+    to_r, to_n = ([row[i] >> last & 1 for i in range(last)] for row in E.rows)
+    extensions = []
+    for c in enumerate_copies(e_minus, prefix):
+        want_r = _mask(c.map[i] for i in range(last) if to_r[i])
+        want_n = _mask(c.map[i] for i in range(last) if to_n[i])
+        extensions.append((_mask(c.image), want_r, want_n))
+    return cover, extensions
+
+
+def _coverage(cover: int, extensions, column: tuple[int, int], new: int) -> int:
+    """The union of the E-copy images of prefix + column, as a vertex mask; `new` is
+    the bit of the new vertex."""
+    col_r, col_n = column
+    for image, want_r, want_n in extensions:
+        if col_r & image == want_r and col_n & image == want_n:
+            cover |= image | new
+    return cover
 
 
 def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLimits) -> bool:
@@ -374,11 +467,17 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Produce F with F -> (E)^A_2 according to the oracle's mode.
 
     Search mode returns only witnesses certified by the exact verdict path of
-    check_arrow; when A is a complete R-chain and E has no N (every fused product
-    query), it tries only N-free candidates, which loses no witness size (see
-    _enumerated_candidates).  File mode certifies the supplied witness on that route,
-    downgrading to an uncertified pass-through only when the certification itself
-    exceeds its budgets.  Assume mode never certifies.
+    check_arrow.  It tries the seeds first, then scans the graphs on the identity
+    order by size, in column order (see _enumerated_candidates); a scanned graph equal
+    to a tried seed is passed over.  When A is a complete R-chain and E has no N
+    (every fused product query), the scan keeps to N-free candidates, which loses no
+    witness size.  A candidate with a vertex in no E-copy is skipped uncertified by
+    the minimal-witness lemma, so the first witness of the scan is still the one
+    returned.  Every candidate met, certified or skipped, counts against
+    candidate_budget and checks the deadline; a budget stop names the size reached
+    and how many candidates were certified and skipped.  File mode certifies the
+    supplied witness on that route, downgrading to an uncertified pass-through only
+    when the certification itself exceeds its budgets.  Assume mode never certifies.
     """
     graph = oracle.witness
     limits = SearchLimits()
@@ -402,23 +501,33 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     states = ("R", "") if n_free else ("R", "N", "")
     p_in_q = enumerate_copies(A, E)
     deadline = time.monotonic() + oracle.time_bound
-    # Enumerated candidates are pairwise distinct, so only a seed can be met twice.
-    seeds: set[tuple[int, frozenset, frozenset]] = set()
+    tried: set[RNGraph] = set()  # the seeds
+
+    def candidates():
+        for graph, source in _seed_candidates(A, E, oracle.size_bound):
+            if graph not in tried:
+                tried.add(graph)
+                yield graph.n, graph, source
+        for n, graph in _enumerated_candidates(E, oracle.size_bound, states):
+            # a seed is never skipped as uncovered, so a scanned seed is met here
+            if graph not in tried:
+                yield n, graph, "search:enumeration"
+
     budget = oracle.candidate_budget
-    for graph, source in itertools.chain(
-        _seed_candidates(A, E, oracle.size_bound),
-        _enumerated_candidates(oracle.size_bound, states),
-    ):
-        key = (graph.n, graph.R, graph.N)
-        if key in seeds:
-            continue
-        if source != "search:enumeration":
-            seeds.add(key)
+    certified = skipped = 0
+    for n, graph, source in candidates():
         budget -= 1
         if budget < 0:
-            raise ResourceExceeded(f"candidate budget ({oracle.candidate_budget}) exhausted")
+            raise ResourceExceeded(
+                f"candidate budget ({oracle.candidate_budget}) exhausted at size {n}: "
+                f"{certified} certified, {skipped} skipped by the minimal-witness lemma"
+            )
         if time.monotonic() > deadline:
             raise ResourceExceeded(f"search time budget ({oracle.time_bound}s) exhausted")
+        if graph is None:
+            skipped += 1
+            continue
+        certified += 1
         if _is_witness(graph, A, E, p_in_q, limits):
             return OracleWitness(graph, True, source)
     if n_free:

@@ -124,7 +124,12 @@ def cmd_arrow(args) -> int:
 
 
 def _oracle_from_args(args) -> BaseOracle:
-    witness = load_structure(args.witness) if args.witness and args.oracle != "search" else None
+    if args.witness and args.oracle == "search":
+        raise ValueError(
+            "--witness needs --oracle file or --oracle assume; "
+            "--oracle search (the default) takes no witness"
+        )
+    witness = load_structure(args.witness) if args.witness else None
     return BaseOracle(
         mode=args.oracle,
         size_bound=args.size_bound,

@@ -21,14 +21,17 @@ from rnramsey import (
     greedy_adversarial_coloring,
     load_structure,
     make_coloring,
+    make_ordered_poset,
     make_rn_graph,
     oracle_ramsey,
     poset_to_complete_rn,
     save_structure,
 )
 from rnramsey import arrow
+from rnramsey.structures import induced_substructure
 from helpers import (
     brute_arrow,
+    brute_copies,
     brute_proper_coloring_exists,
     incidence_masks,
     random_coloring,
@@ -272,6 +275,11 @@ def test_oracle_seed_families():
     edgeless = make_rn_graph(3, set(), set())
     w3 = oracle_ramsey(oracle, POINT, edgeless)
     assert w3.source == "search:pigeonhole" and w3.graph.n == 5
+    # every seed has each vertex in a copy of E, so the scan never skips one as
+    # uncovered and can pass over it uncounted
+    for A, E in ((POINT, C2), (C2, C3), (POINT, edgeless), (POINT, POINT)):
+        for F, _ in arrow._seed_candidates(A, E, 8):
+            assert _covered(E, F) == set(range(F.n))
 
 
 def test_oracle_enumeration_fallback():
@@ -281,26 +289,54 @@ def test_oracle_enumeration_fallback():
     assert w.graph.n == 3 and not w.graph.R and len(w.graph.N) == 3
 
 
+def _recording_is_witness(monkeypatch) -> list:
+    """Record every candidate that reaches certification."""
+    certified = []
+    is_witness = arrow._is_witness
+
+    def recording(graph, *args):
+        certified.append(graph)
+        return is_witness(graph, *args)
+
+    monkeypatch.setattr(arrow, "_is_witness", recording)
+    return certified
+
+
+def _covered(E, F) -> set:
+    """The vertices of F that lie in some copy of E, by brute force."""
+    return {v for image in brute_copies(E, F) for v in image}
+
+
 def test_oracle_tries_each_candidate_once(monkeypatch):
     # the identity seed (the antichain itself) comes round again in the enumeration
     a2 = poset_to_complete_rn(antichain(2))
-    tried = []
-
-    def recording_enumerate_copies(pattern, target, *args, **kwargs):
-        # every candidate is decided by listing its copies of the pattern E first
-        if pattern == a2:
-            tried.append((target.n, target.R, target.N))
-        return enumerate_copies(pattern, target, *args, **kwargs)
-
-    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
+    certified = _recording_is_witness(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, a2)
     assert w.source == "search:enumeration" and w.graph.n == 3
-    assert tried[0] == (2, a2.R, a2.N)
-    assert len(tried) == len(set(tried)) == 18
-    # the budget counts exactly the candidates tried
+    assert certified[0] == a2 and certified[-1] == w.graph
+    assert len(certified) == len(set(certified)) == 5
+    # only candidates with every vertex in a copy of E reach certification
+    for F in certified:
+        assert _covered(a2, F) == set(range(F.n))
+    # the budget counts every candidate met, certified or skipped, but not the seed
+    # met again: the seed, 1 + 2 smaller graphs and 14 of size 3
     assert oracle_ramsey(BaseOracle(candidate_budget=18), POINT, a2) == w
     with pytest.raises(ResourceExceeded):
         oracle_ramsey(BaseOracle(candidate_budget=17), POINT, a2)
+
+
+def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
+    # the tower point v query: a deterministic count of the filter's work, which a
+    # timing could hide; the budget stop names how far the scan got
+    v = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
+    certified = _recording_is_witness(monkeypatch)
+    with pytest.raises(
+        ResourceExceeded,
+        match=r"^candidate budget \(60000\) exhausted at size 6: 1068 certified, "
+        r"58932 skipped by the minimal-witness lemma$",
+    ):
+        oracle_ramsey(BaseOracle(), POINT, v)
+    assert len(certified) == 1068 and certified[0] == v
 
 
 def test_oracle_exhaustion_and_budget():
@@ -310,7 +346,12 @@ def test_oracle_exhaustion_and_budget():
     with pytest.raises(NotFoundWithinBounds):
         oracle_ramsey(BaseOracle(size_bound=2), POINT, C3)
     a2 = poset_to_complete_rn(antichain(2))
-    with pytest.raises(ResourceExceeded):
+    # the seed, then graphs of sizes 1, 2 (one is the seed, passed over) and 3
+    with pytest.raises(
+        ResourceExceeded,
+        match=r"^candidate budget \(5\) exhausted at size 3: "
+        r"1 certified, 4 skipped by the minimal-witness lemma$",
+    ):
         oracle_ramsey(BaseOracle(candidate_budget=5), POINT, a2)
     # E has an N pair, so all three pair states are tried, and the text says no more
     with pytest.raises(NotFoundWithinBounds, match="^no witness among candidates up to 2 "):
@@ -363,16 +404,32 @@ def test_oracle_file_mode_downgrades_past_the_search_ceiling():
     assert w == OracleWitness(witness, False, "file:conditionally-correct")
 
 
-def _identity_graphs(max_n: int):
-    """Every graph on the identity order with up to max_n vertices, by size, pair
-    states R, N, absent, earliest pair most significant: the reference 3-state scan,
-    written apart from the oracle's enumerator."""
+def _identity_graphs(max_n: int, states: str = "RN-"):
+    """Every graph on the identity order with up to max_n vertices, by size; within a
+    size, each graph one vertex smaller, in this order, followed by every assignment
+    of states to the pairs (i, n-1), earliest i most significant: the reference
+    column-order scan, written apart from the oracle's enumerator."""
+    level = [([], [])]  # the R and N pairs of each graph of the size before
     for n in range(1, max_n + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for assignment in itertools.product("RN-", repeat=len(pairs)):
-            R = [p for p, s in zip(pairs, assignment) if s == "R"]
-            N = [p for p, s in zip(pairs, assignment) if s == "N"]
+        new = n - 1
+        level = [
+            (
+                R + [(i, new) for i, s in enumerate(column) if s == "R"],
+                N + [(i, new) for i, s in enumerate(column) if s == "N"],
+            )
+            for R, N in level
+            for column in itertools.product(states, repeat=new)
+        ]
+        for R, N in level:
             yield make_rn_graph(n, R, N)
+
+
+def _without(F, v: int):
+    """F with vertex v deleted, the rest renumbered in order (F on the identity order)."""
+    ids = {u: i for i, u in enumerate(u for u in range(F.n) if u != v)}
+    R = [(ids[x], ids[y]) for x, y in F.R if v not in (x, y)]
+    N = [(ids[x], ids[y]) for x, y in F.N if v not in (x, y)]
+    return make_rn_graph(F.n - 1, R, N)
 
 
 def test_n_free_lemma():
@@ -387,6 +444,69 @@ def test_n_free_lemma():
                     with_n += 1
                     assert check_arrow(make_rn_graph(F.n, F.R, ()), E, A, 2).holds
     assert with_n >= 1000
+
+
+def _random_identity_graph(rng, n: int, states: str = "RN-"):
+    """n vertices on the identity order, each pair in a state drawn from `states`."""
+    drawn = {(i, j): rng.choice(states) for j in range(n) for i in range(j)}
+    R = [p for p, s in drawn.items() if s == "R"]
+    return make_rn_graph(n, R, [p for p, s in drawn.items() if s == "N"])
+
+
+def test_minimal_witness_lemma():
+    # a vertex in no copy of E changes nothing: F arrows exactly when F - v does
+    rng = random.Random(35)
+    checked = holds = 0
+    for _ in range(400):
+        F = _random_identity_graph(rng, rng.randint(2, 6))
+        E = random_rn(rng, 3)
+        A = rng.choice((POINT, C2, random_rn(rng, 2)))
+        uncovered = set(range(F.n)) - _covered(E, F)
+        if not uncovered or len(enumerate_copies(A, F)) > 14:
+            continue
+        verdict = check_arrow(F, E, A, 2).holds
+        for v in sorted(uncovered):
+            assert check_arrow(_without(F, v), E, A, 2).holds == verdict
+            checked += 1
+            holds += verdict
+    assert checked >= 500 and holds >= 45
+
+
+def test_one_vertex_extension_coverage():
+    # the extension's coverage of prefix + column is the union of the E-copy images
+    # of the whole candidate, listed by brute force
+    rng = random.Random(36)
+    full = 0
+    for states in ("RN-", "R-"):
+        for _ in range(300):
+            E = random_rn(rng, 4)
+            if states == "R-":
+                E = fuse(E)
+            F = _random_identity_graph(rng, rng.randint(1, 6), states)
+            top = F.n - 1
+            column = tuple(sum(1 << i for i, j in rel if j == top) for rel in (F.R, F.N))
+            e_minus = induced_substructure(E, E.order[:-1])
+            cover, extensions = arrow._extension(E, e_minus, _without(F, top))
+            expected = _covered(E, F)
+            assert arrow._coverage(cover, extensions, column, 1 << top) == sum(
+                1 << v for v in expected
+            )
+            full += len(expected) == F.n
+    assert full >= 200
+
+
+def test_scan_runs_in_column_order():
+    # with E a single vertex every candidate is covered, so the scan yields them all
+    for states, reference in ((("R", "N", ""), "RN-"), (("R", ""), "R-")):
+        scan = arrow._enumerated_candidates(POINT, 4, states)
+        assert [F for _, F in scan] == list(_identity_graphs(4, reference))
+    # otherwise a candidate comes as None exactly when a vertex of it is in no copy of E
+    a2 = poset_to_complete_rn(antichain(2))
+    scan = arrow._enumerated_candidates(a2, 4, ("R", "N", ""))
+    expected = [
+        (F.n, F if _covered(a2, F) == set(range(F.n)) else None) for F in _identity_graphs(4)
+    ]
+    assert list(scan) == expected
 
 
 def test_oracle_loop_agrees_with_check_arrow():

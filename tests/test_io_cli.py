@@ -456,6 +456,19 @@ def test_cli_tower_assume_mode(tmp_path, capsys):
     assert main(["tower", a, b, "--ell-max", "2", "--out", str(out), "--oracle", "assume"]) == 1
 
 
+def test_cli_tower_refuses_a_witness_in_search_mode(tmp_path, capsys):
+    # search mode reads no witness, so a given one is an input error, not ignored
+    a = _write(tmp_path, "a.json", chain(1))
+    b = _write(tmp_path, "b.json", chain(2))
+    out = tmp_path / "searched"
+    for mode in ([], ["--oracle", "search"]):
+        argv = ["tower", a, b, "--ell-max", "2", "--out", str(out), "--witness", "missing.json"]
+        assert main(argv + mode) == 1
+        err = capsys.readouterr().err
+        assert "--witness" in err and "--oracle search" in err
+    assert not out.exists()
+
+
 def test_cli_export_dot_and_make(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert main(["make", "chain", "3", "--rn", "--out", str(out)]) == 0
