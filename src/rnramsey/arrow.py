@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .embeddings import Copy, ResourceExceeded, enumerate_copies
-from .structures import RNGraph, chain, induced_substructure, make_rn_graph, poset_to_complete_rn
+from .structures import InvariantViolation, RNGraph, chain, induced_substructure
+from .structures import make_rn_graph, poset_to_complete_rn
 
 _PREPASS_SEED = 0x5EED
 _PREPASS_SAMPLES = 64
 
 
-class NotFoundWithinBounds(RuntimeError):
+class NotFoundWithinBounds(ResourceExceeded):
     """The bounded witness search space is exhausted without a witness."""
 
 
@@ -40,10 +41,11 @@ class CertificationFailed(RuntimeError):
 
 
 def require_non_negative(record, *names: str) -> None:
-    """A negative budget is an input error, not a ceiling that runs out at once."""
+    """A negative or NaN budget is an input error, not a ceiling that runs out at once
+    or never; inf is allowed."""
     for name in names:
         value = getattr(record, name)
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
@@ -105,7 +107,7 @@ def _incidence(p_copies, q_copies, p_in_q) -> list[int]:
             image = tuple(q.map[u] for u in c.image)
             i = index.get(image)
             if i is None:
-                raise AssertionError(f"Q-copy {q.image} maps a P-copy onto non-copy {image}")
+                raise InvariantViolation(f"Q-copy {q.image} maps a P-copy onto non-copy {image}")
             inc[i] |= bit
     return inc
 
@@ -250,7 +252,7 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
         members = enumerate_copies(P, induced_substructure(target, q.image))
         images = [tuple(q.image[local] for local in c.image) for c in members]
         if len(images) != p_in_q:
-            raise AssertionError("copy composition mismatch")
+            raise InvariantViolation("copy composition mismatch")
         try:
             colors = {coloring.of(img) for img in images}
         except KeyError as miss:

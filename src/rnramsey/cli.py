@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success or HOLDS, 1 invalid input or FAILS, 2 a resource ceiling or
-bounded search ran out, 3 an internal invariant was violated (a bug, not bad input).
+Exit codes follow the exception class: 0 success or HOLDS, 1 invalid input or FAILS,
+2 a ResourceExceeded (a ceiling or bounded search ran out), 3 an InvariantViolation
+(a bug, not bad input).
 Environment variables supply default resource ceilings only; every randomized helper
 takes an explicit seed flag.
 """
@@ -18,16 +19,14 @@ from .arrow import (
     BaseOracle,
     CertificationFailed,
     Coloring,
-    NotFoundWithinBounds,
     ResourceExceeded,
     SearchLimits,
     check_arrow,
+    find_monochromatic,
 )
 from .construction import (
     BuildLimits,
-    ClosureIntersectsN,
     ConstructionError,
-    GlueConflict,
     Picture,
     TowerTooShort,
     build_tower,
@@ -46,6 +45,7 @@ from .io import (
 )
 from .partite import APartiteRNGraph
 from .structures import (
+    InvariantViolation,
     OrderedPoset,
     RNGraph,
     StructureError,
@@ -117,6 +117,9 @@ def cmd_arrow(args) -> int:
     if verdict.holds:
         print(f"HOLDS r={args.r} nodes={verdict.nodes_explored}")
         return 0
+    mono = find_monochromatic(target, verdict.counterexample, Q, P)
+    if mono is not None:
+        raise InvariantViolation(f"the FAILS coloring leaves Q-copy {mono.image} monochromatic")
     out = args.counterexample_out
     save_structure(out, verdict.counterexample)
     print(f"FAILS r={args.r} counterexample={out}")
@@ -154,10 +157,11 @@ def cmd_tower(args) -> int:
         "a.digest": save_structure(out / "A.json", tower.A),
         "b.file": "B.json",
         "b.digest": save_structure(out / "B.json", tower.B),
-        "lambda": str(finish_index(tower.stages[0].C)),
         "oracle.mode": args.oracle,
         "stabilize": str(not args.no_stabilize).lower(),
     }
+    if tower.stages:
+        manifest["lambda"] = str(finish_index(tower.stages[0].C))
     for stage in tower.stages:
         key = f"stage.{stage.ell}"
         name = f"C{stage.ell}.json"
@@ -200,6 +204,8 @@ def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
+    if "stage.2.file" not in manifest and "truncated" in manifest:
+        raise TowerTooShort(f"tower has no stage; it was truncated at {manifest['truncated']}")
     lam = finish_index(_load_listed(tower_dir, manifest, "stage.2"))
     if _entry(manifest, "lambda") != str(lam):
         raise ParseError(
@@ -316,21 +322,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (GlueConflict, ClosureIntersectsN, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
-    except (ResourceExceeded, NotFoundWithinBounds) as exc:
+    except ResourceExceeded as exc:
         print(f"RESOURCE: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        StructureError,
-        ConstructionError,
-        CertificationFailed,
-        TypeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ConstructionError, CertificationFailed, TypeError, ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

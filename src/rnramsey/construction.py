@@ -23,12 +23,13 @@ from .analysis import (
     longest_r_path_vertices,
     transitive_closure,
 )
-from .arrow import BaseOracle, NotFoundWithinBounds, oracle_ramsey, require_non_negative
+from .arrow import BaseOracle, oracle_ramsey, require_non_negative
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, is_embedding, iter_copies
 from .partite import APartiteRNGraph, ProductResult, check_partition, collapse, make_apartite
 from .partite import part_owner, product_construction
 from .structures import (
     Homomorphism,
+    InvariantViolation,
     OrderedPoset,
     RNGraph,
     StructureError,
@@ -49,7 +50,7 @@ class NoCopiesOfB(ConstructionError):
     pass
 
 
-class GlueConflict(ConstructionError):
+class GlueConflict(InvariantViolation):
     pass
 
 
@@ -57,7 +58,7 @@ class TowerTooShort(ConstructionError):
     pass
 
 
-class ClosureIntersectsN(ConstructionError):
+class ClosureIntersectsN(InvariantViolation):
     pass
 
 
@@ -100,8 +101,8 @@ class Picture:
 def _glue(n: int, structure: RNGraph, vmaps) -> RNGraph:
     """The graph on n vertices carrying every image of structure's relations under the
     vertex maps; two maps that put one pair in both R and N are a GlueConflict."""
-    R = {(m[x], m[y]) for m in vmaps for x, y in structure.R}
-    N = {(m[x], m[y]) for m in vmaps for x, y in structure.N}
+    R = frozenset((m[x], m[y]) for m in vmaps for x, y in structure.R)
+    N = frozenset((m[x], m[y]) for m in vmaps for x, y in structure.N)
     both = R & N
     if both:
         raise GlueConflict(f"copies disagree on pair {min(both)}")
@@ -118,7 +119,7 @@ def _assemble(D: RNGraph, keyed_parts, structure: RNGraph, keyed_maps, projected
     ids: dict = {}
     parts = tuple(tuple(ids.setdefault(key, len(ids)) for key in keys) for keys in keyed_parts)
     if len(ids) != projected:
-        raise AssertionError(f"numbered {len(ids)} vertices, projected {projected}")
+        raise InvariantViolation(f"numbered {len(ids)} vertices, projected {projected}")
     vmaps = tuple(tuple(ids[key] for key in keys) for keys in keyed_maps)
     base = _glue(len(ids), structure, vmaps)
     for k, vmap in enumerate(vmaps):
@@ -142,7 +143,7 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
         len(copies) * B.n,
     )
     if not is_good(picture.base):
-        raise AssertionError("disjoint copies of a good pattern must form a good graph")
+        raise InvariantViolation("disjoint copies of a good pattern must form a good graph")
     return picture
 
 
@@ -262,7 +263,7 @@ def run_partite_construction(
     limits = limits or BuildLimits()
     initial = build_picture_zero(D, B)
     if ell is not None and not is_ell_rn(initial.base, ell):
-        raise AssertionError("a good starting picture cannot fail this")
+        raise InvariantViolation("a good starting picture cannot fail this")
     picture = initial
     steps: list[AmalgamationStep] = []
     a_copies = enumerate_copies(A, D)
@@ -275,14 +276,14 @@ def run_partite_construction(
             picture, copy_maps = amalgamate(
                 picture, a_copy, product.apartite, product.lifts, limits
             )
-        except (NotFoundWithinBounds, ResourceExceeded) as exc:
+        except ResourceExceeded as exc:
             if allow_truncated:
                 return ConstructionRun(
                     initial, tuple(steps), picture, truncated=f"round {j}: {exc}"
                 )
             raise
         if ell is not None and not is_ell_rn(picture.base, ell):
-            raise AssertionError(
+            raise InvariantViolation(
                 f"round {j} lost {ell}-freedom; the gluing argument is violated"
             )
         steps.append(AmalgamationStep(subsystem, product, picture, copy_maps))
@@ -350,40 +351,37 @@ def build_tower(
     stage reruns the gluing recursion over the previous stage, except that when the
     previous stage already passes the next freedom check, stabilize (default on) keeps
     it and records an identity step; without it the recursion runs regardless, which
-    is quickly infeasible for patterns whose sub-pictures grow across rounds.
+    is quickly infeasible for patterns whose sub-pictures grow across rounds.  A
+    ceiling at any stage, stage 2 included, truncates the tower to the stages before it.
     """
     if ell_max < 2:
         raise ValueError("towers start at stage 2")
     a_rn = _as_complete_rn(A, "A")
     b_rn = _as_complete_rn(B, "B")
-    wit = oracle_ramsey(oracle, a_rn, b_rn)
-    stages = [TowerStage(2, wit.graph, None, wit.certified, wit.source)]
-    for ell in range(3, ell_max + 1):
-        prev = stages[-1]
-        if stabilize and is_ell_rn(prev.C, ell):
-            stage = TowerStage(
-                ell, prev.C, identity_homomorphism(prev.C), prev.certified, "stabilized"
-            )
-        else:
-            try:
-                run = run_partite_construction(
-                    prev.C, a_rn, b_rn, oracle, ell=ell, limits=limits
+    stages: list[TowerStage] = []
+    try:
+        wit = oracle_ramsey(oracle, a_rn, b_rn)
+        stages.append(TowerStage(2, wit.graph, None, wit.certified, wit.source))
+        for ell in range(3, ell_max + 1):
+            prev = stages[-1]
+            if stabilize and is_ell_rn(prev.C, ell):
+                stage = TowerStage(
+                    ell, prev.C, identity_homomorphism(prev.C), prev.certified, "stabilized"
                 )
-            except (NotFoundWithinBounds, ResourceExceeded) as exc:
-                return Tower(
-                    tuple(stages), a_rn, b_rn, truncated=f"stage {ell}: {exc}"
-                )
-            graph = run.picture.base
-            if not is_ell_rn(graph, ell):
-                raise AssertionError("completed stage failed its freedom check")
-            if next(iter_copies(b_rn, graph), None) is None:
-                raise AssertionError("completed stage lost every copy of the pattern")
-            stage = TowerStage(
-                ell, graph, run.picture.f, run.certified and prev.certified, "construction"
-            )
-        if not check_homomorphism(stage.h_down):
-            raise AssertionError(f"the map down from stage {ell} is not a homomorphism")
-        stages.append(stage)
+            else:
+                run = run_partite_construction(prev.C, a_rn, b_rn, oracle, ell=ell, limits=limits)
+                graph = run.picture.base
+                if not is_ell_rn(graph, ell):
+                    raise InvariantViolation("completed stage failed its freedom check")
+                if next(iter_copies(b_rn, graph), None) is None:
+                    raise InvariantViolation("completed stage lost every copy of the pattern")
+                certified = run.certified and prev.certified
+                stage = TowerStage(ell, graph, run.picture.f, certified, "construction")
+            if not check_homomorphism(stage.h_down):
+                raise InvariantViolation(f"the map down from stage {ell} is not a homomorphism")
+            stages.append(stage)
+    except ResourceExceeded as exc:
+        return Tower(tuple(stages), a_rn, b_rn, truncated=f"stage {len(stages) + 2}: {exc}")
     return Tower(tuple(stages), a_rn, b_rn)
 
 
@@ -400,7 +398,7 @@ def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     """Close one stage's R transitively into a poset and audit the pattern copies."""
     longest = longest_r_path_vertices(graph)
     if longest > lam:
-        raise AssertionError(
+        raise InvariantViolation(
             f"an R-path on {longest} vertices contradicts the collapse onto stage 2"
         )
     closure = transitive_closure(graph.R, graph.n)
@@ -412,7 +410,7 @@ def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     b_poset = rn_to_poset(B)
     intact = sum(is_embedding(copy.map, b_poset, poset) for copy in before)
     if intact != len(before):
-        raise AssertionError("closure added a pair inside a pattern copy")
+        raise InvariantViolation("closure added a pair inside a pattern copy")
     after = len(enumerate_copies(b_poset, poset))
     return FinishResult(poset, lam, len(before), intact, after)
 
@@ -424,6 +422,8 @@ def finish_index(first: RNGraph) -> int:
 
 def finish(tower: Tower) -> FinishResult:
     """Close the stage whose index matches the first stage's vertex count."""
+    if not tower.stages:
+        raise TowerTooShort(f"tower has no stage; it was truncated at {tower.truncated}")
     lam = finish_index(tower.stages[0].C)
     stage = tower.stage_for(lam)
     if stage is None:

@@ -14,7 +14,8 @@ from functools import cached_property
 from .analysis import is_good
 from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _verdict, oracle_ramsey
 from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
-from .structures import Homomorphism, RNGraph, StructureError, fuse, is_complete, make_rn_graph
+from .structures import Homomorphism, InvariantViolation, RNGraph, StructureError, fuse
+from .structures import is_complete, make_rn_graph
 
 
 class PartProjectionViolation(StructureError):
@@ -109,7 +110,7 @@ def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
     for copy in copies:
         touched = sorted(graph.part_of[v] for v in copy.image)
         if touched != list(range(graph.A.n)):
-            raise AssertionError("template copy is not crossing")
+            raise InvariantViolation("template copy is not crossing")
     return copies
 
 
@@ -189,9 +190,9 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
         part_of = pattern.part_of
         vmap = tuple(ids[(part_of[v], w_copy.map[v])] for v in range(pattern.base.n))
         if not is_embedding(vmap, pattern.base, base):
-            raise AssertionError(f"lift of witness copy {w_copy.image} is not an embedding")
+            raise InvariantViolation(f"lift of witness copy {w_copy.image} is not an embedding")
         if any(apartite.part_of[w] != part_of[v] for v, w in enumerate(vmap)):
-            raise AssertionError(f"lift of witness copy {w_copy.image} moved a part")
+            raise InvariantViolation(f"lift of witness copy {w_copy.image} moved a part")
         return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap)
 
     lifts = tuple(lift(c) for c in enumerate_copies(fused_e, witness))

@@ -19,6 +19,11 @@ class StructureError(ValueError):
     """Base for structural validation failures; args carry the violating witness."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a bug, not bad input.  Raised, never asserted, so
+    `python -O` keeps the check."""
+
+
 class NotIrreflexive(StructureError):
     pass
 
@@ -40,15 +45,17 @@ class NotCompatible(StructureError):
 
 
 def _check_ids(n: int, rel: frozenset[Pair], name: str) -> None:
-    if n < 0:
-        raise StructureError(f"negative vertex count {n}")
+    if type(n) is not int or n < 0:
+        raise StructureError(f"vertex count must be a non-negative int, got {n!r}")
     for x, y in rel:
+        if type(x) is not int or type(y) is not int:
+            raise StructureError(f"{name} pair has a vertex id that is not an int", (x, y))
         if not (0 <= x < n and 0 <= y < n):
             raise StructureError(f"{name} pair out of range", (x, y))
 
 
 def _check_order(n: int, order: tuple[int, ...]) -> None:
-    if sorted(order) != list(range(n)):
+    if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
         raise StructureError(f"order is not a permutation of 0..{n - 1}", order)
 
 
@@ -130,7 +137,7 @@ def make_ordered_poset(n: int, R, order=None) -> OrderedPoset:
     The caller supplies R already transitively closed; a missing composite pair is an
     error, not something to repair.  `order` defaults to the identity.
     """
-    R = frozenset((int(x), int(y)) for x, y in R)
+    R = frozenset(R)
     order = tuple(range(n)) if order is None else tuple(order)
     _check_ids(n, R, "R")
     _check_order(n, order)
@@ -153,8 +160,7 @@ def make_ordered_poset(n: int, R, order=None) -> OrderedPoset:
 
 def make_rn_graph(n: int, R, N, order=None) -> RNGraph:
     """Validate and build an RNGraph: R and N disjoint, both forward along the order."""
-    R = frozenset((int(x), int(y)) for x, y in R)
-    N = frozenset((int(x), int(y)) for x, y in N)
+    R, N = frozenset(R), frozenset(N)
     order = tuple(range(n)) if order is None else tuple(order)
     _check_ids(n, R, "R")
     _check_ids(n, N, "N")

@@ -6,6 +6,7 @@ import pytest
 
 from rnramsey import (
     BaseOracle,
+    BuildLimits,
     CertificationFailed,
     Copy,
     NotFoundWithinBounds,
@@ -358,6 +359,22 @@ def test_oracle_exhaustion_and_budget():
         oracle_ramsey(BaseOracle(size_bound=2), POINT, a2)
     with pytest.raises(ResourceExceeded, match="search time budget"):
         oracle_ramsey(BaseOracle(time_bound=0), POINT, a2)
+
+
+def test_budgets_refuse_negative_and_nan():
+    # NaN passes `value < 0` and is never exceeded, so it would switch the budget off
+    nan, inf = float("nan"), float("inf")
+    for record, name in [
+        (SearchLimits, "time_budget"),
+        (SearchLimits, "max_nodes"),
+        (BaseOracle, "time_bound"),
+        (BaseOracle, "candidate_budget"),
+        (BuildLimits, "max_picture_vertices"),
+    ]:
+        for bad in (-1, nan):
+            with pytest.raises(ValueError, match=f"{name} must be non-negative, got {bad}"):
+                record(**{name: bad})
+        assert getattr(record(**{name: inf}), name) == inf
 
 
 def test_oracle_is_checked_when_built():

@@ -319,6 +319,23 @@ def test_finish_requires_tall_enough_tower():
         finish(tower)
 
 
+def test_build_tower_truncates_at_stage_two():
+    # a ceiling in the oracle's search truncates the tower before its first stage
+    v = make_ordered_poset(3, {(0, 2), (1, 2)})
+    tower = build_tower(chain(1), v, 3, BaseOracle(candidate_budget=5))
+    assert tower.stages == ()
+    assert tower.truncated.startswith("stage 2: candidate budget (5) exhausted at size ")
+    with pytest.raises(TowerTooShort, match=r"truncated at stage 2: candidate budget \(5\)"):
+        finish(tower)
+    # the oracle's bounded search running dry is a ceiling too
+    tower = build_tower(chain(1), v, 3, BaseOracle(size_bound=2))
+    assert tower.stages == ()
+    assert tower.truncated == (
+        "stage 2: every witness contains a copy of the 3-vertex pattern, "
+        "beyond the size bound 2"
+    )
+
+
 def test_finish_stage_closure_conflict():
     bad = make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)})
     with pytest.raises(ClosureIntersectsN):

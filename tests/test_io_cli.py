@@ -4,11 +4,20 @@ import json
 import pytest
 
 from rnramsey import (
+    ArrowVerdict,
     BaseOracle,
     BuildLimits,
+    CertificationFailed,
+    ClosureIntersectsN,
+    GlueConflict,
     Homomorphism,
+    InvariantViolation,
+    NotFoundWithinBounds,
     ParseError,
+    ResourceExceeded,
     SearchLimits,
+    StructureError,
+    TowerTooShort,
     antichain,
     build_picture_zero,
     build_tower,
@@ -30,6 +39,7 @@ from rnramsey import (
     save_structure,
     to_doc,
 )
+from rnramsey import cli
 from rnramsey.cli import _build_parser, main
 from rnramsey.io import HomomorphismDoc
 
@@ -213,13 +223,20 @@ def test_cli_validate_rejects(tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 1
         assert capsys.readouterr().out == f"INVALID bad.json: {message}\n"
-    # parts must list their blocks ascending, and partite records hold RN graphs only
+    # parts must list their blocks ascending and cover the vertices, partite records
+    # hold RN graphs only, and every field has its JSON type
     apartite, picture = to_doc(_apartite_example()), to_doc(build_picture_zero(C3, C2))
     for doc, message in [
         ({**apartite, "parts": [[1, 0], [2, 3]]}, "part 0 is not the next block"),
         ({**picture, "parts": [[0, 1], [3, 2], [4, 5]]}, "part 1 is not the next block"),
+        ({**apartite, "parts": [[0, 1], [2, 7]]}, "part vertex out of range"),
+        ({**apartite, "parts": [[0, 1], [2]]}, "parts do not cover the vertex set"),
         ({**apartite, "A": to_doc(chain(2))}, "must be RN graphs"),
         ({**picture, "D": to_doc(chain(3)), "base": to_doc(chain(6))}, "must be RN graphs"),
+        ({**apartite, "parts": 5}, "field 'parts' must be a list"),
+        ({**apartite, "kind": 5}, "field 'kind' must be a string"),
+        ({**apartite, "A": [1]}, "field 'A' must be an object"),
+        ({"kind": "coloring", "r": 2, "entries": [5]}, "coloring entries must be objects"),
     ]:
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -241,6 +258,44 @@ def test_cli_arrow(tmp_path, capsys):
     coloring = load_structure(cex)
     assert len(coloring) == 10 and coloring.r == 2
     assert main(["arrow", c6, q, p, "--max-nodes", "5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (InvariantViolation, 3, "INVARIANT VIOLATION"),
+        (GlueConflict, 3, "INVARIANT VIOLATION"),
+        (ClosureIntersectsN, 3, "INVARIANT VIOLATION"),
+        (ResourceExceeded, 2, "RESOURCE"),
+        (NotFoundWithinBounds, 2, "RESOURCE"),
+        (TowerTooShort, 1, "ERROR"),
+        (CertificationFailed, 1, "ERROR"),
+        (ParseError, 1, "ERROR"),
+        (StructureError, 1, "ERROR"),
+    ],
+)
+def test_cli_exit_code_follows_the_exception_class(monkeypatch, capsys, exc, code, prefix):
+    def fail(args):
+        raise exc("stop")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "any.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}: stop\n"
+
+
+def test_cli_arrow_replays_a_fails_before_writing_it(tmp_path, capsys, monkeypatch):
+    # a FAILS coloring that leaves a monochromatic copy is a bug: exit 3, and no file
+    c5 = poset_to_complete_rn(chain(5))
+    copies = enumerate_copies(C2, c5)
+    constant = make_coloring(copies, [0] * len(copies), 2)
+    monkeypatch.setattr(cli, "check_arrow", lambda *args: ArrowVerdict(False, constant))
+    target, q, p = (_write(tmp_path, f"{k}.json", g) for k, g in (("c5", c5), ("q", C3), ("p", C2)))
+    cex = tmp_path / "cex.json"
+    assert main(["arrow", target, q, p, "--counterexample-out", str(cex)]) == 3
+    assert capsys.readouterr().err == (
+        "INVARIANT VIOLATION: the FAILS coloring leaves Q-copy (0, 1, 2) monochromatic\n"
+    )
+    assert not cex.exists()
 
 
 def test_cli_arrow_env_default(tmp_path, capsys, monkeypatch):
@@ -268,6 +323,8 @@ def test_cli_bad_env_value(tmp_path, capsys, monkeypatch):
         ("arrow", "--max-nodes", "-1"),
         ("arrow", "--max-copies", "-1"),
         ("arrow", "--time-budget", "-1"),
+        ("arrow", "--time-budget", "nan"),
+        ("tower", "--oracle-time-bound", "nan"),
     ],
 )
 def test_cli_negative_budget_is_an_input_error(tmp_path, capsys, command, flag, value):
@@ -423,6 +480,38 @@ def test_cli_tower_truncation_exit_code(tmp_path, capsys):
     manifest = parse_manifest((out / "manifest.txt").read_text())
     assert "truncated" in manifest and "stage.3.file" not in manifest
     assert main(["finish", str(out)]) == 1
+
+
+def test_cli_tower_truncated_at_stage_two(tmp_path, capsys):
+    # the oracle's budget runs out before stage 2: A, B and the manifest are written
+    a = _write(tmp_path, "point.json", chain(1))
+    b = _write(tmp_path, "v.json", make_ordered_poset(3, {(0, 2), (1, 2)}))
+    out = tmp_path / "D"
+    assert main(["tower", a, b, "--ell-max", "4", "--out", str(out)]) == 2
+    reason = "stage 2: candidate budget (60000) exhausted at size 6: 1068 certified, "
+    assert capsys.readouterr().out.startswith(f"TRUNCATED: {reason}")
+    assert sorted(p.name for p in out.iterdir()) == ["A.json", "B.json", "manifest.txt"]
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    assert manifest["truncated"].startswith(reason)
+    assert "lambda" not in manifest
+    assert digest(load_structure(out / "B.json")) == manifest["b.digest"]
+    assert load_structure(out / "B.json") == poset_to_complete_rn(load_structure(b))
+    assert main(["finish", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR: tower has no stage; it was truncated at {reason}")
+
+
+def test_cli_tower_refuses_a_pattern_that_is_not_complete_and_good(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", chain(1))
+    out = tmp_path / "t"
+    for B, message in [
+        (make_rn_graph(2, set(), set()), "B must be a complete RN graph"),
+        (make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)}), "B must be good"),
+    ]:
+        b = _write(tmp_path, "b.json", B)
+        assert main(["tower", a, b, "--ell-max", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_tower_on_complete_rn_files(tmp_path, capsys):

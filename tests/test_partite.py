@@ -343,16 +343,22 @@ def test_lift_check_survives_optimize_flag():
         "fired: completed stage failed its freedom check",
     ]
     assert done.returncode == 1
-    assert "AssertionError: lift of witness copy" in done.stderr
+    assert "InvariantViolation: lift of witness copy" in done.stderr
     assert "is not an embedding" in done.stderr
 
 
 def test_no_bare_assert_in_sources():
-    """`python -O` strips assert statements, so invariants raise AssertionError instead."""
+    """`python -O` strips assert statements, so invariants raise InvariantViolation
+    instead; a bare `raise AssertionError` would skip the CLI's exit 3."""
     found = []
     for path in sorted(Path(rnramsey.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(raised, ast.Name) and raised.id == "AssertionError"
+            ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -60,6 +60,25 @@ def test_make_rn_graph_rejections():
         make_rn_graph(2, {(0, 1)}, set(), order=(1, 0))
 
 
+def test_vertex_ids_are_refused_not_coerced():
+    # a float, a string or a bool id is not silently turned into an int
+    for R in ({(0.7, 1)}, {("0", True)}, {(False, 1)}):
+        with pytest.raises(StructureError, match="R pair has a vertex id that is not an int"):
+            make_ordered_poset(2, R)
+        with pytest.raises(StructureError, match="R pair has a vertex id that is not an int"):
+            make_rn_graph(2, R, set())
+    with pytest.raises(StructureError, match="N pair has a vertex id that is not an int"):
+        make_rn_graph(2, set(), {(0, 1.0)})
+    for order in ((0.0, 1.0, 2.0), (False, True, 2)):
+        with pytest.raises(StructureError, match="order is not a permutation of 0..2"):
+            make_ordered_poset(3, set(), order)
+        with pytest.raises(StructureError, match="order is not a permutation of 0..2"):
+            make_rn_graph(3, set(), set(), order)
+    for n in (-1, True):
+        with pytest.raises(StructureError, match=f"count must be a non-negative int, got {n}"):
+            make_rn_graph(n, set(), set())
+
+
 def test_rank_before_status():
     g = make_rn_graph(3, {(2, 0)}, {(2, 1)}, order=(2, 0, 1))
     assert g.rank == (1, 2, 0)
