@@ -9,24 +9,12 @@ transitive closure of R misses N entirely.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .structures import Homomorphism, Pair, RNGraph
 
 
 class CycleDetected(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class QuasicyclePath:
-    """Witness sequence x_1, ..., x_j: consecutive pairs in R, (x_1, x_j) in N."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
 
 
 def _r_adjacency(graph: RNGraph) -> dict[int, list[int]]:
@@ -38,8 +26,9 @@ def _r_adjacency(graph: RNGraph) -> dict[int, list[int]]:
     return adj
 
 
-def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> QuasicyclePath | None:
-    """Shortest bad quasicycle of length <= max_len, or None.
+def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> tuple[int, ...] | None:
+    """Vertex sequence x_1, ..., x_j of a shortest bad quasicycle (consecutive pairs in
+    R, (x_1, x_j) in N) of length j <= max_len, or None.
 
     Ties between equal-length witnesses break to the lexicographically least vertex
     sequence, so the result is deterministic.
@@ -78,7 +67,7 @@ def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> Quasicycl
             best = candidate
     if best is None:
         return None
-    return QuasicyclePath(best[1])
+    return best[1]
 
 
 def is_ell_rn(graph: RNGraph, ell: int) -> bool:
@@ -149,8 +138,8 @@ def longest_r_path_vertices(graph: RNGraph) -> int:
 def check_homomorphism(h: Homomorphism) -> bool:
     """Forward preservation: R pairs land in R, N pairs land in N.
 
-    Nothing is required of non-pairs or of the linear orders; weak monotonicity is a
-    separate check for the maps that happen to satisfy it.
+    Nothing is required of non-pairs or of the linear orders.  The collapse maps are
+    weakly monotone by construction: check_partition makes each part the next rank block.
     """
     src, tgt = h.source, h.target
     if len(h.map) != src.n:
@@ -163,17 +152,6 @@ def check_homomorphism(h: Homomorphism) -> bool:
     for x, y in src.N:
         if (h.map[x], h.map[y]) not in tgt.N:
             return False
-    return True
-
-
-def is_weakly_monotone(h: Homomorphism) -> bool:
-    """x strictly before y implies h(x) weakly before h(y)."""
-    src, tgt = h.source, h.target
-    for i in range(src.n):
-        for j in range(i + 1, src.n):
-            x, y = src.order[i], src.order[j]
-            if tgt.rank[h.map[x]] > tgt.rank[h.map[y]]:
-                return False
     return True
 
 

@@ -9,8 +9,8 @@ verdict record holds only the verdict (holds, counterexample, nodes); colorings 
 through find_monochromatic.
 
 The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
-masks over the edges (_incidence).  The search, the pre-pass and
-greedy_adversarial_coloring keep their edge state in such masks: per color, the edges
+masks over the edges (_incidence) unless the slots are past the exact search's ceiling.
+The search and the pre-pass keep their edge state in such masks: per color, the edges
 with a member of that color, and the edges that carry two colors.  The oracle certifies
 searched and file witnesses on one route (_is_witness), and its scan skips, without
 certifying, the candidates that the minimal-witness lemma rules out.
@@ -30,6 +30,7 @@ from .structures import make_rn_graph, poset_to_complete_rn
 
 _PREPASS_SEED = 0x5EED
 _PREPASS_SAMPLES = 64
+_SLOT_CEILING = 2000  # P-copies the exact search takes on
 
 
 class NotFoundWithinBounds(ResourceExceeded):
@@ -40,11 +41,15 @@ class CertificationFailed(RuntimeError):
     """A supplied witness was refuted by the exact arrow search."""
 
 
-def require_non_negative(record, *names: str) -> None:
-    """A negative or NaN budget is an input error, not a ceiling that runs out at once
-    or never; inf is allowed."""
-    for name in names:
+def require_budgets(record, counts: tuple[str, ...], times: tuple[str, ...] = ()) -> None:
+    """Count budgets are plain ints and time budgets ints or floats, never bools.  A
+    negative or NaN budget is an input error, not a ceiling that runs out at once or
+    never; inf is allowed as a time budget."""
+    for name in counts + times:
         value = getattr(record, name)
+        kind, what = (int, "an int") if name in counts else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
@@ -58,7 +63,7 @@ class SearchLimits:
     time_budget: float = 120.0
 
     def __post_init__(self) -> None:
-        require_non_negative(self, "max_nodes", "max_copies", "time_budget")
+        require_budgets(self, ("max_nodes", "max_copies"), ("time_budget",))
 
 
 @dataclass(frozen=True)
@@ -207,17 +212,19 @@ def _verdict(r: int, p_copies, q_copies, p_in_q, limits: SearchLimits) -> ArrowV
     """Decide whether every r-coloring of p_copies makes some member of q_copies
     monochromatic; the copies (and the copies p_in_q of P in Q itself) are given,
     everything after enumeration happens here."""
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"r must be an int of at least 1, got {r!r}")
     if not q_copies:
         return ArrowVerdict(False, make_coloring(p_copies, [0] * len(p_copies), r))
     if not p_in_q:
         # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
         return ArrowVerdict(True, None)
-    inc = _incidence(p_copies, q_copies, p_in_q)
     m = len(p_copies)
-    if m > 2000:
-        raise ResourceExceeded(f"{m} P-copies is beyond the exact search ceiling")
+    if m > _SLOT_CEILING:
+        raise ResourceExceeded(
+            f"{m} P-copies is beyond the exact search ceiling of {_SLOT_CEILING} slots"
+        )
+    inc = _incidence(p_copies, q_copies, p_in_q)
 
     if m > 16 and r >= 2:
         full = (1 << len(q_copies)) - 1
@@ -262,29 +269,6 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     return None
 
 
-def greedy_adversarial_coloring(target, Q, P, r: int) -> Coloring:
-    """Greedy anti-monochromatic assignment, processing P-copies in enumeration order.
-
-    Each copy takes the color that keeps the fewest Q-copies on track to be
-    monochromatic; ties break to the smaller color.
-    """
-    cap = SearchLimits().max_copies
-    p_copies = enumerate_copies(P, target, limit=cap)
-    q_copies = enumerate_copies(Q, target, limit=cap)
-    has = [0] * r  # edges with a member of each color, as in the exact search
-    spoiled = 0
-    colors = []
-    for row in _incidence(p_copies, q_copies, enumerate_copies(P, Q)):
-        single = row & ~spoiled
-        c = min(range(r), key=lambda col: ((single & has[col]).bit_count(), col))
-        colors.append(c)
-        for d in range(r):
-            if d != c:
-                spoiled |= row & has[d]
-        has[c] |= row
-    return make_coloring(p_copies, colors, r)
-
-
 # ---------------------------------------------------------------------------
 # Base witness oracle
 
@@ -304,7 +288,7 @@ class BaseOracle:
     witness: RNGraph | None = None
 
     def __post_init__(self) -> None:
-        require_non_negative(self, "size_bound", "time_bound", "candidate_budget")
+        require_budgets(self, ("size_bound", "candidate_budget"), ("time_bound",))
         if self.mode not in ("search", "file", "assume"):
             raise ValueError(f"unknown oracle mode {self.mode!r}")
         if self.mode != "search" and self.witness is None:
@@ -491,7 +475,11 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         except ResourceExceeded:
             return OracleWitness(graph, False, "file:conditionally-correct")
         if not certified:
-            raise CertificationFailed("supplied witness is refuted by the exact arrow search")
+            raise CertificationFailed(
+                f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
+                f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
+                f"pairs) over the {A.n}-vertex template"
+            )
         return OracleWitness(graph, True, "file")
 
     if E.n > oracle.size_bound:

@@ -3,14 +3,13 @@
 Exit codes follow the exception class: 0 success or HOLDS, 1 invalid input or FAILS,
 2 a ResourceExceeded (a ceiling or bounded search ran out), 3 an InvariantViolation
 (a bug, not bad input).
-Environment variables supply default resource ceilings only; every randomized helper
-takes an explicit seed flag.
+Each budget flag defaults to its record's own default (SearchLimits, BaseOracle,
+BuildLimits), and nothing but the flag changes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -56,18 +55,6 @@ from .structures import (
 )
 
 
-def _budget_flag(sub, flag: str, fallback) -> None:
-    """Add a budget flag of the fallback's type.  Its default is the fallback, the
-    record's own default, unless RNRAMSEY_<FLAG> in the environment gives another."""
-    name = "RNRAMSEY_" + flag[2:].replace("-", "_").upper()
-    raw = os.environ.get(name)
-    try:
-        default = type(fallback)(raw) if raw else fallback
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not a valid {type(fallback).__name__}") from None
-    sub.add_argument(flag, type=type(fallback), default=default)
-
-
 def _search_limits(args) -> SearchLimits:
     return SearchLimits(
         max_nodes=args.max_nodes, max_copies=args.max_copies, time_budget=args.time_budget
@@ -76,7 +63,7 @@ def _search_limits(args) -> SearchLimits:
 
 def _ell_rn_max(graph: RNGraph) -> str:
     cycle = find_bad_quasicycle(graph)
-    return "inf" if cycle is None else str(cycle.length - 1)
+    return "inf" if cycle is None else str(len(cycle) - 1)
 
 
 def cmd_validate(args) -> int:
@@ -279,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("P")
     sub.add_argument("-r", type=int, default=2)
     sub.add_argument("--counterexample-out", default="counterexample.json")
-    _budget_flag(sub, "--max-nodes", SearchLimits.max_nodes)
-    _budget_flag(sub, "--max-copies", SearchLimits.max_copies)
-    _budget_flag(sub, "--time-budget", SearchLimits.time_budget)
+    sub.add_argument("--max-nodes", type=int, default=SearchLimits.max_nodes)
+    sub.add_argument("--max-copies", type=int, default=SearchLimits.max_copies)
+    sub.add_argument("--time-budget", type=float, default=SearchLimits.time_budget)
     sub.set_defaults(func=cmd_arrow)
 
     sub = subs.add_parser("tower", help="build the stage tower for a pattern pair")
@@ -291,10 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     sub.add_argument("--oracle", choices=("search", "file", "assume"), default="search")
     sub.add_argument("--witness", help="witness file for file/assume oracle modes")
-    _budget_flag(sub, "--size-bound", BaseOracle.size_bound)
-    _budget_flag(sub, "--candidate-budget", BaseOracle.candidate_budget)
-    _budget_flag(sub, "--oracle-time-bound", BaseOracle.time_bound)
-    _budget_flag(sub, "--max-picture-vertices", BuildLimits.max_picture_vertices)
+    sub.add_argument("--size-bound", type=int, default=BaseOracle.size_bound)
+    sub.add_argument("--candidate-budget", type=int, default=BaseOracle.candidate_budget)
+    sub.add_argument("--oracle-time-bound", type=float, default=BaseOracle.time_bound)
+    sub.add_argument(
+        "--max-picture-vertices", type=int, default=BuildLimits.max_picture_vertices
+    )
     sub.add_argument("--no-stabilize", action="store_true")
     sub.set_defaults(func=cmd_tower)
 

@@ -23,7 +23,7 @@ from .analysis import (
     longest_r_path_vertices,
     transitive_closure,
 )
-from .arrow import BaseOracle, oracle_ramsey, require_non_negative
+from .arrow import BaseOracle, oracle_ramsey, require_budgets
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, is_embedding, iter_copies
 from .partite import APartiteRNGraph, ProductResult, check_partition, collapse, make_apartite
 from .partite import part_owner, product_construction
@@ -69,7 +69,7 @@ class BuildLimits:
     max_picture_vertices: int = 20_000
 
     def __post_init__(self) -> None:
-        require_non_negative(self, "max_picture_vertices")
+        require_budgets(self, ("max_picture_vertices",))
 
 
 @dataclass(frozen=True)

@@ -99,11 +99,6 @@ def collapse(base: RNGraph, part_of, template: RNGraph) -> Homomorphism:
     return Homomorphism(tuple(template.order[t] for t in part_of), base, template)
 
 
-def projection(graph: APartiteRNGraph) -> Homomorphism:
-    """Collapse each part onto its template vertex."""
-    return collapse(graph.base, graph.part_of, graph.A)
-
-
 def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
     """All copies of the template in the underlying graph; each must be crossing."""
     copies = enumerate_copies(graph.A, graph.base)

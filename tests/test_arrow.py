@@ -19,7 +19,6 @@ from rnramsey import (
     enumerate_copies,
     find_monochromatic,
     fuse,
-    greedy_adversarial_coloring,
     load_structure,
     make_coloring,
     make_ordered_poset,
@@ -149,6 +148,24 @@ def test_node_budget_fires_at_budget_plus_one():
         check_arrow(target, C3, C2, 2, SearchLimits(max_nodes=986))
 
 
+@pytest.mark.parametrize("r", [0, -1, True, 2.0, "2"])
+def test_r_is_a_plain_int_of_at_least_one(r):
+    # r=True once ran as r = 1 and r=2.0 died inside the search
+    with pytest.raises(ValueError, match=f"r must be an int of at least 1, got {r!r}"):
+        check_arrow(_rn_chain(6), C3, C2, r)
+
+
+def test_slot_ceiling_fires_before_the_hypergraph_is_built(monkeypatch):
+    # chain(24) has 2,024 copies of C3 and 10,626 of C4: past the ceiling, no masks
+    def no_incidence(*args):
+        raise AssertionError("incidence built past the ceiling")
+
+    monkeypatch.setattr(arrow, "_incidence", no_incidence)
+    with pytest.raises(ResourceExceeded, match="2024 P-copies is beyond the exact search "
+                       "ceiling of 2000 slots"):
+        check_arrow(_rn_chain(24), _rn_chain(4), C3, 2)
+
+
 def test_time_budget_fires():
     # the search reads the clock every 4,096 nodes; this instance needs millions
     with pytest.raises(ResourceExceeded, match="time budget after 4096 nodes"):
@@ -190,12 +207,6 @@ def test_search_alone_is_pinned():
     assert nodes == 12_458 and _digest(coloring.assignment) == "0358cf21313df96b"
     coloring, nodes = _search(7, 3, 2, 3)
     assert nodes == 1_353 and _digest(coloring.assignment) == "a2b076e11fd77138"
-
-
-def test_greedy_colorings_are_pinned():
-    for (n, q, r), digest in [((9, 4, 2), "4258d1ba25d8165c"), ((7, 3, 3), "c6b40f31bfb693e9")]:
-        coloring = greedy_adversarial_coloring(_rn_chain(n), _rn_chain(q), C2, r)
-        assert _digest(coloring.assignment) == digest
 
 
 def test_search_agrees_with_brute_force():
@@ -242,10 +253,7 @@ def test_coloring_helpers():
     assert coloring.of(list(copies[2].image)) == 2
     rng1 = random_coloring(target, C2, 2, random.Random(5))
     rng2 = random_coloring(target, C2, 2, random.Random(5))
-    assert rng1 == rng2
-    adv1 = greedy_adversarial_coloring(target, C3, C2, 2)
-    adv2 = greedy_adversarial_coloring(target, C3, C2, 2)
-    assert adv1 == adv2 and len(adv1) == len(copies)
+    assert rng1 == rng2 and len(rng1) == len(copies)
 
 
 def test_find_monochromatic_requires_total_coloring():
@@ -364,17 +372,38 @@ def test_oracle_exhaustion_and_budget():
 def test_budgets_refuse_negative_and_nan():
     # NaN passes `value < 0` and is never exceeded, so it would switch the budget off
     nan, inf = float("nan"), float("inf")
-    for record, name in [
-        (SearchLimits, "time_budget"),
-        (SearchLimits, "max_nodes"),
-        (BaseOracle, "time_bound"),
-        (BaseOracle, "candidate_budget"),
-        (BuildLimits, "max_picture_vertices"),
+    for record, name, bads in [
+        (SearchLimits, "time_budget", (-1, nan)),
+        (SearchLimits, "max_nodes", (-1,)),
+        (BaseOracle, "time_bound", (-1, nan)),
+        (BaseOracle, "candidate_budget", (-1,)),
+        (BuildLimits, "max_picture_vertices", (-1,)),
     ]:
-        for bad in (-1, nan):
+        for bad in bads:
             with pytest.raises(ValueError, match=f"{name} must be non-negative, got {bad}"):
                 record(**{name: bad})
+    for record, name in [(SearchLimits, "time_budget"), (BaseOracle, "time_bound")]:
         assert getattr(record(**{name: inf}), name) == inf
+        assert getattr(record(**{name: 3}), name) == 3
+
+
+@pytest.mark.parametrize(
+    "record, name, bad, what",
+    [
+        (SearchLimits, "max_nodes", True, "an int"),
+        (SearchLimits, "max_copies", 2.0, "an int"),
+        (SearchLimits, "max_copies", float("nan"), "an int"),
+        (BaseOracle, "size_bound", float("inf"), "an int"),
+        (BaseOracle, "candidate_budget", 2.5, "an int"),
+        (BuildLimits, "max_picture_vertices", 1e9, "an int"),
+        (SearchLimits, "time_budget", True, "a number"),
+        (BaseOracle, "time_bound", "60", "a number"),
+    ],
+)
+def test_budgets_refuse_bools_and_non_int_counts(record, name, bad, what):
+    # count budgets are plain ints; time budgets are ints or floats, never bools
+    with pytest.raises(ValueError, match=f"{name} must be {what}, got {bad!r}"):
+        record(**{name: bad})
 
 
 def test_oracle_is_checked_when_built():

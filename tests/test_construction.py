@@ -19,7 +19,6 @@ from rnramsey import (
     find_monochromatic,
     finish,
     finish_stage,
-    greedy_adversarial_coloring,
     induced_subsystem,
     is_embedding,
     is_ell_rn,
@@ -353,8 +352,8 @@ def test_extractor():
     for _ in range(100):
         coloring = random_coloring(target, POINT, 2, rng)
         assert find_monochromatic(target, coloring, C2, POINT) is not None
-    adv = greedy_adversarial_coloring(target, C2, POINT, 2)
-    assert find_monochromatic(target, adv, C2, POINT) is not None
+    # and so has every coloring: the exact search finds no counterexample
+    assert check_arrow(target, C2, POINT, 2).holds
     # a defeated instance has none
     c5 = poset_to_complete_rn(chain(5))
     verdict = check_arrow(c5, C3, C2, 2)

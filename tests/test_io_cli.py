@@ -298,19 +298,16 @@ def test_cli_arrow_replays_a_fails_before_writing_it(tmp_path, capsys, monkeypat
     assert not cex.exists()
 
 
-def test_cli_arrow_env_default(tmp_path, capsys, monkeypatch):
+def test_cli_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # budgets come from flags and record defaults only; no variable changes a run
+    monkeypatch.setenv("RNRAMSEY_MAX_NODES", "abc")
+    assert main(["make", "chain", "2", "--out", str(tmp_path / "c2.json")]) == 0
     monkeypatch.setenv("RNRAMSEY_MAX_NODES", "5")
     c6 = _write(tmp_path, "c6.json", poset_to_complete_rn(chain(6)))
     q = _write(tmp_path, "q.json", C3)
     p = _write(tmp_path, "p.json", C2)
-    assert main(["arrow", c6, q, p]) == 2
-
-
-def test_cli_bad_env_value(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RNRAMSEY_MAX_NODES", "abc")
-    assert main(["make", "chain", "2", "--out", str(tmp_path / "c2.json")]) == 1
-    assert "ERROR: RNRAMSEY_MAX_NODES='abc'" in capsys.readouterr().err
-    assert not (tmp_path / "c2.json").exists()
+    assert main(["arrow", c6, q, p]) == 0
+    assert capsys.readouterr().out.endswith("HOLDS r=2 nodes=987\n")
 
 
 @pytest.mark.parametrize(
@@ -423,9 +420,7 @@ BUDGET_FLAGS = ("max_nodes", "max_copies", "time_budget", "size_bound", "candida
                 "oracle_time_bound", "max_picture_vertices")
 
 
-def test_cli_budget_defaults_are_the_record_defaults(monkeypatch):
-    for name in BUDGET_FLAGS:
-        monkeypatch.delenv(f"RNRAMSEY_{name.upper()}", raising=False)
+def test_cli_budget_defaults_are_the_record_defaults():
     parser = _build_parser()
     args = parser.parse_args(["arrow", "t.json", "q.json", "p.json"])
     limits = SearchLimits()
@@ -439,12 +434,15 @@ def test_cli_budget_defaults_are_the_record_defaults(monkeypatch):
         oracle.size_bound, oracle.candidate_budget, oracle.time_bound
     )
     assert args.max_picture_vertices == BuildLimits().max_picture_vertices
-    # each flag still reads its own environment variable
-    for name in BUDGET_FLAGS:
-        monkeypatch.setenv(f"RNRAMSEY_{name.upper()}", "7")
-    parser = _build_parser()
-    arrow_args = parser.parse_args(["arrow", "t.json", "q.json", "p.json"])
-    tower_args = parser.parse_args(["tower", "a.json", "b.json", "--ell-max", "3", "--out", "o"])
+    # each flag sets its own field
+    flags = [f"--{name.replace('_', '-')}" for name in BUDGET_FLAGS]
+    arrow_args = parser.parse_args(
+        ["arrow", "t.json", "q.json", "p.json"] + [x for f in flags[:3] for x in (f, "7")]
+    )
+    tower_args = parser.parse_args(
+        ["tower", "a.json", "b.json", "--ell-max", "3", "--out", "o"]
+        + [x for f in flags[3:] for x in (f, "7")]
+    )
     values = {**vars(arrow_args), **vars(tower_args)}
     assert all(values[name] == 7 for name in BUDGET_FLAGS)
 
@@ -543,6 +541,22 @@ def test_cli_tower_assume_mode(tmp_path, capsys):
     manifest = parse_manifest((out / "manifest.txt").read_text())
     assert manifest["stage.2.certified"] == "false"
     assert main(["tower", a, b, "--ell-max", "2", "--out", str(out), "--oracle", "assume"]) == 1
+
+
+def test_cli_tower_names_the_query_a_file_witness_fails(tmp_path, capsys):
+    # chain(3) certifies stage 2 for (point, 2-chain), then the first product round
+    # asks it to arrow the fused sub-picture, a 2-antichain, which it does not contain
+    a = _write(tmp_path, "a.json", chain(1))
+    b = _write(tmp_path, "b.json", chain(2))
+    w = _write(tmp_path, "w.json", C3)
+    out = tmp_path / "refuted"
+    argv = ["tower", a, b, "--ell-max", "4", "--out", str(out), "--no-stabilize",
+            "--oracle", "file", "--witness", w]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "ERROR: supplied 3-vertex witness is refuted by the exact arrow search: it does not "
+        "arrow the 2-vertex pattern (0 R, 0 N pairs) over the 1-vertex template\n"
+    )
 
 
 def test_cli_tower_refuses_a_witness_in_search_mode(tmp_path, capsys):
