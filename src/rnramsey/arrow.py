@@ -1,4 +1,4 @@
-"""Partition-arrow verification and the pluggable base witness oracle.
+"""Partition-arrow verification and the base witness oracle.
 
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
@@ -9,11 +9,15 @@ verdict record holds only the verdict (holds, counterexample, nodes); colorings 
 through find_monochromatic.
 
 The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
-masks over the edges (_incidence) unless the slots are past the exact search's ceiling.
-The search and the pre-pass keep their edge state in such masks: per color, the edges
-with a member of that color, and the edges that carry two colors.  The oracle certifies
-searched and file witnesses on one route (_is_witness), and its scan skips, without
-certifying, the candidates that the minimal-witness lemma rules out.
+masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
+then only whether a Q-copy exists is asked.  The search and the pre-pass keep their
+edge state in such masks: per color, the edges with a member of that color, and the
+edges that carry two colors.
+
+The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle: every
+witness it returns is certified, and its scan skips, without certifying, the
+candidates that the minimal-witness lemma rules out.  A witness the user supplies is
+checked by certify_witness on the same route (_is_witness).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .embeddings import Copy, ResourceExceeded, enumerate_copies
+from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
 from .structures import InvariantViolation, RNGraph, chain, induced_substructure
 from .structures import make_rn_graph, poset_to_complete_rn
 
@@ -126,10 +130,11 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
     The edge state lives in int masks over the edges: has[c] marks the edges with an
     assigned member of color c, and spoiled those that carry two colors.  Slot i
     completes the edges of inc[i] that hold no later slot, so color c is refused at i
-    exactly when one of those edges has no member of another color.  Branches die as
-    soon as some edge is complete and single-colored; the search ends early as soon
-    as every edge carries two colors.  Undo restores the slot's saved (has[c],
-    spoiled) pair.
+    exactly when one of those edges has no member of another color.  An edge with an
+    assigned member (one of before[i]) has a member of another color exactly when it
+    is spoiled or has no member of color c.  Branches die as soon as some edge is
+    complete and single-colored; the search ends early as soon as every edge carries
+    two colors.  Undo restores the slot's saved (has[c], spoiled, max_used).
 
     The masks only store the state.  The branch order (slots in index order, colors
     ascending under the cap) alone fixes the node count and the returned coloring,
@@ -144,13 +149,12 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
         later |= inc[i]
     has = [0] * r
     spoiled = 0
-    saved = [(0, 0)] * m
+    saved = [(0, 0, 0)] * m
     colors = [-1] * m
+    before = list(itertools.accumulate(inc, int.__or__, initial=0))  # edges of slots < i
     nodes = 0
     deadline = time.monotonic() + limits.time_budget
 
-    choice = [0] * (m + 1)
-    used_before = [0] * m
     max_used = -1
     i = 0
     while True:
@@ -162,37 +166,29 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
         if i == m:
             return colors[:], nodes
         if spoiled == full:
-            for j in range(i, m):
-                colors[j] = 0
+            colors[i:] = [0] * (m - i)
             return colors[:], nodes
         cap = min(r - 1, max_used + 1)
-        c = choice[i]
+        c = colors[i] + 1
         while c <= cap:
-            other = 0
-            for d in range(max_used + 1):
-                if d != c:
-                    other |= has[d]
+            other = spoiled | (before[i] & ~has[c])
             if not completes[i] & ~other:
                 break
             c += 1
         if c <= cap:
-            saved[i] = (has[c], spoiled)
+            saved[i] = (has[c], spoiled, max_used)
             spoiled |= inc[i] & other
             has[c] |= inc[i]
             colors[i] = c
-            used_before[i] = max_used
             if c > max_used:
                 max_used = c
-            choice[i] = c
             i += 1
-            choice[i] = 0
             continue
+        colors[i] = -1
         if i == 0:
             return None, nodes
         i -= 1
-        has[colors[i]], spoiled = saved[i]
-        max_used = used_before[i]
-        choice[i] += 1
+        has[colors[i]], spoiled, max_used = saved[i]
 
 
 def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> ArrowVerdict:
@@ -204,7 +200,11 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     """
     limits = limits or SearchLimits()
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
-    q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
+    if len(p_copies) > _SLOT_CEILING:
+        # past the ceiling _verdict decides only whether some Q-copy exists, or refuses
+        q_copies = list(itertools.islice(iter_copies(Q, target), 1))
+    else:
+        q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
     return _verdict(r, p_copies, q_copies, enumerate_copies(P, Q), limits)
 
 
@@ -275,24 +275,14 @@ def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
 
 @dataclass(frozen=True)
 class BaseOracle:
-    """Source of Ramsey witnesses F with F -> (E)^A_2.
+    """Bounds of the certified witness search for F with F -> (E)^A_2."""
 
-    mode 'search' enumerates certified candidates; 'file' certifies the supplied
-    witness; 'assume' passes the supplied witness through uncertified.
-    """
-
-    mode: str = "search"
     size_bound: int = 16
     time_bound: float = 60.0
     candidate_budget: int = 60_000
-    witness: RNGraph | None = None
 
     def __post_init__(self) -> None:
         require_budgets(self, ("size_bound", "candidate_budget"), ("time_bound",))
-        if self.mode not in ("search", "file", "assume"):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
-        if self.mode != "search" and self.witness is None:
-            raise ValueError(f"{self.mode} mode requires a witness")
 
 
 @dataclass(frozen=True)
@@ -306,8 +296,21 @@ def _is_complete_chain(g: RNGraph) -> bool:
     return not g.N and g.R == frozenset(g.forward_pairs())
 
 
-def _edgeless(n: int) -> RNGraph:
-    return make_rn_graph(n, (), ())
+def _family(A: RNGraph, E: RNGraph) -> tuple[str, tuple[str, ...]]:
+    """The name of the candidate family the scan searches for (A, E), and the pair
+    states its columns take.
+
+    N-free lemma.  When A is a complete R-chain and E has no N (every fused product
+    query), the scan leaves "N" out and loses no witness size by it.  Let F* be F with
+    its N pairs made absent.  A-copies use only R pairs, so F and F* have the same
+    A-copies.  An E-copy uses only R and absent pairs, which F* keeps, so every E-copy
+    of F is an E-copy of F*.  So F*'s hypergraph has the same vertices and more edges:
+    a coloring that leaves every E-copy of F* non-monochromatic does the same for F.
+    If F -> (E)^A_2, then F* -> (E)^A_2, and F* has as many vertices as F.
+    """
+    if _is_complete_chain(A) and not E.N:
+        return "N-free", ("R", "")
+    return "all", ("R", "N", "")
 
 
 def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
@@ -321,7 +324,7 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
     if A.n == 1 and not E.R and not E.N:
         n = 2 * (E.n - 1) + 1
         if n <= size_bound:
-            yield _edgeless(n), "search:pigeonhole"
+            yield make_rn_graph(n, (), ()), "search:pigeonhole"
     if _is_complete_chain(A) and _is_complete_chain(E):
         for n in range(E.n + 1, size_bound + 1):
             yield poset_to_complete_rn(chain(n)), "search:chain"
@@ -361,15 +364,7 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, states: tuple[str, ...])
     relation sets are distinct up to order-preserving isomorphism, so the scan is
     canonical; leaving "N" out keeps the N-free graphs in the same order.
 
-    N-free lemma.  oracle_ramsey leaves "N" out when A is a complete R-chain and E has
-    no N, and loses no witness size by it.  Let F* be F with its N pairs made absent.
-    A-copies use only R pairs, so F and F* have the same A-copies.  An E-copy uses only
-    R and absent pairs, which F* keeps, so every E-copy of F is an E-copy of F*.  So
-    F*'s hypergraph has the same vertices and more edges: a coloring that leaves every
-    E-copy of F* non-monochromatic does the same for F.  If F -> (E)^A_2, then
-    F* -> (E)^A_2, and F* has as many vertices as F.
-
-    Minimal-witness lemma (exact).  Both families, all graphs and the N-free graphs,
+    Minimal-witness lemma (exact).  Both families of _family, all and N-free graphs,
     are closed under deleting a vertex, and sizes ascend, so when F has n vertices,
     F - v was met at size n - 1 and is no witness: it was certified and rejected,
     skipped by this lemma, or a seed that was.  If v lies in no E-copy of F, the
@@ -449,65 +444,58 @@ def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLi
     return _verdict(2, p_copies, q_copies, p_in_q, limits).holds
 
 
-def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
-    """Produce F with F -> (E)^A_2 according to the oracle's mode.
+def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
+    """Certify a supplied witness for graph -> (E)^A_2 on the route of the search's
+    candidates, downgrading to an uncertified pass-through only when the certification
+    itself exceeds its budgets; a refuted witness is a CertificationFailed."""
+    try:
+        certified = _is_witness(graph, A, E, enumerate_copies(A, E), SearchLimits())
+    except ResourceExceeded:
+        return OracleWitness(graph, False, "file:conditionally-correct")
+    if not certified:
+        raise CertificationFailed(
+            f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
+            f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
+            f"pairs) over the {A.n}-vertex template"
+        )
+    return OracleWitness(graph, True, "file")
 
-    Search mode returns only witnesses certified by the exact verdict path of
-    check_arrow.  It tries the seeds first, then scans the graphs on the identity
-    order by size, in column order (see _enumerated_candidates); a scanned graph equal
-    to a tried seed is passed over.  When A is a complete R-chain and E has no N
-    (every fused product query), the scan keeps to N-free candidates, which loses no
-    witness size.  A candidate with a vertex in no E-copy is skipped uncertified by
-    the minimal-witness lemma, so the first witness of the scan is still the one
+
+def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
+    """Search for F with F -> (E)^A_2; every witness returned is certified by the
+    exact verdict path of check_arrow.
+
+    The seeds come first, then the scan of _family's graphs on the identity order by
+    size, in column order (see _enumerated_candidates); a seed met again is passed
+    over.  A candidate with a vertex in no E-copy is skipped uncertified by the
+    minimal-witness lemma, so the first witness of the scan is still the one
     returned.  Every candidate met, certified or skipped, counts against
     candidate_budget and checks the deadline; a budget stop names the size reached
-    and how many candidates were certified and skipped.  File mode certifies the
-    supplied witness on that route, downgrading to an uncertified pass-through only
-    when the certification itself exceeds its budgets.  Assume mode never certifies.
+    and how many candidates were certified and skipped.
     """
-    graph = oracle.witness
-    limits = SearchLimits()
-    if oracle.mode == "assume":
-        return OracleWitness(graph, False, "assume")
-    if oracle.mode == "file":
-        try:
-            certified = _is_witness(graph, A, E, enumerate_copies(A, E), limits)
-        except ResourceExceeded:
-            return OracleWitness(graph, False, "file:conditionally-correct")
-        if not certified:
-            raise CertificationFailed(
-                f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
-                f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
-                f"pairs) over the {A.n}-vertex template"
-            )
-        return OracleWitness(graph, True, "file")
-
     if E.n > oracle.size_bound:
         raise NotFoundWithinBounds(
             f"every witness contains a copy of the {E.n}-vertex pattern, "
             f"beyond the size bound {oracle.size_bound}"
         )
-    n_free = _is_complete_chain(A) and not E.N
-    states = ("R", "") if n_free else ("R", "N", "")
+    family, states = _family(A, E)
     p_in_q = enumerate_copies(A, E)
+    limits = SearchLimits()
     deadline = time.monotonic() + oracle.time_bound
-    tried: set[RNGraph] = set()  # the seeds
-
-    def candidates():
-        for graph, source in _seed_candidates(A, E, oracle.size_bound):
-            if graph not in tried:
-                tried.add(graph)
-                yield graph.n, graph, source
-        for n, graph in _enumerated_candidates(E, oracle.size_bound, states):
-            # a seed is never skipped as uncovered, so a scanned seed is met here
-            if graph not in tried:
-                yield n, graph, "search:enumeration"
-
-    budget = oracle.candidate_budget
+    seeds: dict[RNGraph, str] = {}  # each seed met, with its source
+    seeded = (
+        (graph.n, graph, seeds.setdefault(graph, source))
+        for graph, source in _seed_candidates(A, E, oracle.size_bound)
+        if graph not in seeds
+    )
+    scan = (
+        (n, graph, "search:enumeration")
+        for n, graph in _enumerated_candidates(E, oracle.size_bound, states)
+        if graph not in seeds  # a seed is never skipped as uncovered, so it is met here
+    )
     certified = skipped = 0
-    for n, graph, source in candidates():
-        budget -= 1
-        if budget < 0:
+    for n, graph, source in itertools.chain(seeded, scan):
+        if certified + skipped == oracle.candidate_budget:
             raise ResourceExceeded(
                 f"candidate budget ({oracle.candidate_budget}) exhausted at size {n}: "
                 f"{certified} certified, {skipped} skipped by the minimal-witness lemma"
@@ -520,10 +508,6 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         certified += 1
         if _is_witness(graph, A, E, p_in_q, limits):
             return OracleWitness(graph, True, source)
-    if n_free:
-        raise NotFoundWithinBounds(
-            f"no witness among the N-free candidates up to {oracle.size_bound} vertices; "
-            "A is a complete R-chain and E has no N, so a candidate with N pairs is a "
-            "witness only if it stays one with them made absent"
-        )
-    raise NotFoundWithinBounds(f"no witness among candidates up to {oracle.size_bound} vertices")
+    raise NotFoundWithinBounds(
+        f"no witness among {family} candidates up to {oracle.size_bound} vertices"
+    )

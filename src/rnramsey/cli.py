@@ -113,29 +113,25 @@ def cmd_arrow(args) -> int:
     return 1
 
 
-def _oracle_from_args(args) -> BaseOracle:
+def cmd_tower(args) -> int:
+    A = load_structure(args.A)
+    B = load_structure(args.B)
     if args.witness and args.oracle == "search":
         raise ValueError(
             "--witness needs --oracle file or --oracle assume; "
             "--oracle search (the default) takes no witness"
         )
-    witness = load_structure(args.witness) if args.witness else None
-    return BaseOracle(
-        mode=args.oracle,
-        size_bound=args.size_bound,
-        time_bound=args.oracle_time_bound,
+    if args.oracle != "search" and not args.witness:
+        raise ValueError(f"{args.oracle} mode requires a witness")
+    witness = load_structure(args.witness) if args.witness else None  # answers stage 2 only
+    oracle = BaseOracle(
+        size_bound=args.size_bound, time_bound=args.oracle_time_bound,
         candidate_budget=args.candidate_budget,
-        witness=witness,
     )
-
-
-def cmd_tower(args) -> int:
-    A = load_structure(args.A)
-    B = load_structure(args.B)
-    oracle = _oracle_from_args(args)
     limits = BuildLimits(max_picture_vertices=args.max_picture_vertices)
     tower = build_tower(
-        A, B, args.ell_max, oracle, stabilize=not args.no_stabilize, limits=limits
+        A, B, args.ell_max, oracle, witness=witness, assume=args.oracle == "assume",
+        stabilize=not args.no_stabilize, limits=limits,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -277,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ell-max", type=int, required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--oracle", choices=("search", "file", "assume"), default="search")
-    sub.add_argument("--witness", help="witness file for file/assume oracle modes")
+    sub.add_argument("--witness", help="stage-2 witness file for file/assume oracle modes")
     sub.add_argument("--size-bound", type=int, default=BaseOracle.size_bound)
     sub.add_argument("--candidate-budget", type=int, default=BaseOracle.candidate_budget)
     sub.add_argument("--oracle-time-bound", type=float, default=BaseOracle.time_bound)

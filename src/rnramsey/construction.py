@@ -23,7 +23,7 @@ from .analysis import (
     longest_r_path_vertices,
     transitive_closure,
 )
-from .arrow import BaseOracle, oracle_ramsey, require_budgets
+from .arrow import BaseOracle, OracleWitness, certify_witness, oracle_ramsey, require_budgets
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, is_embedding, iter_copies
 from .partite import APartiteRNGraph, ProductResult, check_partition, collapse, make_apartite
 from .partite import part_owner, product_construction
@@ -227,11 +227,6 @@ class ConstructionRun:
     picture: Picture
     truncated: str | None = None
 
-    @property
-    def certified(self) -> bool:
-        """Every round's base witness was certified by the exact arrow check."""
-        return all(step.product.certified for step in self.steps)
-
 
 def _require_pattern(graph: RNGraph, name: str) -> None:
     if not is_complete(graph):
@@ -342,25 +337,38 @@ def build_tower(
     ell_max: int,
     oracle: BaseOracle,
     *,
+    witness: RNGraph | None = None,
+    assume: bool = False,
     stabilize: bool = True,
     limits: BuildLimits | None = None,
 ) -> Tower:
     """Stages 2..ell_max, each one certified quasicycle-free up to its own index.
 
-    Stage 2 is the oracle's witness for the pair (A, B) taken verbatim.  Each later
-    stage reruns the gluing recursion over the previous stage, except that when the
-    previous stage already passes the next freedom check, stabilize (default on) keeps
-    it and records an identity step; without it the recursion runs regardless, which
-    is quickly infeasible for patterns whose sub-pictures grow across rounds.  A
-    ceiling at any stage, stage 2 included, truncates the tower to the stages before it.
+    Stage 2 is a witness for the pair (A, B) taken verbatim: the supplied witness,
+    certified by certify_witness or, with assume, passed through uncertified, else the
+    oracle's search.  The supplied witness answers stage 2 only; every product round
+    asks its own query of the search, whose witnesses are all certified, so a later
+    stage is certified exactly when stage 2 is.  Each later stage reruns the gluing
+    recursion over the previous stage, except that when the previous stage already
+    passes the next freedom check, stabilize (default on) keeps it and records an
+    identity step; without it the recursion runs regardless, which is quickly
+    infeasible for patterns whose sub-pictures grow across rounds.  A ceiling at any
+    stage, stage 2 included, truncates the tower to the stages before it.
     """
     if ell_max < 2:
         raise ValueError("towers start at stage 2")
+    if assume and witness is None:
+        raise ValueError("assume mode requires a witness")
     a_rn = _as_complete_rn(A, "A")
     b_rn = _as_complete_rn(B, "B")
     stages: list[TowerStage] = []
     try:
-        wit = oracle_ramsey(oracle, a_rn, b_rn)
+        if witness is None:
+            wit = oracle_ramsey(oracle, a_rn, b_rn)
+        elif assume:
+            wit = OracleWitness(witness, False, "assume")
+        else:
+            wit = certify_witness(witness, a_rn, b_rn)
         stages.append(TowerStage(2, wit.graph, None, wit.certified, wit.source))
         for ell in range(3, ell_max + 1):
             prev = stages[-1]
@@ -375,8 +383,7 @@ def build_tower(
                     raise InvariantViolation("completed stage failed its freedom check")
                 if next(iter_copies(b_rn, graph), None) is None:
                     raise InvariantViolation("completed stage lost every copy of the pattern")
-                certified = run.certified and prev.certified
-                stage = TowerStage(ell, graph, run.picture.f, certified, "construction")
+                stage = TowerStage(ell, graph, run.picture.f, prev.certified, "construction")
             if not check_homomorphism(stage.h_down):
                 raise InvariantViolation(f"the map down from stage {ell} is not a homomorphism")
             stages.append(stage)

@@ -55,7 +55,9 @@ def _check_ids(n: int, rel: frozenset[Pair], name: str) -> None:
 
 
 def _check_order(n: int, order: tuple[int, ...]) -> None:
-    if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
+    # the length first: a huge n with a short order must not build range(n)
+    bad = len(order) != n or any(type(v) is not int for v in order)
+    if bad or sorted(order) != list(range(n)):
         raise StructureError(f"order is not a permutation of 0..{n - 1}", order)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -14,6 +15,8 @@ from rnramsey import (
     ResourceExceeded,
     SearchLimits,
     antichain,
+    build_tower,
+    certify_witness,
     chain,
     check_arrow,
     enumerate_copies,
@@ -156,14 +159,30 @@ def test_r_is_a_plain_int_of_at_least_one(r):
 
 
 def test_slot_ceiling_fires_before_the_hypergraph_is_built(monkeypatch):
-    # chain(24) has 2,024 copies of C3 and 10,626 of C4: past the ceiling, no masks
+    # chain(24) has 2,024 copies of C3 and 10,626 of C4: past the ceiling, no masks,
+    # and the Q-copies are not listed, only probed for one
     def no_incidence(*args):
         raise AssertionError("incidence built past the ceiling")
 
+    listed = []
+
+    def recording_enumerate_copies(pattern, target, *args, **kwargs):
+        listed.append((pattern.n, target.n))
+        return enumerate_copies(pattern, target, *args, **kwargs)
+
     monkeypatch.setattr(arrow, "_incidence", no_incidence)
+    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
     with pytest.raises(ResourceExceeded, match="2024 P-copies is beyond the exact search "
                        "ceiling of 2000 slots"):
         check_arrow(_rn_chain(24), _rn_chain(4), C3, 2)
+    assert listed == [(3, 24), (3, 4)]
+    # with no Q-copy at all the verdict still FAILS, with the all-zero coloring
+    a2 = poset_to_complete_rn(antichain(2))
+    verdict = check_arrow(_rn_chain(24), a2, C3, 2)
+    assert not verdict.holds and len(verdict.counterexample) == 2024
+    assert {color for _, color in verdict.counterexample.assignment} == {0}
+    # and a Q-copy that holds no P-copy still HOLDS vacuously
+    assert check_arrow(_rn_chain(24), C2, C3, 2).holds
 
 
 def test_time_budget_fires():
@@ -212,6 +231,7 @@ def test_search_alone_is_pinned():
 def test_search_agrees_with_brute_force():
     rng = random.Random(2024)
     outcomes = set()
+    searched = []
     for _ in range(300):
         m = rng.randint(1, 10)
         r = rng.choice((1, 2, 3))
@@ -220,7 +240,8 @@ def test_search_agrees_with_brute_force():
             for _ in range(rng.randint(0, 12))
         ]
         inc = incidence_masks(m, edges)
-        assignment, _ = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+        assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+        searched.append((nodes, assignment))
         expected = brute_proper_coloring_exists(m, edges, r)
         assert (assignment is not None) == expected
         if assignment is not None:
@@ -228,6 +249,9 @@ def test_search_agrees_with_brute_force():
             assert all(len({assignment[i] for i in e}) > 1 for e in edges)
         outcomes.add((r, expected))
     assert outcomes == {(1, True), (1, False), (2, True), (2, False), (3, True), (3, False)}
+    # the search tree beyond the chain instances: node counts and colorings, pinned
+    assert sum(nodes for nodes, _ in searched) == 8294
+    assert _digest(searched) == "c9160118e5c4f008"
 
 
 def test_incidence_refuses_a_forged_q_copy():
@@ -362,9 +386,15 @@ def test_oracle_exhaustion_and_budget():
         r"1 certified, 4 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(candidate_budget=5), POINT, a2)
-    # E has an N pair, so all three pair states are tried, and the text says no more
-    with pytest.raises(NotFoundWithinBounds, match="^no witness among candidates up to 2 "):
+    # E has an N pair, so all three pair states are tried, and the text names that family
+    with pytest.raises(
+        NotFoundWithinBounds, match="^no witness among all candidates up to 2 vertices$"
+    ):
         oracle_ramsey(BaseOracle(size_bound=2), POINT, a2)
+    with pytest.raises(
+        NotFoundWithinBounds, match="^no witness among N-free candidates up to 2 vertices$"
+    ):
+        oracle_ramsey(BaseOracle(size_bound=2), POINT, make_rn_graph(2, (), ()))
     with pytest.raises(ResourceExceeded, match="search time budget"):
         oracle_ramsey(BaseOracle(time_bound=0), POINT, a2)
 
@@ -407,25 +437,34 @@ def test_budgets_refuse_bools_and_non_int_counts(record, name, bad, what):
 
 
 def test_oracle_is_checked_when_built():
-    with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
-        BaseOracle(mode="bogus")
-    for mode in ("file", "assume"):
-        with pytest.raises(ValueError, match=f"{mode} mode requires a witness"):
-            BaseOracle(mode=mode)
+    # the oracle holds only the search's bounds; a witness goes to build_tower
+    with pytest.raises(ValueError, match="candidate_budget must be non-negative"):
+        BaseOracle(candidate_budget=-1)
+    with pytest.raises(TypeError):
+        BaseOracle(mode="search")
+    assert [f.name for f in dataclasses.fields(BaseOracle)] == [
+        "size_bound", "time_bound", "candidate_budget"
+    ]
 
 
 def test_oracle_assume_and_file_modes(tmp_path):
     witness = poset_to_complete_rn(chain(6))
-    w = oracle_ramsey(BaseOracle(mode="assume", witness=witness), C2, C3)
-    assert not w.certified and w.source == "assume"
+    tower = build_tower(C2, C3, 2, BaseOracle(), witness=witness, assume=True)
+    assert [(s.certified, s.source) for s in tower.stages] == [(False, "assume")]
+    with pytest.raises(ValueError, match="assume mode requires a witness"):
+        build_tower(C2, C3, 2, BaseOracle(), assume=True)
     path = tmp_path / "w.json"
     save_structure(path, witness)
-    w2 = oracle_ramsey(BaseOracle(mode="file", witness=load_structure(path)), C2, C3)
-    assert w2.certified and w2.graph == witness
+    w2 = certify_witness(load_structure(path), C2, C3)
+    assert w2 == OracleWitness(witness, True, "file")
+    tower = build_tower(C2, C3, 2, BaseOracle(), witness=load_structure(path))
+    assert [(s.C, s.certified, s.source) for s in tower.stages] == [(witness, True, "file")]
     bad = tmp_path / "bad.json"
     save_structure(bad, poset_to_complete_rn(chain(5)))
     with pytest.raises(CertificationFailed):
-        oracle_ramsey(BaseOracle(mode="file", witness=load_structure(bad)), C2, C3)
+        certify_witness(load_structure(bad), C2, C3)
+    with pytest.raises(CertificationFailed):
+        build_tower(C2, C3, 2, BaseOracle(), witness=load_structure(bad))
 
 
 def test_oracle_file_mode_certifies_on_the_search_route(monkeypatch):
@@ -438,7 +477,7 @@ def test_oracle_file_mode_certifies_on_the_search_route(monkeypatch):
 
     monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
     with pytest.raises(CertificationFailed):
-        oracle_ramsey(BaseOracle(mode="file", witness=make_rn_graph(4, (), ())), POINT, C2)
+        certify_witness(make_rn_graph(4, (), ()), POINT, C2)
     assert listed == [(1, 2), (2, 4)]
 
 
@@ -446,7 +485,7 @@ def test_oracle_file_mode_downgrades_past_the_search_ceiling():
     # 2,001 A-copies are beyond the exact search's 2,000 slots, so certification runs
     # out and the witness passes through uncertified
     witness = make_rn_graph(2001, (), ())
-    w = oracle_ramsey(BaseOracle(mode="file", witness=witness), POINT, POINT)
+    w = certify_witness(witness, POINT, POINT)
     assert w == OracleWitness(witness, False, "file:conditionally-correct")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,22 @@ def test_cli_validate_lines(tmp_path, capsys):
     col = make_coloring(copies, [0, 0, 1], 2)
     assert main(["validate", _write(tmp_path, "col.json", col)]) == 0
     assert capsys.readouterr().out == "OK coloring entries=3 r=2\n"
+
+
+def test_cli_validate_refuses_a_huge_n_before_building_its_range(tmp_path, capsys):
+    # a 53-byte file once asked for tens of GB: range(n) came before the length check
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"kind":"rn","n":1000000000,"order":[],"R":[],"N":[]}')
+    tracemalloc.start()
+    try:
+        assert main(["validate", str(huge)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert "order is not a permutation of 0..999999999" in capsys.readouterr().out
+    with pytest.raises(StructureError, match="not a permutation"):
+        load_structure(huge)
 
 
 def test_cli_validate_rejects(tmp_path, capsys):
@@ -544,19 +561,45 @@ def test_cli_tower_assume_mode(tmp_path, capsys):
 
 
 def test_cli_tower_names_the_query_a_file_witness_fails(tmp_path, capsys):
-    # chain(3) certifies stage 2 for (point, 2-chain), then the first product round
-    # asks it to arrow the fused sub-picture, a 2-antichain, which it does not contain
+    # chain(2) does not arrow the 2-chain over a point: color its two vertices apart
     a = _write(tmp_path, "a.json", chain(1))
     b = _write(tmp_path, "b.json", chain(2))
-    w = _write(tmp_path, "w.json", C3)
+    w = _write(tmp_path, "w.json", C2)
     out = tmp_path / "refuted"
     argv = ["tower", a, b, "--ell-max", "4", "--out", str(out), "--no-stabilize",
             "--oracle", "file", "--witness", w]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "ERROR: supplied 3-vertex witness is refuted by the exact arrow search: it does not "
-        "arrow the 2-vertex pattern (0 R, 0 N pairs) over the 1-vertex template\n"
+        "ERROR: supplied 2-vertex witness is refuted by the exact arrow search: it does not "
+        "arrow the 2-vertex pattern (1 R, 0 N pairs) over the 1-vertex template\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, stage_2",
+    [("file", "stage 2: n=3 certified source=file"),
+     ("assume", "stage 2: n=3 conditionally correct source=assume")],
+)
+def test_cli_tower_rounds_search_past_a_supplied_witness(tmp_path, capsys, mode, stage_2):
+    # the witness answers stage 2 only; the first product round asks for a 2-antichain
+    # pattern, which chain(3) does not contain, so the round searches as in search mode
+    a = _write(tmp_path, "a.json", chain(1))
+    b = _write(tmp_path, "b.json", chain(2))
+    w = _write(tmp_path, "w.json", C3)
+    out = tmp_path / mode
+    argv = ["tower", a, b, "--ell-max", "4", "--out", str(out), "--no-stabilize",
+            "--oracle", mode, "--witness", w]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == (
+        f"{stage_2}\n"
+        "TRUNCATED: stage 3: every witness contains a copy of the 2772-vertex pattern, "
+        "beyond the size bound 16\n"
+    )
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    assert manifest["oracle.mode"] == mode and manifest["stage.2.source"] == mode
+    assert manifest["truncated"].startswith("stage 3: ")
+    assert (out / "C2.json").exists() and "stage.3.file" not in manifest
 
 
 def test_cli_tower_refuses_a_witness_in_search_mode(tmp_path, capsys):
