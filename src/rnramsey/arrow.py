@@ -17,7 +17,9 @@ edges that carry two colors.
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle: every
 witness it returns is certified, and its scan skips, without certifying, the
 candidates that the minimal-witness lemma rules out.  A witness the user supplies is
-checked by certify_witness on the same route (_is_witness).
+checked by certify_witness on the same route (_is_witness); it passes, is refuted
+(CertificationFailed), or runs past a budget (ResourceExceeded), so an OracleWitness
+carries only its graph and its source.
 """
 
 from __future__ import annotations
@@ -288,7 +290,6 @@ class BaseOracle:
 @dataclass(frozen=True)
 class OracleWitness:
     graph: RNGraph
-    certified: bool
     source: str
 
 
@@ -446,19 +447,15 @@ def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLi
 
 def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Certify a supplied witness for graph -> (E)^A_2 on the route of the search's
-    candidates, downgrading to an uncertified pass-through only when the certification
-    itself exceeds its budgets; a refuted witness is a CertificationFailed."""
-    try:
-        certified = _is_witness(graph, A, E, enumerate_copies(A, E), SearchLimits())
-    except ResourceExceeded:
-        return OracleWitness(graph, False, "file:conditionally-correct")
-    if not certified:
+    candidates.  A refuted witness is a CertificationFailed; a certification that
+    runs past its budgets raises ResourceExceeded, like every other ceiling."""
+    if not _is_witness(graph, A, E, enumerate_copies(A, E), SearchLimits()):
         raise CertificationFailed(
             f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
             f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
             f"pairs) over the {A.n}-vertex template"
         )
-    return OracleWitness(graph, True, "file")
+    return OracleWitness(graph, "file")
 
 
 def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
@@ -507,7 +504,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             continue
         certified += 1
         if _is_witness(graph, A, E, p_in_q, limits):
-            return OracleWitness(graph, True, source)
+            return OracleWitness(graph, source)
     raise NotFoundWithinBounds(
         f"no witness among {family} candidates up to {oracle.size_bound} vertices"
     )

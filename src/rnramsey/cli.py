@@ -116,13 +116,6 @@ def cmd_arrow(args) -> int:
 def cmd_tower(args) -> int:
     A = load_structure(args.A)
     B = load_structure(args.B)
-    if args.witness and args.oracle == "search":
-        raise ValueError(
-            "--witness needs --oracle file or --oracle assume; "
-            "--oracle search (the default) takes no witness"
-        )
-    if args.oracle != "search" and not args.witness:
-        raise ValueError(f"{args.oracle} mode requires a witness")
     witness = load_structure(args.witness) if args.witness else None  # answers stage 2 only
     oracle = BaseOracle(
         size_bound=args.size_bound, time_bound=args.oracle_time_bound,
@@ -130,7 +123,7 @@ def cmd_tower(args) -> int:
     )
     limits = BuildLimits(max_picture_vertices=args.max_picture_vertices)
     tower = build_tower(
-        A, B, args.ell_max, oracle, witness=witness, assume=args.oracle == "assume",
+        A, B, args.ell_max, oracle, witness=witness, assume=args.assume,
         stabilize=not args.no_stabilize, limits=limits,
     )
     out = Path(args.out)
@@ -140,25 +133,25 @@ def cmd_tower(args) -> int:
         "a.digest": save_structure(out / "A.json", tower.A),
         "b.file": "B.json",
         "b.digest": save_structure(out / "B.json", tower.B),
-        "oracle.mode": args.oracle,
+        "oracle.mode": "search" if witness is None else "assume" if args.assume else "file",
         "stabilize": str(not args.no_stabilize).lower(),
     }
     if tower.stages:
         manifest["lambda"] = str(finish_index(tower.stages[0].C))
+    certified = "certified" if tower.certified else "conditionally correct"
     for stage in tower.stages:
         key = f"stage.{stage.ell}"
         name = f"C{stage.ell}.json"
         manifest[f"{key}.file"] = name
         manifest[f"{key}.digest"] = save_structure(out / name, stage.C)
         manifest[f"{key}.n"] = str(stage.C.n)
-        manifest[f"{key}.certified"] = str(stage.certified).lower()
+        manifest[f"{key}.certified"] = str(tower.certified).lower()
         manifest[f"{key}.stabilized"] = str(stage.stabilized).lower()
         manifest[f"{key}.source"] = stage.source
         if stage.h_down is not None:
             hname = f"h{stage.ell}.json"
             manifest[f"{key}.h_file"] = hname
             manifest[f"{key}.h_digest"] = save_structure(out / hname, stage.h_down)
-        certified = "certified" if stage.certified else "conditionally correct"
         print(f"stage {stage.ell}: n={stage.C.n} {certified} source={stage.source}")
     if tower.truncated:
         manifest["truncated"] = tower.truncated
@@ -272,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("B")
     sub.add_argument("--ell-max", type=int, required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--oracle", choices=("search", "file", "assume"), default="search")
-    sub.add_argument("--witness", help="stage-2 witness file for file/assume oracle modes")
+    sub.add_argument("--witness", help="stage-2 witness file, certified unless --assume")
+    sub.add_argument("--assume", action="store_true", help="take --witness uncertified")
     sub.add_argument("--size-bound", type=int, default=BaseOracle.size_bound)
     sub.add_argument("--candidate-budget", type=int, default=BaseOracle.candidate_budget)
     sub.add_argument("--oracle-time-bound", type=float, default=BaseOracle.time_bound)

@@ -290,7 +290,6 @@ class TowerStage:
     ell: int
     C: RNGraph
     h_down: Homomorphism | None
-    certified: bool
     source: str
 
     @property
@@ -303,6 +302,7 @@ class Tower:
     stages: tuple[TowerStage, ...]
     A: RNGraph
     B: RNGraph
+    certified: bool  # every stage rests on stage 2's witness: false when it was assumed
     truncated: str | None = None
 
     def stage_for(self, ell: int) -> TowerStage | None:
@@ -347,13 +347,14 @@ def build_tower(
     Stage 2 is a witness for the pair (A, B) taken verbatim: the supplied witness,
     certified by certify_witness or, with assume, passed through uncertified, else the
     oracle's search.  The supplied witness answers stage 2 only; every product round
-    asks its own query of the search, whose witnesses are all certified, so a later
-    stage is certified exactly when stage 2 is.  Each later stage reruns the gluing
+    asks its own query of the search, whose witnesses are all certified, so the tower
+    is certified unless assume is set.  Each later stage reruns the gluing
     recursion over the previous stage, except that when the previous stage already
     passes the next freedom check, stabilize (default on) keeps it and records an
     identity step; without it the recursion runs regardless, which is quickly
     infeasible for patterns whose sub-pictures grow across rounds.  A ceiling at any
-    stage, stage 2 included, truncates the tower to the stages before it.
+    stage, stage 2 included (a certification past its budgets too), truncates the
+    tower to the stages before it.
     """
     if ell_max < 2:
         raise ValueError("towers start at stage 2")
@@ -366,16 +367,14 @@ def build_tower(
         if witness is None:
             wit = oracle_ramsey(oracle, a_rn, b_rn)
         elif assume:
-            wit = OracleWitness(witness, False, "assume")
+            wit = OracleWitness(witness, "assume")
         else:
             wit = certify_witness(witness, a_rn, b_rn)
-        stages.append(TowerStage(2, wit.graph, None, wit.certified, wit.source))
+        stages.append(TowerStage(2, wit.graph, None, wit.source))
         for ell in range(3, ell_max + 1):
             prev = stages[-1]
             if stabilize and is_ell_rn(prev.C, ell):
-                stage = TowerStage(
-                    ell, prev.C, identity_homomorphism(prev.C), prev.certified, "stabilized"
-                )
+                stage = TowerStage(ell, prev.C, identity_homomorphism(prev.C), "stabilized")
             else:
                 run = run_partite_construction(prev.C, a_rn, b_rn, oracle, ell=ell, limits=limits)
                 graph = run.picture.base
@@ -383,13 +382,13 @@ def build_tower(
                     raise InvariantViolation("completed stage failed its freedom check")
                 if next(iter_copies(b_rn, graph), None) is None:
                     raise InvariantViolation("completed stage lost every copy of the pattern")
-                stage = TowerStage(ell, graph, run.picture.f, prev.certified, "construction")
+                stage = TowerStage(ell, graph, run.picture.f, "construction")
             if not check_homomorphism(stage.h_down):
                 raise InvariantViolation(f"the map down from stage {ell} is not a homomorphism")
             stages.append(stage)
     except ResourceExceeded as exc:
-        return Tower(tuple(stages), a_rn, b_rn, truncated=f"stage {len(stages) + 2}: {exc}")
-    return Tower(tuple(stages), a_rn, b_rn)
+        return Tower(tuple(stages), a_rn, b_rn, not assume, f"stage {len(stages) + 2}: {exc}")
+    return Tower(tuple(stages), a_rn, b_rn, not assume)
 
 
 @dataclass(frozen=True)

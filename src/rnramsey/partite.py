@@ -129,12 +129,12 @@ class ProductResult:
     """Partite product of a template with a base witness, plus its lift bookkeeping.
 
     lifts[i] is the part-respecting copy of the pattern obtained from base E-copy i.
+    The oracle certifies every witness it returns, so certified is always true.
     """
 
     apartite: APartiteRNGraph
     base_witness: RNGraph
     certified: bool
-    source: str
     lifts: tuple[Copy, ...]
 
 
@@ -171,8 +171,7 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
         raise StructureError("pattern is over a different template")
     fused_a = fuse(A)
     fused_e = fuse(pattern.base)
-    wit = oracle_ramsey(oracle, fused_a, fused_e)
-    witness = wit.graph
+    witness = oracle_ramsey(oracle, fused_a, fused_e).graph
     wn = witness.n
     R, N, ids = product_relations(A, witness)
     n = A.n * wn
@@ -191,7 +190,7 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
         return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap)
 
     lifts = tuple(lift(c) for c in enumerate_copies(fused_e, witness))
-    return ProductResult(apartite, witness, wit.certified, wit.source, lifts)
+    return ProductResult(apartite, witness, True, lifts)
 
 
 def check_partite_arrow(

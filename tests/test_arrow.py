@@ -300,8 +300,7 @@ def test_find_monochromatic_on_posets():
 def test_oracle_seed_families():
     oracle = BaseOracle()
     w = oracle_ramsey(oracle, POINT, C2)
-    assert w.graph == poset_to_complete_rn(chain(3)) and w.certified
-    assert w.source == "search:chain"
+    assert w == OracleWitness(poset_to_complete_rn(chain(3)), "search:chain")
     assert oracle_ramsey(oracle, POINT, POINT).graph.n == 1
     w2 = oracle_ramsey(oracle, C2, C3)
     assert w2.graph == poset_to_complete_rn(chain(6))
@@ -448,17 +447,19 @@ def test_oracle_is_checked_when_built():
 
 
 def test_oracle_assume_and_file_modes(tmp_path):
+    # provenance is two fields: the witness's source, and the tower's one flag
+    assert [f.name for f in dataclasses.fields(OracleWitness)] == ["graph", "source"]
     witness = poset_to_complete_rn(chain(6))
     tower = build_tower(C2, C3, 2, BaseOracle(), witness=witness, assume=True)
-    assert [(s.certified, s.source) for s in tower.stages] == [(False, "assume")]
+    assert not tower.certified and [s.source for s in tower.stages] == ["assume"]
     with pytest.raises(ValueError, match="assume mode requires a witness"):
         build_tower(C2, C3, 2, BaseOracle(), assume=True)
     path = tmp_path / "w.json"
     save_structure(path, witness)
     w2 = certify_witness(load_structure(path), C2, C3)
-    assert w2 == OracleWitness(witness, True, "file")
+    assert w2 == OracleWitness(witness, "file")
     tower = build_tower(C2, C3, 2, BaseOracle(), witness=load_structure(path))
-    assert [(s.C, s.certified, s.source) for s in tower.stages] == [(witness, True, "file")]
+    assert tower.certified and [(s.C, s.source) for s in tower.stages] == [(witness, "file")]
     bad = tmp_path / "bad.json"
     save_structure(bad, poset_to_complete_rn(chain(5)))
     with pytest.raises(CertificationFailed):
@@ -481,12 +482,18 @@ def test_oracle_file_mode_certifies_on_the_search_route(monkeypatch):
     assert listed == [(1, 2), (2, 4)]
 
 
-def test_oracle_file_mode_downgrades_past_the_search_ceiling():
-    # 2,001 A-copies are beyond the exact search's 2,000 slots, so certification runs
-    # out and the witness passes through uncertified
+def test_certification_ceiling_truncates_at_stage_two():
+    # 2,001 A-copies are beyond the exact search's 2,000 slots: certification stops
+    # like every other ceiling, and the witness is not passed through
     witness = make_rn_graph(2001, (), ())
-    w = certify_witness(witness, POINT, POINT)
-    assert w == OracleWitness(witness, False, "file:conditionally-correct")
+    ceiling = "2001 P-copies is beyond the exact search ceiling of 2000 slots"
+    with pytest.raises(ResourceExceeded, match=f"^{ceiling}$"):
+        certify_witness(witness, POINT, POINT)
+    tower = build_tower(POINT, POINT, 2, BaseOracle(), witness=witness)
+    assert tower.stages == () and tower.truncated == f"stage 2: {ceiling}"
+    assumed = build_tower(POINT, POINT, 2, BaseOracle(), witness=witness, assume=True)
+    assert not assumed.certified and not assumed.truncated
+    assert [(s.C, s.source) for s in assumed.stages] == [(witness, "assume")]
 
 
 def _identity_graphs(max_n: int, states: str = "RN-"):
@@ -616,7 +623,7 @@ def test_oracle_loop_agrees_with_check_arrow():
                 oracle_ramsey(BaseOracle(size_bound=4), A, E)
             continue
         w = oracle_ramsey(BaseOracle(size_bound=4), A, E)
-        assert w.source == "search:enumeration" and w.certified
+        assert w.source == "search:enumeration"
         if E.N:
             assert w.graph == witnesses[0]
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from rnramsey import (
     ClosureIntersectsN,
     GlueConflict,
     NoCopiesOfB,
+    TowerStage,
     TowerTooShort,
     antichain,
     build_picture_zero,
@@ -271,7 +273,8 @@ def test_build_tower_frozen_example():
     assert len(tower.stages) == 2
     s2, s3 = tower.stages
     assert s2.ell == 2 and s2.C == poset_to_complete_rn(chain(3))
-    assert s2.certified and s2.source == "search:chain"
+    assert tower.certified and s2.source == "search:chain"
+    assert [f.name for f in dataclasses.fields(TowerStage)] == ["ell", "C", "h_down", "source"]
     assert s3.stabilized and s3.C == s2.C
     assert check_homomorphism(s3.h_down)
     assert check_homomorphism(tower.composed_map(3))

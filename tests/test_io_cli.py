@@ -550,14 +550,11 @@ def test_cli_tower_assume_mode(tmp_path, capsys):
     b = _write(tmp_path, "b.json", chain(2))
     w = _write(tmp_path, "w.json", C3)
     out = tmp_path / "assumed"
-    code = main(
-        ["tower", a, b, "--ell-max", "2", "--out", str(out), "--oracle", "assume", "--witness", w]
-    )
+    code = main(["tower", a, b, "--ell-max", "2", "--out", str(out), "--witness", w, "--assume"])
     assert code == 0
     assert "conditionally correct source=assume" in capsys.readouterr().out
     manifest = parse_manifest((out / "manifest.txt").read_text())
-    assert manifest["stage.2.certified"] == "false"
-    assert main(["tower", a, b, "--ell-max", "2", "--out", str(out), "--oracle", "assume"]) == 1
+    assert manifest["stage.2.certified"] == "false" and manifest["oracle.mode"] == "assume"
 
 
 def test_cli_tower_names_the_query_a_file_witness_fails(tmp_path, capsys):
@@ -567,7 +564,7 @@ def test_cli_tower_names_the_query_a_file_witness_fails(tmp_path, capsys):
     w = _write(tmp_path, "w.json", C2)
     out = tmp_path / "refuted"
     argv = ["tower", a, b, "--ell-max", "4", "--out", str(out), "--no-stabilize",
-            "--oracle", "file", "--witness", w]
+            "--witness", w]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "ERROR: supplied 2-vertex witness is refuted by the exact arrow search: it does not "
@@ -589,7 +586,7 @@ def test_cli_tower_rounds_search_past_a_supplied_witness(tmp_path, capsys, mode,
     w = _write(tmp_path, "w.json", C3)
     out = tmp_path / mode
     argv = ["tower", a, b, "--ell-max", "4", "--out", str(out), "--no-stabilize",
-            "--oracle", mode, "--witness", w]
+            "--witness", w] + (["--assume"] if mode == "assume" else [])
     assert main(argv) == 2
     assert capsys.readouterr().out == (
         f"{stage_2}\n"
@@ -602,17 +599,34 @@ def test_cli_tower_rounds_search_past_a_supplied_witness(tmp_path, capsys, mode,
     assert (out / "C2.json").exists() and "stage.3.file" not in manifest
 
 
-def test_cli_tower_refuses_a_witness_in_search_mode(tmp_path, capsys):
-    # search mode reads no witness, so a given one is an input error, not ignored
+def test_cli_tower_refuses_assume_without_a_witness(tmp_path, capsys):
+    # there is nothing to assume, so the run is an input error, not a search
     a = _write(tmp_path, "a.json", chain(1))
     b = _write(tmp_path, "b.json", chain(2))
-    out = tmp_path / "searched"
-    for mode in ([], ["--oracle", "search"]):
-        argv = ["tower", a, b, "--ell-max", "2", "--out", str(out), "--witness", "missing.json"]
-        assert main(argv + mode) == 1
-        err = capsys.readouterr().err
-        assert "--witness" in err and "--oracle search" in err
+    out = tmp_path / "assumed"
+    assert main(["tower", a, b, "--ell-max", "2", "--out", str(out), "--assume"]) == 1
+    assert capsys.readouterr().err == "ERROR: assume mode requires a witness\n"
     assert not out.exists()
+
+
+def test_cli_tower_certification_ceiling_truncates_at_stage_two(tmp_path, capsys):
+    # 2,001 point copies are past the exact search's ceiling: the certification stops
+    # like any ceiling (exit 2, partial output), and only --assume passes the witness
+    a = _write(tmp_path, "pt.json", chain(1))
+    w = _write(tmp_path, "e2001.json", make_rn_graph(2001, (), ()))
+    out = tmp_path / "file"
+    assert main(["tower", a, a, "--ell-max", "2", "--out", str(out), "--witness", w]) == 2
+    reason = "stage 2: 2001 P-copies is beyond the exact search ceiling of 2000 slots"
+    assert capsys.readouterr().out == f"TRUNCATED: {reason}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["A.json", "B.json", "manifest.txt"]
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    assert manifest["truncated"] == reason and "lambda" not in manifest
+    assert manifest["oracle.mode"] == "file"
+    out = tmp_path / "assume"
+    argv = ["tower", a, a, "--ell-max", "2", "--out", str(out), "--witness", w, "--assume"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "stage 2: n=2001 conditionally correct source=assume\n"
+    assert parse_manifest((out / "manifest.txt").read_text())["lambda"] == "2001"
 
 
 def test_cli_export_dot_and_make(tmp_path, capsys):

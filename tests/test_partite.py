@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import random
 import subprocess
@@ -29,6 +30,7 @@ from rnramsey import (
     is_good,
     make_apartite,
     make_rn_graph,
+    oracle_ramsey,
     partite_embeddings,
     poset_to_complete_rn,
     product_construction,
@@ -257,7 +259,9 @@ def test_check_partite_arrow_property_b():
     edgeless2 = make_apartite(POINT, make_rn_graph(2, set(), set()), ((0, 1),))
     result = product_construction(POINT, edgeless2, BaseOracle())
     F = result.apartite
-    assert F.base.n == 3 and result.source == "search:pigeonhole"
+    assert F.base.n == 3 and "source" not in {f.name for f in dataclasses.fields(result)}
+    wit = oracle_ramsey(BaseOracle(), fuse(POINT), fuse(edgeless2.base))
+    assert wit.graph == result.base_witness and wit.source == "search:pigeonhole"
     assert len(result.lifts) == 3
     verdict = check_partite_arrow(F, edgeless2, 2, family=result.lifts)
     assert verdict.holds
