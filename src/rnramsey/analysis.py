@@ -17,15 +17,6 @@ class CycleDetected(ValueError):
     pass
 
 
-def _r_adjacency(graph: RNGraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(graph.n)}
-    for x, y in graph.R:
-        adj[x].append(y)
-    for v in adj:
-        adj[v].sort(key=lambda u: graph.rank[u])
-    return adj
-
-
 def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> tuple[int, ...] | None:
     """Vertex sequence x_1, ..., x_j of a shortest bad quasicycle (consecutive pairs in
     R, (x_1, x_j) in N) of length j <= max_len, or None.
@@ -35,9 +26,10 @@ def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> tuple[int
     """
     if max_len is not None and max_len < 2:
         raise ValueError(f"max_len must be at least 2, got {max_len}")
-    adj = _r_adjacency(graph)
+    adj: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     radj: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     for x, y in graph.R:
+        adj[x].append(y)
         radj[y].append(x)
 
     best: tuple[int, tuple[int, ...]] | None = None

@@ -477,7 +477,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         )
     family, states = _family(A, E)
     p_in_q = enumerate_copies(A, E)
-    limits = SearchLimits()
+    limits = SearchLimits(time_budget=oracle.time_bound)  # caps each certification
     deadline = time.monotonic() + oracle.time_bound
     seeds: dict[RNGraph, str] = {}  # each seed met, with its source
     seeded = (

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes follow the exception class: 0 success or HOLDS, 1 invalid input or FAILS,
-2 a ResourceExceeded (a ceiling or bounded search ran out), 3 an InvariantViolation
-(a bug, not bad input).
+Exit codes follow the exception class: 0 success or HOLDS, 1 invalid input (a usage
+error too) or FAILS, 2 a ResourceExceeded (a ceiling or bounded search ran out, a
+witness's certification included), 3 an InvariantViolation (a bug, not bad input).
 Each budget flag defaults to its record's own default (SearchLimits, BaseOracle,
-BuildLimits), and nothing but the flag changes it.
+BuildLimits), and nothing but the flag changes it.  `tower --witness` certifies the
+stage-2 witness; with `--assume` it is taken uncertified.
 """
 
 from __future__ import annotations
@@ -55,17 +56,6 @@ from .structures import (
 )
 
 
-def _search_limits(args) -> SearchLimits:
-    return SearchLimits(
-        max_nodes=args.max_nodes, max_copies=args.max_copies, time_budget=args.time_budget
-    )
-
-
-def _ell_rn_max(graph: RNGraph) -> str:
-    cycle = find_bad_quasicycle(graph)
-    return "inf" if cycle is None else str(len(cycle) - 1)
-
-
 def cmd_validate(args) -> int:
     try:
         obj = load_structure(args.path)
@@ -75,9 +65,11 @@ def cmd_validate(args) -> int:
     if isinstance(obj, OrderedPoset):
         print(f"OK poset n={obj.n} |R|={len(obj.R)}")
     elif isinstance(obj, RNGraph):
+        cycle = find_bad_quasicycle(obj)
         print(
             f"OK rn n={obj.n} |R|={len(obj.R)} |N|={len(obj.N)} "
-            f"good={str(is_good(obj)).lower()} ell_rn_max={_ell_rn_max(obj)}"
+            f"good={str(is_good(obj)).lower()} "
+            f"ell_rn_max={'inf' if cycle is None else len(cycle) - 1}"
         )
     elif isinstance(obj, (APartiteRNGraph, Picture)):
         g = obj.base
@@ -100,7 +92,10 @@ def cmd_arrow(args) -> int:
     target = load_structure(args.target)
     Q = load_structure(args.Q)
     P = load_structure(args.P)
-    verdict = check_arrow(target, Q, P, args.r, _search_limits(args))
+    limits = SearchLimits(
+        max_nodes=args.max_nodes, max_copies=args.max_copies, time_budget=args.time_budget
+    )
+    verdict = check_arrow(target, Q, P, args.r, limits)
     if verdict.holds:
         print(f"HOLDS r={args.r} nodes={verdict.nodes_explored}")
         return 0
@@ -238,8 +233,19 @@ def cmd_make(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2 (the ceiling code), and flags are spelled
+    in full; the subparsers share this class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rnramsey",
         description="Ordered RN graphs: validation, arrow checks, towers, finishing.",
     )

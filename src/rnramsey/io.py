@@ -106,18 +106,13 @@ def digest(obj) -> str:
 
 
 def _need(doc: dict, key: str, kind):
+    """doc[key], of exactly the JSON type kind: a bool is no integer."""
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
-    value = doc[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ParseError(f"field {key!r} must be an integer")
-    if kind is list and not isinstance(value, list):
-        raise ParseError(f"field {key!r} must be a list")
-    if kind is str and not isinstance(value, str):
-        raise ParseError(f"field {key!r} must be a string")
-    if kind is dict and not isinstance(value, dict):
-        raise ParseError(f"field {key!r} must be an object")
-    return value
+    if type(doc[key]) is not kind:
+        what = {int: "an integer", list: "a list", str: "a string", dict: "an object"}[kind]
+        raise ParseError(f"field {key!r} must be {what}")
+    return doc[key]
 
 
 def _ints(value, key: str) -> tuple[int, ...]:
@@ -139,13 +134,22 @@ def _pair_set(doc: dict, key: str) -> set[tuple[int, int]]:
     return out
 
 
+def _only(doc: dict, *fields: str) -> None:
+    """Each kind, and each coloring entry, takes exactly the keys to_doc writes."""
+    extra = doc.keys() - set(fields)
+    if extra:
+        raise ParseError(f"unknown field {min(extra)!r}")
+
+
 def from_doc(doc: dict):
     kind = _need(doc, "kind", str)
     if kind == "poset":
+        _only(doc, "kind", "n", "order", "R")
         return make_ordered_poset(
             _need(doc, "n", int), _pair_set(doc, "R"), _ints(_need(doc, "order", list), "order")
         )
     if kind == "rn":
+        _only(doc, "kind", "n", "order", "R", "N")
         return make_rn_graph(
             _need(doc, "n", int),
             _pair_set(doc, "R"),
@@ -153,11 +157,13 @@ def from_doc(doc: dict):
             _ints(_need(doc, "order", list), "order"),
         )
     if kind == "apartite":
+        _only(doc, "kind", "A", "base", "parts")
         A = from_doc(_need(doc, "A", dict))
         base = from_doc(_need(doc, "base", dict))
         parts = [_ints(part, "parts") for part in _need(doc, "parts", list)]
         return make_apartite(A, base, parts)
     if kind == "picture":
+        _only(doc, "kind", "D", "base", "parts", "f")
         D = from_doc(_need(doc, "D", dict))
         base = from_doc(_need(doc, "base", dict))
         parts = tuple(_ints(part, "parts") for part in _need(doc, "parts", list))
@@ -168,12 +174,14 @@ def from_doc(doc: dict):
             raise ParseError("field 'f' is not the collapse map of the parts")
         return picture
     if kind == "homomorphism":
+        _only(doc, "kind", "map", "source_digest", "target_digest")
         return HomomorphismDoc(
             _ints(_need(doc, "map", list), "map"),
             _need(doc, "source_digest", str),
             _need(doc, "target_digest", str),
         )
     if kind == "coloring":
+        _only(doc, "kind", "r", "entries")
         r = _need(doc, "r", int)
         if r < 1:
             raise ParseError(f"field 'r' must be positive, got {r}")
@@ -181,6 +189,7 @@ def from_doc(doc: dict):
         for entry in _need(doc, "entries", list):
             if not isinstance(entry, dict):
                 raise ParseError("coloring entries must be objects")
+            _only(entry, "copy", "color")
             image, color = _ints(_need(entry, "copy", list), "copy"), _need(entry, "color", int)
             if not 0 <= color < r:
                 raise ParseError(f"copy {list(image)} has color {color}, outside 0..{r - 1}")
@@ -212,7 +221,7 @@ def load_structure(path):
     raw = Path(path).read_text()
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

@@ -16,7 +16,11 @@ Pair = tuple[int, int]
 
 
 class StructureError(ValueError):
-    """Base for structural validation failures; args carry the violating witness."""
+    """Structural validation failure: the message, then a witness shown only if short."""
+
+    def __str__(self) -> str:
+        shown = ", ".join(map(repr, self.args[1:]))
+        return f"{self.args[0]}: {shown}" if 0 < len(shown) <= 80 else str(self.args[0])
 
 
 class InvariantViolation(AssertionError):

@@ -357,6 +357,22 @@ def test_oracle_tries_each_candidate_once(monkeypatch):
         oracle_ramsey(BaseOracle(candidate_budget=17), POINT, a2)
 
 
+def test_oracle_time_bound_caps_each_certification(monkeypatch):
+    # one SearchLimits per query, built before the scan, whose time budget is the
+    # oracle's: a certification cannot outrun --oracle-time-bound on its own budget
+    received = []
+    is_witness = arrow._is_witness
+
+    def recording(graph, A, E, p_in_q, limits):
+        received.append(limits)
+        return is_witness(graph, A, E, p_in_q, limits)
+
+    monkeypatch.setattr(arrow, "_is_witness", recording)
+    oracle_ramsey(BaseOracle(time_bound=7.5), POINT, poset_to_complete_rn(antichain(2)))
+    assert len(received) == 5 and all(limits is received[0] for limits in received)
+    assert received[0] == SearchLimits(time_budget=7.5)
+
+
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
     # timing could hide; the budget stop names how far the scan got

@@ -227,7 +227,7 @@ def test_cli_validate_rejects(tmp_path, capsys):
         json.dumps({"kind": "rn", "n": 2, "order": [0, 1], "R": [[0, 1]], "N": [[0, 1]]})
     )
     assert main(["validate", str(bad)]) == 1
-    assert capsys.readouterr().out.startswith("INVALID bad.json:")
+    assert capsys.readouterr().out == "INVALID bad.json: pair in both R and N: (0, 1)\n"
     bad.write_text(json.dumps({"kind": "poset", "n": 3, "order": [0, 1, 2], "R": [[0, 1], [1, 2]]}))
     assert main(["validate", str(bad)]) == 1
     for r, entries, message in [
@@ -254,12 +254,60 @@ def test_cli_validate_rejects(tmp_path, capsys):
         ({**apartite, "kind": 5}, "field 'kind' must be a string"),
         ({**apartite, "A": [1]}, "field 'A' must be an object"),
         ({"kind": "coloring", "r": 2, "entries": [5]}, "coloring entries must be objects"),
+        # each kind, and each coloring entry, takes exactly the keys to_doc writes
+        ({**to_doc(chain(2)), "N": [[0, 1]]}, "unknown field 'N'"),
+        ({**apartite, "A": {**to_doc(C2), "note": 1}}, "unknown field 'note'"),
+        ({"kind": "coloring", "r": 2, "entries": [{"copy": [0], "color": 0, "c": 1}]},
+         "unknown field 'c'"),
     ]:
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 1
         assert message in capsys.readouterr().out
+    # nesting deep enough to exhaust the decoder's recursion is a parse error too
+    for nested in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        bad.write_text(nested)
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().out.startswith("INVALID bad.json: not valid JSON: ")
+        with pytest.raises(ParseError):
+            load_structure(bad)
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
+
+
+def test_cli_structure_error_prints_one_short_line(tmp_path, capsys):
+    # the message, and the witness only when it is short: never a 100,000-entry tuple
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"kind": "rn", "n": 3, "order": list(range(100_000)),
+                                "R": [], "N": []}))
+    assert main(["validate", str(long)]) == 1
+    assert capsys.readouterr().out == "INVALID long.json: order is not a permutation of 0..2\n"
+    assert main(["arrow", str(long), str(long), str(long)]) == 1
+    err = capsys.readouterr().err
+    assert err == "ERROR: order is not a permutation of 0..2\n" and len(err) < 200
+    assert str(StructureError("R pair out of range", (0, 5))) == "R pair out of range: (0, 5)"
+    assert str(StructureError("B must be good")) == "B must be good"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tower", "a", "b", "--out", "x"], "the following arguments are required: --ell-max"),
+        (["arrow", "t", "q", "p", "--max-nodes", "lots"], "invalid int value: 'lots'"),
+        # the removed switch, and a prefix of a flag, are not read as another flag
+        (["tower", "a", "b", "--out", "x", "--ell-max", "2", "--oracle", "file"],
+         "unrecognized arguments: --oracle file"),
+        (["tower", "a", "b", "--out", "x", "--ell-max", "2", "--oracle-time", "5"],
+         "unrecognized arguments: --oracle-time 5"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+)
+def test_cli_usage_error_is_an_input_error(tmp_path, capsys, monkeypatch, argv, message):
+    # exit 2 means "ceiling hit, partial output written"; a usage error is exit 1
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: rnramsey") and message in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_arrow(tmp_path, capsys):
