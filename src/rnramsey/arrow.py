@@ -3,16 +3,17 @@
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
-monochromatic Q-copy); exhaustion proves the arrow.  A seeded random pre-pass hunts for
-counterexamples early on larger instances but never decides the positive side.  The
-verdict record holds only the verdict (holds, counterexample, nodes); colorings replay
-through find_monochromatic.
+monochromatic Q-copy); exhaustion proves the arrow.  On more than 16 P-copies and at
+least 2 colors, a seeded WalkSAT (_local_search) hunts for a counterexample first,
+within 5 tries of 20 flips per Q-copy; it can only find one, a FAILS with 0 nodes, and
+never decides the positive side.  The verdict record holds only the verdict (holds,
+counterexample, nodes); colorings replay through find_monochromatic.
 
 The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
 masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
-then only whether a Q-copy exists is asked.  The search and the pre-pass keep their
-edge state in such masks: per color, the edges with a member of that color, and the
-edges that carry two colors.
+then only whether a Q-copy exists is asked.  The search keeps its edge state in such
+masks: per color, the edges with a member of that color, and the edges that carry two
+colors; the local search keeps, per color, the edges one member short of it.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle: every
 witness it returns is certified, and its scan skips, without certifying, the
@@ -27,15 +28,17 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
 from .structures import InvariantViolation, RNGraph, chain, induced_substructure
 from .structures import make_rn_graph, poset_to_complete_rn
 
-_PREPASS_SEED = 0x5EED
-_PREPASS_SAMPLES = 64
+_WALK_SEED = 0x5EED
+_WALK_TRIES = 5
+_WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
+_WALK_NOISE = 0.1
 _SLOT_CEILING = 2000  # P-copies the exact search takes on
 
 
@@ -193,6 +196,71 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
         has[colors[i]], spoiled, max_used = saved[i]
 
 
+def _local_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
+    """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when the
+    walk gives up, which proves nothing; r >= 2.  WalkSAT with the Selman-Kautz-Cohen
+    rule: take a random monochromatic edge; make a move of a member that breaks no
+    other edge (makes it monochromatic) if there is one, else with probability
+    _WALK_NOISE a random move, else one that breaks the fewest, ties at random.  Try t
+    draws from Random(_WALK_SEED + t), makes _WALK_FLIPS_PER_EDGE * n_edges flips and
+    reads the time_budget deadline every 4,096.  count[c][e] counts the members of edge
+    e with color c; near[c] masks the edges with all members but one of color c, so
+    recoloring slot i to c breaks the edges of inc[i] & near[c].
+    """
+    edges_of: list[list[int]] = [[] for _ in inc]
+    members: list[list[int]] = [[] for _ in range(n_edges)]
+    for i, mask in enumerate(inc):
+        while mask:
+            e = (mask & -mask).bit_length() - 1
+            edges_of[i].append(e)
+            members[e].append(i)
+            mask ^= 1 << e
+    if any(len(slots) < 2 for slots in members):
+        return None  # a one-member edge is monochromatic under every coloring
+    need = [len(slots) - 1 for slots in members]
+    others = [[c for c in range(r) if c != a] for a in range(r)]
+    deadline = time.monotonic() + limits.time_budget
+    for t in range(_WALK_TRIES):
+        draw = random.Random(_WALK_SEED + t).random  # picks seq[int(draw() * len(seq))]
+        colors = [int(draw() * r) for _ in inc]
+        count = [[sum(colors[i] == c for i in slots) for slots in members] for c in range(r)]
+        near = [sum(1 << e for e in range(n_edges) if row[e] == need[e]) for row in count]
+        mono = [e for e in range(n_edges) if any(row[e] > need[e] for row in count)]
+        where = {e: j for j, e in enumerate(mono)}  # position of each edge in mono
+        for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
+            if not mono:
+                return colors
+            if flip % 4096 == 0 and time.monotonic() > deadline:
+                return None
+            moves = [  # (edges broken, tie-break, slot, new color)
+                ((inc[i] & near[c]).bit_count(), draw(), i, c)
+                for i in members[mono[int(draw() * len(mono))]]
+                for c in others[colors[i]]
+            ]
+            _, _, i, c = move = min(moves)
+            if move[0] and draw() < _WALK_NOISE:
+                _, _, i, c = moves[int(draw() * len(moves))]
+            a, old, new = colors[i], count[colors[i]], count[c]
+            for e in edges_of[i]:
+                x, y, top = old[e], new[e], need[e]
+                if x > top:  # e was monochromatic in a: swap the last of mono into its place
+                    last = mono.pop()
+                    if last != e:
+                        mono[where[e]], where[last] = last, where[e]
+                if x >= top:  # e enters or leaves near[a]
+                    near[a] ^= 1 << e
+                if y == top:  # e becomes monochromatic in c
+                    where[e] = len(mono)
+                    mono.append(e)
+                if top - 1 <= y <= top:  # e enters or leaves near[c]
+                    near[c] ^= 1 << e
+                old[e], new[e] = x - 1, y + 1
+            colors[i] = c
+        if not mono:
+            return colors
+    return None
+
+
 def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> ArrowVerdict:
     """Exact decision of target -> (Q)^P_r.
 
@@ -229,19 +297,12 @@ def _verdict(r: int, p_copies, q_copies, p_in_q, limits: SearchLimits) -> ArrowV
     inc = _incidence(p_copies, q_copies, p_in_q)
 
     if m > 16 and r >= 2:
-        full = (1 << len(q_copies)) - 1
-        rng = random.Random(_PREPASS_SEED)
-        for _ in range(_PREPASS_SAMPLES):
-            sample = [rng.randrange(r) for _ in range(m)]
-            has = [0] * r
-            for i, c in enumerate(sample):
-                has[c] |= inc[i]
-            seen = spoiled = 0
-            for mask in has:
-                spoiled |= seen & mask
-                seen |= mask
-            if spoiled == full:
-                return ArrowVerdict(False, make_coloring(p_copies, sample, r))
+        start = time.monotonic()
+        colors = _local_search(inc, len(q_copies), r, limits)
+        if colors is not None:
+            return ArrowVerdict(False, make_coloring(p_copies, colors, r))
+        spent = time.monotonic() - start  # one time budget for the whole decision
+        limits = replace(limits, time_budget=max(0.0, limits.time_budget - spent))
 
     assignment, nodes = _proper_coloring_search(inc, len(q_copies), r, limits)
     if assignment is None:

@@ -322,13 +322,17 @@ class Tower:
         return h
 
 
-def _as_complete_rn(obj, name: str) -> RNGraph:
+def _as_complete_rn(obj, name: str, *, pattern: bool = True) -> RNGraph:
+    """A poset as its complete RN graph, an RN graph as it is: complete and good when
+    it is a pattern, anything when it is a witness.  Any other kind is a TypeError."""
     if isinstance(obj, OrderedPoset):
         return poset_to_complete_rn(obj)
     if isinstance(obj, RNGraph):
-        _require_pattern(obj, name)
+        if pattern:
+            _require_pattern(obj, name)
         return obj
-    raise TypeError(f"{name} must be an OrderedPoset or a complete RNGraph")
+    kind = "a complete RNGraph" if pattern else "an RNGraph"
+    raise TypeError(f"{name} must be an OrderedPoset or {kind}, not a {type(obj).__name__}")
 
 
 def build_tower(
@@ -337,18 +341,19 @@ def build_tower(
     ell_max: int,
     oracle: BaseOracle,
     *,
-    witness: RNGraph | None = None,
+    witness: RNGraph | OrderedPoset | None = None,
     assume: bool = False,
     stabilize: bool = True,
     limits: BuildLimits | None = None,
 ) -> Tower:
     """Stages 2..ell_max, each one certified quasicycle-free up to its own index.
 
-    Stage 2 is a witness for the pair (A, B) taken verbatim: the supplied witness,
-    certified by certify_witness or, with assume, passed through uncertified, else the
-    oracle's search.  The supplied witness answers stage 2 only; every product round
-    asks its own query of the search, whose witnesses are all certified, so the tower
-    is certified unless assume is set.  Each later stage reruns the gluing
+    Stage 2 is a witness for the pair (A, B) taken verbatim: the supplied witness (a
+    poset becomes its complete RN graph, as A and B do), certified by certify_witness
+    or, with assume, passed through uncertified, else the oracle's search.  The
+    supplied witness answers stage 2 only; every product round asks its own query of
+    the search, whose witnesses are all certified, so the tower is certified unless
+    assume is set.  Each later stage reruns the gluing
     recursion over the previous stage, except that when the previous stage already
     passes the next freedom check, stabilize (default on) keeps it and records an
     identity step; without it the recursion runs regardless, which is quickly
@@ -362,6 +367,8 @@ def build_tower(
         raise ValueError("assume mode requires a witness")
     a_rn = _as_complete_rn(A, "A")
     b_rn = _as_complete_rn(B, "B")
+    if witness is not None:
+        witness = _as_complete_rn(witness, "witness", pattern=False)
     stages: list[TowerStage] = []
     try:
         if witness is None:

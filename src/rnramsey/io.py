@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .arrow import Coloring
@@ -93,7 +94,23 @@ def to_doc(obj) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", written directly:
+    with an indent json drops to its pure-Python encoder, and files here are large."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value, pad: str) -> str:
+    """One JSON value; pad is a newline and the indent of the line it starts on.  Keys
+    are strings, ints are written by int.__repr__ as json does, and any other scalar
+    by json itself."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        body = (f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(body) + pad + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        body = (repr(v) if type(v) is int else _dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if value else "[]"
+    return json.dumps(value)
 
 
 def _sha256(text: str) -> str:

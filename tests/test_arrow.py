@@ -192,7 +192,7 @@ def test_time_budget_fires():
 
 
 def _search(n: int, q: int, p: int, r: int):
-    """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no pre-pass."""
+    """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no local search."""
     target, Q, P = (_rn_chain(k) for k in (n, q, p))
     p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
     inc = arrow._incidence(p_copies, q_copies, enumerate_copies(P, Q))
@@ -207,18 +207,24 @@ def _search(n: int, q: int, p: int, r: int):
         (13, 5, 1, 3, True, 36_755, None),
         (6, 3, 2, 2, True, 987, None),
         (5, 3, 2, 2, False, 67, "b3ef70c8cf145198"),
-        # the pre-pass finds these two, so no node is searched
-        (9, 4, 2, 2, False, 0, "2b12129c0980ad59"),
-        (7, 3, 2, 3, False, 0, "9ac378663ba7dda8"),
+        # the local search finds these, so no node is searched; the exact search alone
+        # stops at its node budget on the last two (R^(3)(4,4) = 13, R(4,4) = 18)
+        (9, 4, 2, 2, False, 0, "6ea96ac5be05f671"),
+        (7, 3, 2, 3, False, 0, "60671a6a66e902c5"),
+        (12, 4, 3, 2, False, 0, "0ef0b66c9e42ebf7"),
+        (17, 4, 2, 2, False, 0, "1898b1eba0939dbc"),
     ],
 )
 def test_search_tree_is_pinned(n, q, p, r, holds, nodes, digest):
     """Node counts and counterexample bytes are part of the contract: a change to the
-    search's state that keeps its branch order keeps every one of these."""
-    verdict = check_arrow(_rn_chain(n), _rn_chain(q), _rn_chain(p), r)
+    search's state that keeps its branch order keeps every one of these, and a change
+    to the local search's moves or seeds moves only the digests with 0 nodes."""
+    target, Q, P = _rn_chain(n), _rn_chain(q), _rn_chain(p)
+    verdict = check_arrow(target, Q, P, r)
     assert (verdict.holds, verdict.nodes_explored) == (holds, nodes)
     if digest is not None:
         assert _digest(verdict.counterexample.assignment) == digest
+        assert find_monochromatic(target, verdict.counterexample, Q, P) is None
 
 
 def test_search_alone_is_pinned():
@@ -252,6 +258,43 @@ def test_search_agrees_with_brute_force():
     # the search tree beyond the chain instances: node counts and colorings, pinned
     assert sum(nodes for nodes, _ in searched) == 8294
     assert _digest(searched) == "c9160118e5c4f008"
+
+
+def test_local_search_agrees_with_brute_force():
+    # the walk may only find colorings: None wherever none exists, a coloring with no
+    # monochromatic edge whenever it returns one, and the same one on every call
+    rng = random.Random(2025)
+    solvable = found = 0
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        r = rng.choice((2, 3))
+        # one-member edges only when m = 1, so most instances have a coloring
+        edges = [
+            frozenset(rng.sample(range(m), min(m, rng.randint(2, 4))))
+            for _ in range(rng.randint(0, 14))
+        ]
+        inc = incidence_masks(m, edges)
+        colors = arrow._local_search(inc, len(edges), r, SearchLimits())
+        assert colors == arrow._local_search(inc, len(edges), r, SearchLimits())
+        exists = brute_proper_coloring_exists(m, edges, r)
+        solvable += exists
+        if colors is None:
+            continue
+        assert exists and len(colors) == m and all(0 <= c < r for c in colors)
+        assert all(len({colors[i] for i in e}) > 1 for e in edges)
+        found += 1
+    # and on instances this small it misses none: 43 of the 300 have no coloring
+    assert (solvable, found) == (257, 257)
+
+
+def test_local_search_gives_up_at_its_deadline():
+    # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
+    # once its time budget is spent; check_arrow then leaves the exact search the rest
+    target, Q, P = _rn_chain(12), _rn_chain(4), _rn_chain(3)
+    q_copies = enumerate_copies(Q, target)
+    inc = arrow._incidence(enumerate_copies(P, target), q_copies, enumerate_copies(P, Q))
+    assert arrow._local_search(inc, len(q_copies), 2, SearchLimits()) is not None
+    assert arrow._local_search(inc, len(q_copies), 2, SearchLimits(time_budget=0)) is None
 
 
 def test_incidence_refuses_a_forged_q_copy():

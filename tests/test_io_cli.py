@@ -605,6 +605,33 @@ def test_cli_tower_assume_mode(tmp_path, capsys):
     assert manifest["stage.2.certified"] == "false" and manifest["oracle.mode"] == "assume"
 
 
+@pytest.mark.parametrize("assume", [False, True])
+def test_cli_tower_takes_a_poset_witness_as_its_complete_rn_graph(tmp_path, capsys, assume):
+    # a poset witness is converted like A and B, certified or assumed
+    a = _write(tmp_path, "a.json", chain(1))
+    b = _write(tmp_path, "b.json", chain(2))
+    w = _write(tmp_path, "w.json", chain(3))
+    out = tmp_path / "poset"
+    argv = ["tower", a, b, "--ell-max", "2", "--out", str(out), "--witness", w]
+    assert main(argv + (["--assume"] if assume else [])) == 0
+    certified = "conditionally correct source=assume" if assume else "certified source=file"
+    assert capsys.readouterr().out == f"stage 2: n=3 {certified}\n"
+    assert load_structure(out / "C2.json") == C3
+
+
+def test_cli_tower_refuses_a_witness_of_another_kind(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", chain(1))
+    b = _write(tmp_path, "b.json", chain(2))
+    w = _write(tmp_path, "w.json", make_coloring(enumerate_copies(chain(1), chain(2)), [0, 1], 2))
+    out = tmp_path / "coloring"
+    argv = ["tower", a, b, "--ell-max", "3", "--out", str(out), "--witness", w, "--assume"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "ERROR: witness must be an OrderedPoset or an RNGraph, not a Coloring\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_tower_names_the_query_a_file_witness_fails(tmp_path, capsys):
     # chain(2) does not arrow the 2-chain over a point: color its two vertices apart
     a = _write(tmp_path, "a.json", chain(1))

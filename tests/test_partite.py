@@ -373,6 +373,43 @@ def test_no_bare_assert_in_sources():
     assert found == []
 
 
+def _unseeded_draws(source: str) -> list[int]:
+    """Lines of source that draw from an unseeded generator: a call of a function of
+    the random module's shared generator (random.choice, random.shuffle, ...), an
+    import of such a function, or a Random() without a seed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            if any(alias.name != "Random" for alias in node.names):
+                found.append(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = func.attr if func.value.id == "random" else None
+        else:
+            name = func.id if isinstance(func, ast.Name) and func.id == "Random" else None
+        if name is not None and (name != "Random" or not (node.args or node.keywords)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_randomness_in_sources_is_seeded():
+    """Output bytes are reproducible only while every draw comes from a seeded
+    random.Random; the check fires on each unseeded form."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(rnramsey.__file__).parent.glob("*.py"))
+        for line in _unseeded_draws(path.read_text())
+    ]
+    assert found == []
+    assert _unseeded_draws("random.Random(7).random()\nfrom random import Random") == []
+    assert _unseeded_draws(
+        "random.choice(x)\nrandom.Random()\nfrom random import shuffle\nRandom()\n"
+        "random.SystemRandom(1)"
+    ) == [1, 2, 3, 4, 5]
+
+
 def test_products_on_random_patterns():
     rng = random.Random(42)
     built = 0

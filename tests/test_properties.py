@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnramsey import (
+    BaseOracle,
     ParseError,
     StructureError,
     chain,
@@ -16,6 +17,8 @@ from rnramsey import (
     enumerate_copies,
     from_doc,
     make_coloring,
+    poset_to_complete_rn,
+    run_partite_construction,
     to_doc,
 )
 from rnramsey.io import _unique_keys
@@ -43,6 +46,11 @@ KINDS = st.sampled_from(("rn", "poset", "apartite", "coloring"))
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def _encoder(doc: dict) -> str:
+    """The json module's own text for a doc: the bytes dumps_canonical must write."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _reload(doc: dict) -> dict:
     """The doc as load_structure reads it back from its canonical text."""
     return json.loads(dumps_canonical(doc), object_pairs_hook=_unique_keys)
@@ -55,8 +63,16 @@ def test_canonical_round_trip_and_stable_digest(kind, seed):
     back = from_doc(_reload(to_doc(x)))
     assert back == x and type(back) is type(x)
     assert digest(back) == digest(x) == digest(to_doc(x))
-    # a second round trip writes the same bytes
-    assert dumps_canonical(to_doc(back)) == dumps_canonical(to_doc(x))
+    # a second round trip writes the same bytes, and they are the json encoder's
+    assert dumps_canonical(to_doc(back)) == dumps_canonical(to_doc(x)) == _encoder(to_doc(x))
+
+
+def test_writer_matches_the_json_encoder_on_a_large_picture():
+    point, c2, c3 = (poset_to_complete_rn(chain(k)) for k in (1, 2, 3))
+    run = run_partite_construction(c3, point, c2, BaseOracle(), ell=3, allow_truncated=True)
+    doc = to_doc(run.picture)
+    assert run.picture.base.n == 4169
+    assert dumps_canonical(doc) == _encoder(doc)
 
 
 def _paths(doc, prefix=()):
@@ -93,6 +109,8 @@ def test_mutated_docs_raise_only_parse_or_structure_errors(kind, seed, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_BAD_VALUES)
+    # bools, floats, None and odd strings too: the writer gives the encoder's bytes
+    assert dumps_canonical(doc) == _encoder(doc)
     try:
         from_doc(doc)
     except (ParseError, StructureError):
