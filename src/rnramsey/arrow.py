@@ -15,12 +15,14 @@ then only whether a Q-copy exists is asked.  The search keeps its edge state in 
 masks: per color, the edges with a member of that color, and the edges that carry two
 colors; the local search keeps, per color, the edges one member short of it.
 
-The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle: every
-witness it returns is certified, and its scan skips, without certifying, the
-candidates that the minimal-witness lemma rules out.  A witness the user supplies is
-checked by certify_witness on the same route (_is_witness); it passes, is refuted
-(CertificationFailed), or runs past a budget (ResourceExceeded), so an OracleWitness
-carries only its graph and its source.
+The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
+candidate families (_family): N-free graphs for product rounds, and naturally labelled
+posets for stage 2, so that a stage-2 witness is itself a poset C -> (B)^A_2.  Complete
+candidates lose no witness size there; asking R to be transitive can, in general.  Every
+witness it returns is certified; its scan skips, uncertified, the candidates that the
+minimal-witness lemma rules out.  A supplied witness is checked by certify_witness on
+the same route (_is_witness); it passes, is refuted (CertificationFailed), or runs past
+a budget (ResourceExceeded), so an OracleWitness carries only its graph and its source.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .analysis import is_good
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
 from .structures import InvariantViolation, RNGraph, chain, induced_substructure
-from .structures import make_rn_graph, poset_to_complete_rn
+from .structures import is_complete, make_rn_graph, poset_to_complete_rn
 
 _WALK_SEED = 0x5EED
 _WALK_TRIES = 5
@@ -358,53 +361,46 @@ def _is_complete_chain(g: RNGraph) -> bool:
     return not g.N and g.R == frozenset(g.forward_pairs())
 
 
-def _family(A: RNGraph, E: RNGraph) -> tuple[str, tuple[str, ...]]:
-    """The name of the candidate family the scan searches for (A, E), and the pair
-    states its columns take.
+def _family(A: RNGraph, E: RNGraph) -> str:
+    """The candidate family for (A, E), one per kind of query the construction asks;
+    any other query is a ValueError.
 
-    N-free lemma.  When A is a complete R-chain and E has no N (every fused product
-    query), the scan leaves "N" out and loses no witness size by it.  Let F* be F with
+    N-free lemma (product rounds: A a complete R-chain, E without N).  Let F* be F with
     its N pairs made absent.  A-copies use only R pairs, so F and F* have the same
-    A-copies.  An E-copy uses only R and absent pairs, which F* keeps, so every E-copy
-    of F is an E-copy of F*.  So F*'s hypergraph has the same vertices and more edges:
-    a coloring that leaves every E-copy of F* non-monochromatic does the same for F.
-    If F -> (E)^A_2, then F* -> (E)^A_2, and F* has as many vertices as F.
+    A-copies; an E-copy uses only R and absent pairs, so every E-copy of F is one of F*.
+    F*'s hypergraph has the same vertices and more edges, so if F -> (E)^A_2, then
+    F* -> (E)^A_2 on as many vertices: N-free candidates lose no witness size.
+
+    Poset lemma (stage 2: A and E posets, complete and good).  No A-copy or E-copy holds
+    an absent pair of F, so filling one keeps every copy with its members: complete
+    candidates lose no witness size.  Asking R to be transitive too can, in general (it
+    lost none on the 21 pairs with |A| <= 2, |B| <= 3), but a poset witness is itself a
+    poset C -> (B)^A_2, over which every later stage of the tower stabilizes.
     """
     if _is_complete_chain(A) and not E.N:
-        return "N-free", ("R", "")
-    return "all", ("R", "N", "")
+        return "N-free"
+    if all(is_complete(g) and is_good(g) for g in (A, E)):
+        return "poset"
+    raise ValueError(
+        "the oracle searches N-free candidates (A a complete R-chain, E without N) or "
+        "poset candidates (A and E complete with a transitive R); this query is neither"
+    )
 
 
 def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
     """Closed-form candidate families; every yield is still certified before use.
 
-    Each seed has every vertex in a copy of E (E itself, an edgeless graph at least
-    as large as an edgeless E, a chain longer than a chain E), so the scan never
-    skips one as uncovered, and oracle_ramsey passes over a scanned seed uncounted.
+    Each seed is in the query's family (E, or an N-free edgeless graph or chain) and
+    has every vertex in a copy of E (an edgeless graph at least as large as an edgeless
+    E, a chain longer than a chain E), so the scan meets it and oracle_ramsey passes it.
     """
     yield E, "search:identity"
-    if A.n == 1 and not E.R and not E.N:
-        n = 2 * (E.n - 1) + 1
-        if n <= size_bound:
-            yield make_rn_graph(n, (), ()), "search:pigeonhole"
+    n = 2 * (E.n - 1) + 1
+    if A.n == 1 and not E.R and not E.N and n <= size_bound:
+        yield make_rn_graph(n, (), ()), "search:pigeonhole"
     if _is_complete_chain(A) and _is_complete_chain(E):
         for n in range(E.n + 1, size_bound + 1):
             yield poset_to_complete_rn(chain(n)), "search:chain"
-
-
-def _columns(j: int, states: tuple[str, ...]) -> list[tuple[int, int]]:
-    """Every state assignment to the pairs (i, j), i < j, as the masks (R bits, N bits)
-    over i; earliest i most significant, states in the order given."""
-    out = []
-    for assignment in itertools.product(states, repeat=j):
-        r = n = 0
-        for i, s in enumerate(assignment):
-            if s == "R":
-                r |= 1 << i
-            elif s == "N":
-                n |= 1 << i
-        out.append((r, n))
-    return out
 
 
 def _mask(vertices) -> int:
@@ -414,84 +410,89 @@ def _mask(vertices) -> int:
     return out
 
 
-def _enumerated_candidates(E: RNGraph, size_bound: int, states: tuple[str, ...]):
-    """Every graph on the identity order, by size and within a size in column order;
-    yields (n, graph) for a candidate that may be the first witness and (n, None) for
-    one the minimal-witness lemma skips.
+def _graph(columns, posets: bool) -> RNGraph:
+    """The identity-order graph with R masks columns[j]; other pairs N in a poset, else absent."""
+    pairs = [(i, j, column >> i & 1) for j, column in enumerate(columns) for i in range(j)]
+    R = frozenset((i, j) for i, j, bit in pairs if bit)
+    N = frozenset((i, j) for i, j, bit in pairs if posets and not bit)
+    return RNGraph(len(columns), R, N, tuple(range(len(columns))))
+
+
+def _down_closed(column: int, prefix) -> bool:
+    """Whether column holds the R mask prefix[i] of each of its i: a down-set of prefix."""
+    return all(not prefix[i] & ~column for i in range(column.bit_length()) if column >> i & 1)
+
+
+def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
+    """Every graph of the family on the identity order, by size and within a size in
+    column order; yields (n, graph) for a candidate that may be the first witness and
+    (n, None) for one the minimal-witness lemma skips.
 
     Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
-    column: the states of the pairs (i, n-1), earliest i most significant, states in
-    the order given, "R", "N" and "" (absent).  The prefixes run in their own order,
-    each followed by all its columns.  With the order fixed to the identity, distinct
-    relation sets are distinct up to order-preserving isomorphism, so the scan is
-    canonical; leaving "N" out keeps the N-free graphs in the same order.
+    column: the R mask of the pairs (i, n-1), earliest i most significant, R first; its
+    other pairs are absent (N-free) or N (poset).  The prefixes run in their own order,
+    each followed by all its columns.  On the identity order, distinct relation sets
+    are distinct up to order-preserving isomorphism, so the scan is canonical.  R stays
+    transitive exactly when each column is a down-set of the poset before it, so the
+    poset scan is the complete scan with _down_closed on each prefix and new column.
 
-    Minimal-witness lemma (exact).  Both families of _family, all and N-free graphs,
-    are closed under deleting a vertex, and sizes ascend, so when F has n vertices,
-    F - v was met at size n - 1 and is no witness: it was certified and rejected,
-    skipped by this lemma, or a seed that was.  If v lies in no E-copy of F, the
-    E-copies of F are those of F - v, and the A-copies through v lie in no E-copy, so
-    their colors never matter: F -> (E)^A_2 exactly when F - v -> (E)^A_2.  So F is
-    skipped when the union of its E-copy images is not all n vertices.  At n = 1 this
-    is "no E-copy, no witness"; E has at least one vertex here, since with none the
-    identity seed answers first.
+    Minimal-witness lemma (exact).  Both families are closed under deleting a vertex,
+    and sizes ascend, so when F has n vertices, F - v was met at size n - 1 and is no
+    witness: it was certified and rejected, skipped by this lemma, or a seed that was.
+    If v lies in no E-copy of F, the E-copies of F are those of F - v, and the A-copies
+    through v lie in no E-copy, so their colors never matter: F -> (E)^A_2 exactly when
+    F - v -> (E)^A_2.  So F is skipped when the union of its E-copy images is not all n
+    vertices.  At n = 1 this is "no E-copy, no witness"; E has at least one vertex
+    here, since with none the identity seed answers first.
 
-    One-vertex extension.  For each prefix, its E-copies and its copies of E minus
-    its last vertex are listed once (_extension).  An E-copy through the new vertex
-    n-1 maps E's last vertex there, so it extends a copy of E minus its last vertex,
-    with image I, whose pairs to n-1 have the states E wants: colR & I == wantR and
-    colN & I == wantN (_coverage).  No graph is built for a candidate the lemma skips.
+    One-vertex extension.  For each prefix, its E-copies and its copies of E minus its
+    last vertex are listed once (_extension).  An E-copy through the new vertex n-1 maps
+    E's last vertex there, so it extends a copy of E minus its last vertex, with image
+    I, whose R pairs to n-1 are those E wants: column & I == want (_coverage); the other
+    pairs are then absent or N as E wants.  No graph is built for a skipped candidate.
     """
+    posets = family == "poset"
     e_minus = induced_substructure(E, E.order[:-1])
-    columns = [[(0, 0)]]
+    columns = []  # columns[j]: the R masks over i < j, in column order
     for n in range(1, size_bound + 1):
         top = n - 1
-        if top:
-            columns.append(_columns(top, states))
+        bits = itertools.product((1, 0), repeat=top)
+        columns.append([_mask(i for i, bit in enumerate(col) if bit) for col in bits])
         new, full = 1 << top, (1 << n) - 1
         for prefix in itertools.product(*columns[:top]):
-            R = [(i, j) for j, (r, _) in enumerate(prefix) for i in range(j) if r >> i & 1]
-            N = [(i, j) for j, (_, m) in enumerate(prefix) for i in range(j) if m >> i & 1]
-            cover, extensions = _extension(
-                E, e_minus, RNGraph(top, frozenset(R), frozenset(N), tuple(range(top)))
-            )
+            if posets and not all(_down_closed(column, prefix) for column in prefix):
+                continue
+            graph = _graph(prefix, posets)
+            cover, extensions = _extension(E, e_minus, graph)
             for column in columns[top]:
+                if posets and not _down_closed(column, prefix):
+                    continue
                 if _coverage(cover, extensions, column, new) != full:
                     yield n, None
                     continue
-                col_r, col_n = column
-                yield n, RNGraph(
-                    n,
-                    frozenset(R + [(i, top) for i in range(top) if col_r >> i & 1]),
-                    frozenset(N + [(i, top) for i in range(top) if col_n >> i & 1]),
-                    tuple(range(n)),
-                )
+                R = graph.R.union((i, top) for i in range(top) if column >> i & 1)
+                N = graph.N.union((i, top) for i in range(top) if posets and not column >> i & 1)
+                yield n, RNGraph(n, R, N, tuple(range(n)))
 
 
 def _extension(E: RNGraph, e_minus: RNGraph, prefix: RNGraph):
-    """(cover, extensions) of a prefix: cover is the union of its E-copy images as a
-    vertex mask, and extensions lists each copy of e_minus (E without its last vertex)
-    as (image mask, wantR, wantN), the R and N bits that a column must have on the
-    image for the copy to extend to an E-copy through the new vertex."""
+    """(cover, extensions) of a prefix: the union of its E-copy images as a vertex mask,
+    and per copy of e_minus (E without its last vertex) its (image mask, want), the R
+    bits a column needs on the image to extend the copy to an E-copy through it."""
     last = E.n - 1
-    cover = 0
-    for c in enumerate_copies(E, prefix):
-        cover |= _mask(c.image)
-    to_r, to_n = ([row[i] >> last & 1 for i in range(last)] for row in E.rows)
-    extensions = []
-    for c in enumerate_copies(e_minus, prefix):
-        want_r = _mask(c.map[i] for i in range(last) if to_r[i])
-        want_n = _mask(c.map[i] for i in range(last) if to_n[i])
-        extensions.append((_mask(c.image), want_r, want_n))
-    return cover, extensions
+    cover = _mask(v for c in enumerate_copies(E, prefix) for v in c.image)
+    to_r = [row >> last & 1 for row in E.rows[0][:last]]
+    return cover, [
+        (_mask(c.image), _mask(c.map[i] for i in range(last) if to_r[i]))
+        for c in enumerate_copies(e_minus, prefix)
+    ]
 
 
-def _coverage(cover: int, extensions, column: tuple[int, int], new: int) -> int:
+def _coverage(cover: int, extensions, column: int, new: int) -> int:
     """The union of the E-copy images of prefix + column, as a vertex mask; `new` is
     the bit of the new vertex."""
-    col_r, col_n = column
-    for image, want_r, want_n in extensions:
-        if col_r & image == want_r and col_n & image == want_n:
+    for image, want in extensions:
+        if column & image == want:
             cover |= image | new
     return cover
 
@@ -523,20 +524,18 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Search for F with F -> (E)^A_2; every witness returned is certified by the
     exact verdict path of check_arrow.
 
-    The seeds come first, then the scan of _family's graphs on the identity order by
-    size, in column order (see _enumerated_candidates); a seed met again is passed
-    over.  A candidate with a vertex in no E-copy is skipped uncertified by the
-    minimal-witness lemma, so the first witness of the scan is still the one
-    returned.  Every candidate met, certified or skipped, counts against
-    candidate_budget and checks the deadline; a budget stop names the size reached
-    and how many candidates were certified and skipped.
+    The seeds come first, then the scan of _family's candidates in column order (see
+    _enumerated_candidates), which passes over a seed met again and skips, uncertified,
+    a candidate with a vertex in no E-copy: its first witness is still the one returned.
+    Every candidate met counts against candidate_budget and checks the deadline; a
+    budget stop names the size reached and how many were certified and skipped.
     """
+    family = _family(A, E)
     if E.n > oracle.size_bound:
         raise NotFoundWithinBounds(
             f"every witness contains a copy of the {E.n}-vertex pattern, "
             f"beyond the size bound {oracle.size_bound}"
         )
-    family, states = _family(A, E)
     p_in_q = enumerate_copies(A, E)
     limits = SearchLimits(time_budget=oracle.time_bound)  # caps each certification
     deadline = time.monotonic() + oracle.time_bound
@@ -548,7 +547,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     )
     scan = (
         (n, graph, "search:enumeration")
-        for n, graph in _enumerated_candidates(E, oracle.size_bound, states)
+        for n, graph in _enumerated_candidates(E, oracle.size_bound, family)
         if graph not in seeds  # a seed is never skipped as uncovered, so it is met here
     )
     certified = skipped = 0

@@ -164,6 +164,13 @@ def brute_closure(rel, n: int) -> frozenset:
     return frozenset((i, j) for i in range(n) for j in range(n) if reach[i][j])
 
 
+def brute_is_poset(graph: RNGraph) -> bool:
+    """Every forward pair in R or N, and R equal to its Floyd-Warshall closure."""
+    pairs = {(graph.order[i], graph.order[j]) for j in range(graph.n) for i in range(j)}
+    complete = pairs == set(graph.R) | set(graph.N)
+    return complete and brute_closure(graph.R, graph.n) == graph.R
+
+
 def brute_arrow(target, Q, P, r: int) -> bool:
     """Exhaust every r-coloring of the P-copies; feasible only for tiny instances."""
     from rnramsey import find_monochromatic

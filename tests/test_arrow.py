@@ -34,16 +34,21 @@ from rnramsey import arrow
 from rnramsey.structures import induced_substructure
 from helpers import (
     brute_arrow,
+    brute_closure,
     brute_copies,
+    brute_is_poset,
     brute_proper_coloring_exists,
     incidence_masks,
     random_coloring,
+    random_good_complete,
     random_rn,
 )
 
 C2 = poset_to_complete_rn(chain(2))
 C3 = poset_to_complete_rn(chain(3))
 POINT = poset_to_complete_rn(chain(1))
+A2 = poset_to_complete_rn(antichain(2))
+V = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
 
 
 def _digest(assignment) -> str:
@@ -357,6 +362,43 @@ def test_oracle_seed_families():
             assert _covered(E, F) == set(range(F.n))
 
 
+def test_every_seed_is_met_again_by_the_scan():
+    # a seed is a member of its query's family, so the scan meets it (covered, as
+    # above) and passes over it uncounted
+    queries = [
+        (POINT, C2, lambda F: not F.N),
+        (C2, C3, lambda F: not F.N),
+        (POINT, make_rn_graph(3, set(), set()), lambda F: not F.N),
+        (POINT, POINT, lambda F: not F.N),
+        (POINT, make_rn_graph(3, {(0, 2), (1, 2)}, ()), lambda F: not F.N),
+        (POINT, A2, brute_is_poset),
+        (C2, V, brute_is_poset),
+        (A2, make_rn_graph(3, {(0, 1)}, {(0, 2), (1, 2)}), brute_is_poset),
+    ]
+    seeds = 0
+    for A, E, member in queries:
+        family = arrow._family(A, E)
+        scanned = {F for _, F in arrow._enumerated_candidates(E, 5, family)}
+        for F, _ in arrow._seed_candidates(A, E, 5):
+            assert member(F) and F in scanned
+            seeds += 1
+    assert seeds == 19
+
+
+@pytest.mark.parametrize(
+    "A, E",
+    [
+        (A2, make_rn_graph(2, set(), set())),  # A no chain, E not complete
+        (POINT, make_rn_graph(3, {(0, 1)}, {(1, 2)})),  # E has N and an absent pair
+        (POINT, make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)})),  # E complete, R not transitive
+        (make_rn_graph(2, set(), set()), A2),  # A not complete
+    ],
+)
+def test_oracle_refuses_a_query_outside_both_families(A, E):
+    with pytest.raises(ValueError, match="N-free candidates .* poset candidates"):
+        oracle_ramsey(BaseOracle(), A, E)
+
+
 def test_oracle_enumeration_fallback():
     a2 = poset_to_complete_rn(antichain(2))
     w = oracle_ramsey(BaseOracle(), POINT, a2)
@@ -384,20 +426,20 @@ def _covered(E, F) -> set:
 
 def test_oracle_tries_each_candidate_once(monkeypatch):
     # the identity seed (the antichain itself) comes round again in the enumeration
-    a2 = poset_to_complete_rn(antichain(2))
     certified = _recording_is_witness(monkeypatch)
-    w = oracle_ramsey(BaseOracle(), POINT, a2)
+    w = oracle_ramsey(BaseOracle(), POINT, A2)
     assert w.source == "search:enumeration" and w.graph.n == 3
-    assert certified[0] == a2 and certified[-1] == w.graph
+    assert certified[0] == A2 and certified[-1] == w.graph
     assert len(certified) == len(set(certified)) == 5
-    # only candidates with every vertex in a copy of E reach certification
+    # only posets with every vertex in a copy of E reach certification
     for F in certified:
-        assert _covered(a2, F) == set(range(F.n))
+        assert brute_is_poset(F) and _covered(A2, F) == set(range(F.n))
     # the budget counts every candidate met, certified or skipped, but not the seed
-    # met again: the seed, 1 + 2 smaller graphs and 14 of size 3
-    assert oracle_ramsey(BaseOracle(candidate_budget=18), POINT, a2) == w
+    # met again: the seed, the poset of size 1, the other of size 2 and the 7 of size
+    # 3, the last of which, the antichain, is the witness
+    assert oracle_ramsey(BaseOracle(candidate_budget=10), POINT, A2) == w
     with pytest.raises(ResourceExceeded):
-        oracle_ramsey(BaseOracle(candidate_budget=17), POINT, a2)
+        oracle_ramsey(BaseOracle(candidate_budget=9), POINT, A2)
 
 
 def test_oracle_time_bound_caps_each_certification(monkeypatch):
@@ -418,16 +460,20 @@ def test_oracle_time_bound_caps_each_certification(monkeypatch):
 
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
-    # timing could hide; the budget stop names how far the scan got
-    v = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
+    # timing could hide; the witness is a 6-vertex poset
     certified = _recording_is_witness(monkeypatch)
+    w = oracle_ramsey(BaseOracle(), POINT, V)
+    assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
+    assert len(certified) == 775 and certified[0] == V and certified[-1] == w.graph
+    # 3,768 candidates are met up to the witness; the budget stop names how far the
+    # scan got
+    assert oracle_ramsey(BaseOracle(candidate_budget=3768), POINT, V) == w
     with pytest.raises(
         ResourceExceeded,
-        match=r"^candidate budget \(60000\) exhausted at size 6: 1068 certified, "
-        r"58932 skipped by the minimal-witness lemma$",
+        match=r"^candidate budget \(3767\) exhausted at size 6: 774 certified, "
+        r"2993 skipped by the minimal-witness lemma$",
     ):
-        oracle_ramsey(BaseOracle(), POINT, v)
-    assert len(certified) == 1068 and certified[0] == v
+        oracle_ramsey(BaseOracle(candidate_budget=3767), POINT, V)
 
 
 def test_oracle_exhaustion_and_budget():
@@ -444,9 +490,9 @@ def test_oracle_exhaustion_and_budget():
         r"1 certified, 4 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(candidate_budget=5), POINT, a2)
-    # E has an N pair, so all three pair states are tried, and the text names that family
+    # A and E are posets, so the posets are tried, and the text names that family
     with pytest.raises(
-        NotFoundWithinBounds, match="^no witness among all candidates up to 2 vertices$"
+        NotFoundWithinBounds, match="^no witness among poset candidates up to 2 vertices$"
     ):
         oracle_ramsey(BaseOracle(size_bound=2), POINT, a2)
     with pytest.raises(
@@ -623,19 +669,29 @@ def test_minimal_witness_lemma():
     assert checked >= 500 and holds >= 45
 
 
+def _random_identity_poset(rng, n: int):
+    """A naturally labelled poset on n vertices: the closure of random forward pairs,
+    completed with N."""
+    R = brute_closure({(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4}, n)
+    return make_rn_graph(n, R, [(i, j) for j in range(n) for i in range(j) if (i, j) not in R])
+
+
 def test_one_vertex_extension_coverage():
     # the extension's coverage of prefix + column is the union of the E-copy images
-    # of the whole candidate, listed by brute force
+    # of the whole candidate, listed by brute force, in both families: an N-free E
+    # with an N-free F, and a poset E with a poset F
     rng = random.Random(36)
     full = 0
-    for states in ("RN-", "R-"):
+    for family in ("N-free", "poset"):
         for _ in range(300):
-            E = random_rn(rng, 4)
-            if states == "R-":
-                E = fuse(E)
-            F = _random_identity_graph(rng, rng.randint(1, 6), states)
+            if family == "N-free":
+                E = fuse(random_rn(rng, 4))
+                F = _random_identity_graph(rng, rng.randint(1, 6), "R-")
+            else:
+                E = random_good_complete(rng, 4)
+                F = _random_identity_poset(rng, rng.randint(1, 6))
             top = F.n - 1
-            column = tuple(sum(1 << i for i, j in rel if j == top) for rel in (F.R, F.N))
+            column = sum(1 << i for i, j in F.R if j == top)
             e_minus = induced_substructure(E, E.order[:-1])
             cover, extensions = arrow._extension(E, e_minus, _without(F, top))
             expected = _covered(E, F)
@@ -646,45 +702,79 @@ def test_one_vertex_extension_coverage():
     assert full >= 200
 
 
+def _identity_posets(max_n: int):
+    """The complete identity graphs of the reference scan whose R is transitive."""
+    return [F for F in _identity_graphs(max_n, "RN") if brute_is_poset(F)]
+
+
 def test_scan_runs_in_column_order():
     # with E a single vertex every candidate is covered, so the scan yields them all
-    for states, reference in ((("R", "N", ""), "RN-"), (("R", ""), "R-")):
-        scan = arrow._enumerated_candidates(POINT, 4, states)
-        assert [F for _, F in scan] == list(_identity_graphs(4, reference))
+    # (the poset scan over a single vertex is checked below)
+    scan = arrow._enumerated_candidates(POINT, 4, "N-free")
+    assert [F for _, F in scan] == list(_identity_graphs(4, "R-"))
     # otherwise a candidate comes as None exactly when a vertex of it is in no copy of E
-    a2 = poset_to_complete_rn(antichain(2))
-    scan = arrow._enumerated_candidates(a2, 4, ("R", "N", ""))
-    expected = [
-        (F.n, F if _covered(a2, F) == set(range(F.n)) else None) for F in _identity_graphs(4)
-    ]
-    assert list(scan) == expected
+    for E, family, reference in (
+        (A2, "poset", _identity_posets(4)),
+        (make_rn_graph(3, {(0, 2), (1, 2)}, ()), "N-free", list(_identity_graphs(4, "R-"))),
+    ):
+        expected = [
+            (F.n, F if _covered(E, F) == set(range(F.n)) else None) for F in reference
+        ]
+        assert list(arrow._enumerated_candidates(E, 4, family)) == expected
+
+
+def test_poset_scan_meets_the_naturally_labelled_posets():
+    # the poset scan over E a single vertex is exactly the transitive complete graphs
+    # on the identity order, in column order: 1, 2, 7, 40 and 357 of them (OEIS A006455)
+    scan = [F for _, F in arrow._enumerated_candidates(POINT, 5, "poset")]
+    assert scan == _identity_posets(5)
+    assert [sum(F.n == n for F in scan) for n in range(1, 6)] == [1, 2, 7, 40, 357]
+
+
+def test_complete_candidates_lemma():
+    # A and E complete: filling an absent pair of a witness, with R or N, leaves one
+    rng = random.Random(37)
+    filled = 0
+    for _ in range(4):
+        E = random_good_complete(rng, 3)
+        for A in (POINT, C2, A2):
+            for F in _identity_graphs(4):
+                absent = [p for p in itertools.combinations(range(F.n), 2)
+                          if p not in F.R and p not in F.N]
+                if not absent or not check_arrow(F, E, A, 2).holds:
+                    continue
+                for p in absent:
+                    for R, N in ((F.R | {p}, F.N), (F.R, F.N | {p})):
+                        assert check_arrow(make_rn_graph(F.n, R, N), E, A, 2).holds
+                        filled += 1
+    assert filled >= 1000
 
 
 def test_oracle_loop_agrees_with_check_arrow():
-    # A is a complete R-chain throughout, so the N-free queries are those with E.N empty
+    # the N-free queries (A a complete R-chain, E without N) search the N-free graphs,
+    # and the poset queries (A and E posets) the posets; the first witness of the
+    # family's reference scan is the one returned
     queries = [
-        (POINT, poset_to_complete_rn(antichain(2))),
-        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, {(1, 2)})),
-        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, ())),
-        (C2, make_rn_graph(3, {(0, 2), (1, 2)}, ())),
-        (POINT, make_rn_graph(3, {(0, 1)}, ())),
+        (POINT, A2, brute_is_poset),
+        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, {(1, 2)}), brute_is_poset),
+        (A2, make_rn_graph(3, {(0, 1)}, {(0, 2), (1, 2)}), brute_is_poset),
+        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, ()), lambda F: not F.N),
+        (C2, make_rn_graph(3, {(0, 2), (1, 2)}, ()), lambda F: not F.N),
+        (POINT, make_rn_graph(3, {(0, 1)}, ()), lambda F: not F.N),
     ]
-    for A, E in queries:
+    for A, E, member in queries:
         p_in_q = enumerate_copies(A, E)
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
             assert arrow._is_witness(F, A, E, p_in_q, SearchLimits()) == holds
-            if holds:
+            if holds and member(F):
                 witnesses.append(F)
+        family = "poset" if member is brute_is_poset else "N-free"
         if not witnesses:
-            with pytest.raises(NotFoundWithinBounds, match="N-free candidates"):
+            with pytest.raises(NotFoundWithinBounds, match=f"{family} candidates"):
                 oracle_ramsey(BaseOracle(size_bound=4), A, E)
             continue
         w = oracle_ramsey(BaseOracle(size_bound=4), A, E)
         assert w.source == "search:enumeration"
-        if E.N:
-            assert w.graph == witnesses[0]
-        else:
-            assert w.graph == next(F for F in witnesses if not F.N)
-            assert w.graph.n <= witnesses[0].n
+        assert w.graph == witnesses[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from rnramsey import (
 from rnramsey import construction, partite
 from rnramsey.construction import amalgamate
 from rnramsey.partite import product_construction
-from helpers import random_coloring
+from helpers import brute_closure, random_coloring
 
 POINT = poset_to_complete_rn(chain(1))
 C2 = poset_to_complete_rn(chain(2))
@@ -317,6 +318,41 @@ def test_finish_point_chain():
     assert res.b_copies_after == 3
     c_rn = poset_to_complete_rn(res.poset)
     assert check_arrow(c_rn, C2, POINT, 2).holds
+
+
+def _small_posets(n: int) -> list:
+    """Every naturally labelled poset on n vertices: each transitive set of forward
+    pairs on the identity order."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    subsets = (
+        {p for p, bit in zip(pairs, bits) if bit}
+        for bits in itertools.product((1, 0), repeat=len(pairs))
+    )
+    return [make_ordered_poset(n, R) for R in subsets if brute_closure(R, n) == R]
+
+
+def test_every_pair_up_to_three_vertices_closes():
+    # the 21 pairs A in B, A != B, |A| <= 2, |B| <= 3: a poset witness at stage 2,
+    # every later stage stabilized, and the finished poset arrows B over A exactly
+    pairs = [
+        (A, B)
+        for A in _small_posets(1) + _small_posets(2)
+        for B in _small_posets(2) + _small_posets(3)
+        if A.n < B.n and enumerate_copies(A, B)
+    ]
+    assert len(pairs) == 21
+    sizes = []
+    for A, B in pairs:
+        tower = build_tower(A, B, 7, BaseOracle())
+        assert tower.certified and not tower.truncated
+        assert tower.stages[0].source.startswith("search:")
+        assert all(stage.stabilized for stage in tower.stages[1:])
+        res = finish(tower)
+        sizes.append(res.lam)
+        c_rn, a_rn, b_rn = (poset_to_complete_rn(x) for x in (res.poset, A, B))
+        assert check_arrow(c_rn, b_rn, a_rn, 2).holds
+    # the two B = {0<2} pairs need 7-vertex witnesses
+    assert sorted(sizes) == [3] * 7 + [4] * 4 + [5] * 2 + [6] * 6 + [7] * 2
 
 
 def test_finish_requires_tall_enough_tower():

@@ -545,13 +545,28 @@ def test_cli_tower_truncation_exit_code(tmp_path, capsys):
     assert main(["finish", str(out)]) == 1
 
 
-def test_cli_tower_truncated_at_stage_two(tmp_path, capsys):
-    # the oracle's budget runs out before stage 2: A, B and the manifest are written
+def test_cli_tower_point_v_closes(tmp_path, capsys):
+    # the stage-2 search finds a 6-vertex poset, so every later stage stabilizes
     a = _write(tmp_path, "point.json", chain(1))
     b = _write(tmp_path, "v.json", make_ordered_poset(3, {(0, 2), (1, 2)}))
+    out = tmp_path / "V"
+    assert main(["tower", a, b, "--ell-max", "6", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("stage 2: n=6 certified source=search:enumeration\n")
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    assert manifest["stage.2.certified"] == "true" and manifest["lambda"] == "6"
+    assert all(manifest[f"stage.{ell}.stabilized"] == "true" for ell in range(3, 7))
+    assert main(["finish", str(out)]) == 0
+
+
+def test_cli_tower_truncated_at_stage_two(tmp_path, capsys):
+    # the oracle's budget runs out before stage 2: A, B and the manifest are written;
+    # no poset on 7 or fewer vertices arrows this B over the 2-chain
+    a = _write(tmp_path, "c2.json", chain(2))
+    b = _write(tmp_path, "b.json", make_ordered_poset(4, {(0, 2), (0, 3), (1, 3)}))
     out = tmp_path / "D"
     assert main(["tower", a, b, "--ell-max", "4", "--out", str(out)]) == 2
-    reason = "stage 2: candidate budget (60000) exhausted at size 6: 1068 certified, "
+    reason = "stage 2: candidate budget (60000) exhausted at size 7: 3451 certified, "
     assert capsys.readouterr().out.startswith(f"TRUNCATED: {reason}")
     assert sorted(p.name for p in out.iterdir()) == ["A.json", "B.json", "manifest.txt"]
     manifest = parse_manifest((out / "manifest.txt").read_text())
