@@ -3,11 +3,12 @@
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
-monochromatic Q-copy); exhaustion proves the arrow.  On more than 16 P-copies and at
-least 2 colors, a seeded WalkSAT (_local_search) hunts for a counterexample first,
-within 5 tries of 20 flips per Q-copy; it can only find one, a FAILS with 0 nodes, and
-never decides the positive side.  The verdict record holds only the verdict (holds,
-counterexample, nodes); colorings replay through find_monochromatic.
+monochromatic Q-copy); exhaustion proves the arrow.  On over 16 P-copies and 2+ colors,
+a decision the search's first 4,096 nodes leave open goes to a seeded WalkSAT
+(_local_search, 5 tries of 20 flips per Q-copy), then back to the search; the walk can
+only find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one
+deadline, which every search under it stops on.  The verdict record holds only the
+verdict (holds, counterexample, nodes); colorings replay through find_monochromatic.
 
 The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
 masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .analysis import is_good
@@ -43,6 +44,8 @@ _WALK_TRIES = 5
 _WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
 _WALK_NOISE = 0.1
 _SLOT_CEILING = 2000  # P-copies the exact search takes on
+_CLOCK_EVERY = 4096  # steps between the searches' reads of the deadline
+_FIRST_LOOK = 4096  # exact-search nodes before the walk
 
 
 class NotFoundWithinBounds(ResourceExceeded):
@@ -129,7 +132,7 @@ def _incidence(p_copies, q_copies, p_in_q) -> list[int]:
     return inc
 
 
-def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
+def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int, deadline: float):
     """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when none
     exists.
 
@@ -161,15 +164,13 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
     colors = [-1] * m
     before = list(itertools.accumulate(inc, int.__or__, initial=0))  # edges of slots < i
     nodes = 0
-    deadline = time.monotonic() + limits.time_budget
-
     max_used = -1
     i = 0
     while True:
         nodes += 1
-        if nodes > limits.max_nodes:
-            raise ResourceExceeded(f"arrow search node budget ({limits.max_nodes})")
-        if nodes % 4096 == 0 and time.monotonic() > deadline:
+        if nodes > max_nodes:
+            raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
+        if nodes % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
             raise ResourceExceeded(f"arrow search time budget after {nodes} nodes")
         if i == m:
             return colors[:], nodes
@@ -199,14 +200,14 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, limits: Search
         has[colors[i]], spoiled, max_used = saved[i]
 
 
-def _local_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
+def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
     """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when the
     walk gives up, which proves nothing; r >= 2.  WalkSAT with the Selman-Kautz-Cohen
     rule: take a random monochromatic edge; make a move of a member that breaks no
     other edge (makes it monochromatic) if there is one, else with probability
     _WALK_NOISE a random move, else one that breaks the fewest, ties at random.  Try t
     draws from Random(_WALK_SEED + t), makes _WALK_FLIPS_PER_EDGE * n_edges flips and
-    reads the time_budget deadline every 4,096.  count[c][e] counts the members of edge
+    reads the deadline every _CLOCK_EVERY.  count[c][e] counts the members of edge
     e with color c; near[c] masks the edges with all members but one of color c, so
     recoloring slot i to c breaks the edges of inc[i] & near[c].
     """
@@ -222,7 +223,6 @@ def _local_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
         return None  # a one-member edge is monochromatic under every coloring
     need = [len(slots) - 1 for slots in members]
     others = [[c for c in range(r) if c != a] for a in range(r)]
-    deadline = time.monotonic() + limits.time_budget
     for t in range(_WALK_TRIES):
         draw = random.Random(_WALK_SEED + t).random  # picks seq[int(draw() * len(seq))]
         colors = [int(draw() * r) for _ in inc]
@@ -233,7 +233,7 @@ def _local_search(inc: list[int], n_edges: int, r: int, limits: SearchLimits):
         for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
             if not mono:
                 return colors
-            if flip % 4096 == 0 and time.monotonic() > deadline:
+            if flip % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
                 return None
             moves = [  # (edges broken, tie-break, slot, new color)
                 ((inc[i] & near[c]).bit_count(), draw(), i, c)
@@ -272,19 +272,22 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     the counterexample search.
     """
     limits = limits or SearchLimits()
+    deadline = time.monotonic() + limits.time_budget
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
     if len(p_copies) > _SLOT_CEILING:
         # past the ceiling _verdict decides only whether some Q-copy exists, or refuses
         q_copies = list(itertools.islice(iter_copies(Q, target), 1))
     else:
         q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    return _verdict(r, p_copies, q_copies, enumerate_copies(P, Q), limits)
+    return _verdict(r, p_copies, q_copies, enumerate_copies(P, Q), limits.max_nodes, deadline)
 
 
-def _verdict(r: int, p_copies, q_copies, p_in_q, limits: SearchLimits) -> ArrowVerdict:
+def _verdict(r: int, p_copies, q_copies, p_in_q, max_nodes: int, deadline: float) -> ArrowVerdict:
     """Decide whether every r-coloring of p_copies makes some member of q_copies
     monochromatic; the copies (and the copies p_in_q of P in Q itself) are given,
-    everything after enumeration happens here."""
+    everything after enumeration happens here, by the query's deadline.  Past the walk's
+    gate the exact search looks at _FIRST_LOOK nodes first; only a decision it leaves
+    open gets the walk (a FAILS of 0 nodes), then the exact search gets all max_nodes."""
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an int of at least 1, got {r!r}")
     if not q_copies:
@@ -297,17 +300,18 @@ def _verdict(r: int, p_copies, q_copies, p_in_q, limits: SearchLimits) -> ArrowV
         raise ResourceExceeded(
             f"{m} P-copies is beyond the exact search ceiling of {_SLOT_CEILING} slots"
         )
-    inc = _incidence(p_copies, q_copies, p_in_q)
-
-    if m > 16 and r >= 2:
-        start = time.monotonic()
-        colors = _local_search(inc, len(q_copies), r, limits)
+    inc, n_edges = _incidence(p_copies, q_copies, p_in_q), len(q_copies)
+    walk = m > 16 and r >= 2
+    look = min(_FIRST_LOOK, max_nodes) if walk else max_nodes
+    try:
+        assignment, nodes = _proper_coloring_search(inc, n_edges, r, look, deadline)
+    except ResourceExceeded:
+        if not walk:
+            raise
+        colors = _local_search(inc, n_edges, r, deadline)
         if colors is not None:
             return ArrowVerdict(False, make_coloring(p_copies, colors, r))
-        spent = time.monotonic() - start  # one time budget for the whole decision
-        limits = replace(limits, time_budget=max(0.0, limits.time_budget - spent))
-
-    assignment, nodes = _proper_coloring_search(inc, len(q_copies), r, limits)
+        assignment, nodes = _proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
     if assignment is None:
         return ArrowVerdict(True, None, nodes)
     return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
@@ -424,9 +428,9 @@ def _down_closed(column: int, prefix) -> bool:
 
 
 def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
-    """Every graph of the family on the identity order, by size and within a size in
-    column order; yields (n, graph) for a candidate that may be the first witness and
-    (n, None) for one the minimal-witness lemma skips.
+    """Every graph of the family on the identity order with E.n to size_bound vertices,
+    by size and within a size in column order; yields (n, graph) for a candidate that
+    may be the first witness and (n, None) for one the minimal-witness lemma skips.
 
     Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
     column: the R mask of the pairs (i, n-1), earliest i most significant, R first; its
@@ -437,13 +441,12 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     poset scan is the complete scan with _down_closed on each prefix and new column.
 
     Minimal-witness lemma (exact).  Both families are closed under deleting a vertex,
-    and sizes ascend, so when F has n vertices, F - v was met at size n - 1 and is no
-    witness: it was certified and rejected, skipped by this lemma, or a seed that was.
-    If v lies in no E-copy of F, the E-copies of F are those of F - v, and the A-copies
-    through v lie in no E-copy, so their colors never matter: F -> (E)^A_2 exactly when
-    F - v -> (E)^A_2.  So F is skipped when the union of its E-copy images is not all n
-    vertices.  At n = 1 this is "no E-copy, no witness"; E has at least one vertex
-    here, since with none the identity seed answers first.
+    and sizes ascend from E.n, below which a graph holds no E-copy.  So when F has n
+    vertices, F - v is no witness: it is smaller than E, or it was met at size n - 1 and
+    certified and rejected, skipped by this lemma, or a seed that was.  If v lies in no
+    E-copy of F, the E-copies of F are those of F - v, and the A-copies through v lie in
+    no E-copy, so their colors never matter: F -> (E)^A_2 exactly when F - v ->
+    (E)^A_2.  So F is skipped when the union of its E-copy images is not all n vertices.
 
     One-vertex extension.  For each prefix, its E-copies and its copies of E minus its
     last vertex are listed once (_extension).  An E-copy through the new vertex n-1 maps
@@ -458,6 +461,8 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
         top = n - 1
         bits = itertools.product((1, 0), repeat=top)
         columns.append([_mask(i for i, bit in enumerate(col) if bit) for col in bits])
+        if n < E.n:
+            continue  # no E-copy fits, so no witness
         new, full = 1 << top, (1 << n) - 1
         for prefix in itertools.product(*columns[:top]):
             if posets and not all(_down_closed(column, prefix) for column in prefix):
@@ -497,21 +502,22 @@ def _coverage(cover: int, extensions, column: int, new: int) -> int:
     return cover
 
 
-def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, limits: SearchLimits) -> bool:
-    """graph -> (E)^A_2 on the verdict path of check_arrow, with the E-copies listed
-    first: a graph without one is no witness, so its A-copies are never listed."""
-    q_copies = enumerate_copies(E, graph, limit=limits.max_copies)
+def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, deadline: float) -> bool:
+    """graph -> (E)^A_2 on check_arrow's verdict path within SearchLimits' default counts,
+    E-copies first: a graph without one is no witness, so its A-copies are never listed."""
+    q_copies = enumerate_copies(E, graph, limit=SearchLimits.max_copies)
     if not q_copies:
         return False
-    p_copies = enumerate_copies(A, graph, limit=limits.max_copies)
-    return _verdict(2, p_copies, q_copies, p_in_q, limits).holds
+    p_copies = enumerate_copies(A, graph, limit=SearchLimits.max_copies)
+    return _verdict(2, p_copies, q_copies, p_in_q, SearchLimits.max_nodes, deadline).holds
 
 
 def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
     """Certify a supplied witness for graph -> (E)^A_2 on the route of the search's
     candidates.  A refuted witness is a CertificationFailed; a certification that
     runs past its budgets raises ResourceExceeded, like every other ceiling."""
-    if not _is_witness(graph, A, E, enumerate_copies(A, E), SearchLimits()):
+    deadline = time.monotonic() + SearchLimits.time_budget
+    if not _is_witness(graph, A, E, enumerate_copies(A, E), deadline):
         raise CertificationFailed(
             f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
             f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
@@ -537,8 +543,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             f"beyond the size bound {oracle.size_bound}"
         )
     p_in_q = enumerate_copies(A, E)
-    limits = SearchLimits(time_budget=oracle.time_bound)  # caps each certification
-    deadline = time.monotonic() + oracle.time_bound
+    deadline = time.monotonic() + oracle.time_bound  # certifications included
     seeds: dict[RNGraph, str] = {}  # each seed met, with its source
     seeded = (
         (graph.n, graph, seeds.setdefault(graph, source))
@@ -563,7 +568,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             skipped += 1
             continue
         certified += 1
-        if _is_witness(graph, A, E, p_in_q, limits):
+        if _is_witness(graph, A, E, p_in_q, deadline):
             return OracleWitness(graph, source)
     raise NotFoundWithinBounds(
         f"no witness among {family} candidates up to {oracle.size_bound} vertices"

@@ -8,6 +8,7 @@ cross edges ascend with the parts, and every copy of A meets each part exactly o
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,6 +203,8 @@ def check_partite_arrow(
 ) -> ArrowVerdict:
     """Exact partite arrow: every r-coloring of the template copies in the host admits
     a monochromatic member of the copy family (default: all part-respecting copies)."""
+    limits = limits or SearchLimits()
+    deadline = time.monotonic() + limits.time_budget
     if pattern.A != host.A:
         raise StructureError("pattern and host are over different templates")
     a_copies = crossing_copies(host)
@@ -214,4 +217,4 @@ def check_partite_arrow(
                     and _keeps_parts(pattern, host, copy.map)):
                 raise StructureError("family member is not a part-preserving copy", copy.map)
     a_in_pattern = enumerate_copies(host.A, pattern.base)
-    return _verdict(r, a_copies, members, a_in_pattern, limits or SearchLimits())
+    return _verdict(r, a_copies, members, a_in_pattern, limits.max_nodes, deadline)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,8 @@ C3 = poset_to_complete_rn(chain(3))
 POINT = poset_to_complete_rn(chain(1))
 A2 = poset_to_complete_rn(antichain(2))
 V = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
+# the private searches take a node budget and an absolute deadline
+MAX_NODES, NEVER = SearchLimits.max_nodes, float("inf")
 
 
 def _digest(assignment) -> str:
@@ -201,7 +204,7 @@ def _search(n: int, q: int, p: int, r: int):
     target, Q, P = (_rn_chain(k) for k in (n, q, p))
     p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
     inc = arrow._incidence(p_copies, q_copies, enumerate_copies(P, Q))
-    assignment, nodes = arrow._proper_coloring_search(inc, len(q_copies), r, SearchLimits())
+    assignment, nodes = arrow._proper_coloring_search(inc, len(q_copies), r, MAX_NODES, NEVER)
     coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
     return coloring, nodes
 
@@ -212,10 +215,12 @@ def _search(n: int, q: int, p: int, r: int):
         (13, 5, 1, 3, True, 36_755, None),
         (6, 3, 2, 2, True, 987, None),
         (5, 3, 2, 2, False, 67, "b3ef70c8cf145198"),
-        # the local search finds these, so no node is searched; the exact search alone
-        # stops at its node budget on the last two (R^(3)(4,4) = 13, R(4,4) = 18)
+        # past 16 slots the exact search looks first: it settles this one itself
+        (7, 3, 2, 3, False, 1_353, "a2b076e11fd77138"),
+        # its 4,096-node look leaves these open and the walk finds them, with 0 nodes
+        # behind the verdict; alone, the exact search takes 12,458 nodes on the first
+        # and stops at its node budget on the last two (R^(3)(4,4) = 13, R(4,4) = 18)
         (9, 4, 2, 2, False, 0, "6ea96ac5be05f671"),
-        (7, 3, 2, 3, False, 0, "60671a6a66e902c5"),
         (12, 4, 3, 2, False, 0, "0ef0b66c9e42ebf7"),
         (17, 4, 2, 2, False, 0, "1898b1eba0939dbc"),
     ],
@@ -230,6 +235,39 @@ def test_search_tree_is_pinned(n, q, p, r, holds, nodes, digest):
     if digest is not None:
         assert _digest(verdict.counterexample.assignment) == digest
         assert find_monochromatic(target, verdict.counterexample, Q, P) is None
+
+
+def _lex(X, Y):
+    """The lexicographic product X[Y] of two posets on the identity order: vertex
+    (x, y) is x * Y.n + y, and lies below (x', y') when x < x', or x = x' and y < y'."""
+    k = Y.n
+    R = {(x * k + a, y * k + b) for x, y in X.R for a in range(k) for b in range(k)}
+    R |= {(x * k + a, x * k + b) for x in range(X.n) for a, b in Y.R}
+    return make_ordered_poset(X.n * k, R)
+
+
+def test_exact_search_looks_before_the_walk(monkeypatch):
+    # v[v[v]] -> (v)^point_2 has 27 slots, past the walk's gate, and HOLDS in 85 nodes:
+    # the exact search's first look settles it, and the walk is never called
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    v = make_ordered_poset(3, {(0, 2), (1, 2)})
+    target = poset_to_complete_rn(_lex(v, _lex(v, v)))
+    monkeypatch.setattr(arrow, "_local_search", no_walk)
+    verdict = check_arrow(target, V, POINT, 2)
+    assert verdict.holds and verdict.nodes_explored == 85
+    monkeypatch.undo()
+    # a FAILS the walk finds is found under any node budget, the look's included
+    for max_nodes in (0, 1, 4_096, 12_457, 10**6):
+        verdict = check_arrow(_rn_chain(9), _rn_chain(4), C2, 2, SearchLimits(max_nodes))
+        assert (verdict.holds, verdict.nodes_explored) == (False, 0)
+        assert _digest(verdict.counterexample.assignment) == "6ea96ac5be05f671"
+    # and the look never outruns the node budget: the exact search alone settles
+    # chain(7) -> (C3)^C2_3 in 1,353 nodes, so under 1,000 the walk's coloring answers
+    verdict = check_arrow(_rn_chain(7), C3, C2, 3, SearchLimits(max_nodes=1_000))
+    assert (verdict.holds, verdict.nodes_explored) == (False, 0)
+    assert _digest(verdict.counterexample.assignment) == "60671a6a66e902c5"
 
 
 def test_search_alone_is_pinned():
@@ -251,7 +289,7 @@ def test_search_agrees_with_brute_force():
             for _ in range(rng.randint(0, 12))
         ]
         inc = incidence_masks(m, edges)
-        assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, SearchLimits())
+        assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, MAX_NODES, NEVER)
         searched.append((nodes, assignment))
         expected = brute_proper_coloring_exists(m, edges, r)
         assert (assignment is not None) == expected
@@ -279,8 +317,8 @@ def test_local_search_agrees_with_brute_force():
             for _ in range(rng.randint(0, 14))
         ]
         inc = incidence_masks(m, edges)
-        colors = arrow._local_search(inc, len(edges), r, SearchLimits())
-        assert colors == arrow._local_search(inc, len(edges), r, SearchLimits())
+        colors = arrow._local_search(inc, len(edges), r, NEVER)
+        assert colors == arrow._local_search(inc, len(edges), r, NEVER)
         exists = brute_proper_coloring_exists(m, edges, r)
         solvable += exists
         if colors is None:
@@ -294,12 +332,12 @@ def test_local_search_agrees_with_brute_force():
 
 def test_local_search_gives_up_at_its_deadline():
     # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
-    # once its time budget is spent; check_arrow then leaves the exact search the rest
+    # past its deadline, the one check_arrow fixed for the whole query
     target, Q, P = _rn_chain(12), _rn_chain(4), _rn_chain(3)
     q_copies = enumerate_copies(Q, target)
     inc = arrow._incidence(enumerate_copies(P, target), q_copies, enumerate_copies(P, Q))
-    assert arrow._local_search(inc, len(q_copies), 2, SearchLimits()) is not None
-    assert arrow._local_search(inc, len(q_copies), 2, SearchLimits(time_budget=0)) is None
+    assert arrow._local_search(inc, len(q_copies), 2, NEVER) is not None
+    assert arrow._local_search(inc, len(q_copies), 2, float("-inf")) is None
 
 
 def test_incidence_refuses_a_forged_q_copy():
@@ -308,7 +346,7 @@ def test_incidence_refuses_a_forged_q_copy():
     p_copies = enumerate_copies(C2, target)
     forged = [Copy((0, 1, 2), (0, 1, 2))]
     with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)"):
-        arrow._verdict(2, p_copies, forged, enumerate_copies(C2, C3), SearchLimits())
+        arrow._verdict(2, p_copies, forged, enumerate_copies(C2, C3), MAX_NODES, NEVER)
 
 
 def test_verdict_deterministic():
@@ -435,27 +473,27 @@ def test_oracle_tries_each_candidate_once(monkeypatch):
     for F in certified:
         assert brute_is_poset(F) and _covered(A2, F) == set(range(F.n))
     # the budget counts every candidate met, certified or skipped, but not the seed
-    # met again: the seed, the poset of size 1, the other of size 2 and the 7 of size
-    # 3, the last of which, the antichain, is the witness
-    assert oracle_ramsey(BaseOracle(candidate_budget=10), POINT, A2) == w
+    # met again: the seed, the other poset of size 2 and the 7 of size 3, the last of
+    # which, the antichain, is the witness; the scan starts at |E| = 2 vertices
+    assert oracle_ramsey(BaseOracle(candidate_budget=9), POINT, A2) == w
     with pytest.raises(ResourceExceeded):
-        oracle_ramsey(BaseOracle(candidate_budget=9), POINT, A2)
+        oracle_ramsey(BaseOracle(candidate_budget=8), POINT, A2)
 
 
 def test_oracle_time_bound_caps_each_certification(monkeypatch):
-    # one SearchLimits per query, built before the scan, whose time budget is the
-    # oracle's: a certification cannot outrun --oracle-time-bound on its own budget
+    # one deadline per query, fixed before the scan at the oracle's time bound: every
+    # certification stops on it, so none can outrun --oracle-time-bound
     received = []
     is_witness = arrow._is_witness
 
-    def recording(graph, A, E, p_in_q, limits):
-        received.append(limits)
-        return is_witness(graph, A, E, p_in_q, limits)
+    def recording(graph, A, E, p_in_q, deadline):
+        received.append(deadline)
+        return is_witness(graph, A, E, p_in_q, deadline)
 
     monkeypatch.setattr(arrow, "_is_witness", recording)
+    monkeypatch.setattr(arrow, "time", SimpleNamespace(monotonic=lambda: 100.0))
     oracle_ramsey(BaseOracle(time_bound=7.5), POINT, poset_to_complete_rn(antichain(2)))
-    assert len(received) == 5 and all(limits is received[0] for limits in received)
-    assert received[0] == SearchLimits(time_budget=7.5)
+    assert received == [107.5] * 5
 
 
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
@@ -465,15 +503,15 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     w = oracle_ramsey(BaseOracle(), POINT, V)
     assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
     assert len(certified) == 775 and certified[0] == V and certified[-1] == w.graph
-    # 3,768 candidates are met up to the witness; the budget stop names how far the
-    # scan got
-    assert oracle_ramsey(BaseOracle(candidate_budget=3768), POINT, V) == w
+    # 3,765 candidates are met up to the witness, none below |V| = 3 vertices; the
+    # budget stop names how far the scan got
+    assert oracle_ramsey(BaseOracle(candidate_budget=3765), POINT, V) == w
     with pytest.raises(
         ResourceExceeded,
-        match=r"^candidate budget \(3767\) exhausted at size 6: 774 certified, "
-        r"2993 skipped by the minimal-witness lemma$",
+        match=r"^candidate budget \(3764\) exhausted at size 6: 774 certified, "
+        r"2990 skipped by the minimal-witness lemma$",
     ):
-        oracle_ramsey(BaseOracle(candidate_budget=3767), POINT, V)
+        oracle_ramsey(BaseOracle(candidate_budget=3764), POINT, V)
 
 
 def test_oracle_exhaustion_and_budget():
@@ -483,11 +521,11 @@ def test_oracle_exhaustion_and_budget():
     with pytest.raises(NotFoundWithinBounds):
         oracle_ramsey(BaseOracle(size_bound=2), POINT, C3)
     a2 = poset_to_complete_rn(antichain(2))
-    # the seed, then graphs of sizes 1, 2 (one is the seed, passed over) and 3
+    # the seed, then graphs of sizes 2 (one is the seed, passed over) and 3
     with pytest.raises(
         ResourceExceeded,
         match=r"^candidate budget \(5\) exhausted at size 3: "
-        r"1 certified, 4 skipped by the minimal-witness lemma$",
+        r"2 certified, 3 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(candidate_budget=5), POINT, a2)
     # A and E are posets, so the posets are tried, and the text names that family
@@ -712,13 +750,16 @@ def test_scan_runs_in_column_order():
     # (the poset scan over a single vertex is checked below)
     scan = arrow._enumerated_candidates(POINT, 4, "N-free")
     assert [F for _, F in scan] == list(_identity_graphs(4, "R-"))
-    # otherwise a candidate comes as None exactly when a vertex of it is in no copy of E
+    # otherwise the scan starts at |E| vertices, and a candidate comes as None exactly
+    # when a vertex of it is in no copy of E
     for E, family, reference in (
         (A2, "poset", _identity_posets(4)),
         (make_rn_graph(3, {(0, 2), (1, 2)}, ()), "N-free", list(_identity_graphs(4, "R-"))),
     ):
         expected = [
-            (F.n, F if _covered(E, F) == set(range(F.n)) else None) for F in reference
+            (F.n, F if _covered(E, F) == set(range(F.n)) else None)
+            for F in reference
+            if F.n >= E.n
         ]
         assert list(arrow._enumerated_candidates(E, 4, family)) == expected
 
@@ -767,7 +808,7 @@ def test_oracle_loop_agrees_with_check_arrow():
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(F, A, E, p_in_q, SearchLimits()) == holds
+            assert arrow._is_witness(F, A, E, p_in_q, NEVER) == holds
             if holds and member(F):
                 witnesses.append(F)
         family = "poset" if member is brute_is_poset else "N-free"

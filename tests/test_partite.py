@@ -373,6 +373,44 @@ def test_no_bare_assert_in_sources():
     assert found == []
 
 
+def _deadline_makers(source: str) -> list[str]:
+    """Names of the functions of source that add to the clock, time.monotonic() or a
+    bare monotonic(): each such sum makes a deadline."""
+    def reads_clock(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "attr", getattr(func, "id", None)) == "monotonic"
+
+    return [
+        function.name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (reads_clock(node.left) or reads_clock(node.right))
+    ]
+
+
+def test_only_the_query_entry_points_make_a_deadline():
+    """A query runs on one deadline, fixed where it starts; a function below an entry
+    point that adds to the clock would start a second one.  The check fires on each
+    form, and not on a clock read that makes no deadline."""
+    entry_points = ["certify_witness", "check_arrow", "check_partite_arrow", "oracle_ramsey"]
+    made = sorted(
+        name
+        for path in Path(rnramsey.__file__).parent.glob("*.py")
+        for name in _deadline_makers(path.read_text())
+    )
+    assert made == entry_points
+    assert _deadline_makers(textwrap.dedent("""
+        def f(budget):
+            return time.monotonic() + budget
+        def g(budget):
+            return budget + monotonic()
+        def h(start):
+            return time.monotonic() - start, time.monotonic() > start
+    """)) == ["f", "g"]
+
+
 def _unseeded_draws(source: str) -> list[int]:
     """Lines of source that draw from an unseeded generator: a call of a function of
     the random module's shared generator (random.choice, random.shuffle, ...), an
