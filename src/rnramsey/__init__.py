@@ -1,7 +1,6 @@
 """Ordered RN graphs: structures, arrow verification, partite products, towers."""
 
 from .analysis import (
-    CycleDetected,
     check_homomorphism,
     compose_homomorphisms,
     find_bad_quasicycle,
@@ -29,16 +28,11 @@ from .arrow import (
 from .construction import (
     AmalgamationStep,
     BuildLimits,
-    ClosureIntersectsN,
-    ConstructionError,
     ConstructionRun,
     FinishResult,
-    GlueConflict,
-    NoCopiesOfB,
     Picture,
     Tower,
     TowerStage,
-    TowerTooShort,
     amalgamate,
     build_picture_zero,
     build_tower,
@@ -64,9 +58,6 @@ from .io import (
 )
 from .partite import (
     APartiteRNGraph,
-    IntraPartEdge,
-    PartOrderViolation,
-    PartProjectionViolation,
     ProductResult,
     check_partite_arrow,
     crossing_copies,
@@ -77,11 +68,6 @@ from .partite import (
 from .structures import (
     Homomorphism,
     InvariantViolation,
-    NotCompatible,
-    NotDisjoint,
-    NotIrreflexive,
-    NotLinearExtension,
-    NotTransitive,
     OrderedPoset,
     RNGraph,
     StructureError,

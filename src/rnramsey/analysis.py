@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .structures import Homomorphism, Pair, RNGraph
-
-
-class CycleDetected(ValueError):
-    pass
+from .structures import Homomorphism, Pair, RNGraph, StructureError
 
 
 def find_bad_quasicycle(graph: RNGraph, max_len: int | None = None) -> tuple[int, ...] | None:
@@ -76,7 +72,7 @@ def is_good(graph: RNGraph) -> bool:
 
 
 def transitive_closure(rel: frozenset[Pair], n: int) -> frozenset[Pair]:
-    """Reachability closure of an acyclic relation; raises CycleDetected otherwise."""
+    """Reachability closure of an acyclic relation; raises StructureError otherwise."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for x, y in rel:
@@ -93,7 +89,7 @@ def transitive_closure(rel: frozenset[Pair], n: int) -> frozenset[Pair]:
                 topo.append(u)
     if len(topo) < n:
         stuck = min(v for v in range(n) if indeg[v] > 0)
-        raise CycleDetected("relation contains a cycle through vertex", stuck)
+        raise StructureError("relation contains a cycle through vertex", stuck)
     # reach[v] as a bitmask, filled in reverse topological order
     reach = [0] * n
     for v in reversed(topo):

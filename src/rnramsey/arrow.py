@@ -52,7 +52,7 @@ class NotFoundWithinBounds(ResourceExceeded):
     """The bounded witness search space is exhausted without a witness."""
 
 
-class CertificationFailed(RuntimeError):
+class CertificationFailed(ValueError):
     """A supplied witness was refuted by the exact arrow search."""
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes follow the exception class: 0 success or HOLDS, 1 invalid input (a usage
-error too) or FAILS, 2 a ResourceExceeded (a ceiling or bounded search ran out, a
-witness's certification included), 3 an InvariantViolation (a bug, not bad input).
+Exit codes follow the exception class: 0 success or HOLDS, 1 FAILS or a TypeError,
+ValueError or OSError (invalid input: StructureError, ParseError, CertificationFailed,
+a usage error), 2 a ResourceExceeded (a ceiling or bounded search ran out, a witness's
+certification included), 3 an InvariantViolation (a bug, not bad input).
 Each budget flag defaults to its record's own default (SearchLimits, BaseOracle,
 BuildLimits), and nothing but the flag changes it.  `tower --witness` certifies the
 stage-2 witness; with `--assume` it is taken uncertified.
@@ -17,7 +18,6 @@ from pathlib import Path
 from .analysis import find_bad_quasicycle, is_good
 from .arrow import (
     BaseOracle,
-    CertificationFailed,
     Coloring,
     ResourceExceeded,
     SearchLimits,
@@ -26,9 +26,7 @@ from .arrow import (
 )
 from .construction import (
     BuildLimits,
-    ConstructionError,
     Picture,
-    TowerTooShort,
     build_tower,
     finish_index,
     finish_stage,
@@ -176,7 +174,7 @@ def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
     if "stage.2.file" not in manifest and "truncated" in manifest:
-        raise TowerTooShort(f"tower has no stage; it was truncated at {manifest['truncated']}")
+        raise StructureError(f"tower has no stage; it was truncated at {manifest['truncated']}")
     lam = finish_index(_load_listed(tower_dir, manifest, "stage.2"))
     if _entry(manifest, "lambda") != str(lam):
         raise ParseError(
@@ -184,7 +182,7 @@ def cmd_finish(args) -> int:
         )
     key = f"stage.{lam}.file"
     if key not in manifest:
-        raise TowerTooShort(f"tower directory has no stage {lam} (lambda = {lam})")
+        raise StructureError(f"tower directory has no stage {lam} (lambda = {lam})")
     graph = _load_listed(tower_dir, manifest, f"stage.{lam}")
     B = _load_listed(tower_dir, manifest, "b")
     result = finish_stage(graph, lam, B)
@@ -205,11 +203,19 @@ def cmd_finish(args) -> int:
     return 0
 
 
+def _dot_id(stem: str) -> str:
+    """The file stem as a DOT ID: "_" for each character an ID cannot hold, and a
+    leading "_" before a digit or a keyword."""
+    name = "".join(c if c == "_" or c.isalnum() or not c.isascii() else "_" for c in stem)
+    keyword = name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    return "_" + name if name[:1].isdigit() or keyword else name or "g"
+
+
 def cmd_export_dot(args) -> int:
     obj = load_structure(args.path)
     if isinstance(obj, (HomomorphismDoc, Coloring)):
         raise StructureError("only graph-like structures render to DOT")
-    text = export_dot(obj, name=Path(args.path).stem.replace("-", "_") or "g")
+    text = export_dot(obj, name=_dot_id(Path(args.path).stem))
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -312,7 +318,7 @@ def main(argv=None) -> int:
     except ResourceExceeded as exc:
         print(f"RESOURCE: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, CertificationFailed, TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

@@ -42,26 +42,6 @@ from .structures import (
 )
 
 
-class ConstructionError(RuntimeError):
-    pass
-
-
-class NoCopiesOfB(ConstructionError):
-    pass
-
-
-class GlueConflict(InvariantViolation):
-    pass
-
-
-class TowerTooShort(ConstructionError):
-    pass
-
-
-class ClosureIntersectsN(InvariantViolation):
-    pass
-
-
 @dataclass(frozen=True)
 class BuildLimits:
     """Resource ceiling for one construction run."""
@@ -100,12 +80,12 @@ class Picture:
 
 def _glue(n: int, structure: RNGraph, vmaps) -> RNGraph:
     """The graph on n vertices carrying every image of structure's relations under the
-    vertex maps; two maps that put one pair in both R and N are a GlueConflict."""
+    vertex maps; two maps that put one pair in both R and N are an InvariantViolation."""
     R = frozenset((m[x], m[y]) for m in vmaps for x, y in structure.R)
     N = frozenset((m[x], m[y]) for m in vmaps for x, y in structure.N)
     both = R & N
     if both:
-        raise GlueConflict(f"copies disagree on pair {min(both)}")
+        raise InvariantViolation(f"copies disagree on pair {min(both)}")
     return make_rn_graph(n, R, N)
 
 
@@ -124,7 +104,7 @@ def _assemble(D: RNGraph, keyed_parts, structure: RNGraph, keyed_maps, projected
     base = _glue(len(ids), structure, vmaps)
     for k, vmap in enumerate(vmaps):
         if not is_embedding(vmap, structure, base):
-            raise GlueConflict(f"gluing damaged copy {k}")
+            raise InvariantViolation(f"gluing damaged copy {k}")
     picture = Picture(base, D, parts)
     picture.validate()
     return picture, vmaps
@@ -134,7 +114,7 @@ def build_picture_zero(D: RNGraph, B: RNGraph) -> Picture:
     """Disjoint union of all copies of B in D, spread over the parts they touch."""
     copies = enumerate_copies(B, D)
     if not copies:
-        raise NoCopiesOfB(f"host on {D.n} vertices carries no copy of the pattern")
+        raise StructureError(f"host on {D.n} vertices carries no copy of the pattern")
     picture, _ = _assemble(
         D,
         ([(h, dv) for h, copy in enumerate(copies) if dv in copy.image] for dv in D.order),
@@ -183,7 +163,7 @@ def amalgamate(
     """Glue one fresh copy of P over each lifted sub-picture copy; also return the
     per-copy vertex maps into the new picture."""
     if not lifts:
-        raise ConstructionError("product carries no lifted copies of the sub-picture")
+        raise StructureError("product carries no lifted copies of the sub-picture")
     s_index = {t: i for i, t in enumerate(_selected_positions(P, a_copy))}
     local = {v: k for k, v in enumerate(_subsystem_vertices(P, a_copy))}
     K = len(lifts)
@@ -214,7 +194,6 @@ def amalgamate(
 
 @dataclass(frozen=True)
 class AmalgamationStep:
-    subsystem: APartiteRNGraph
     product: ProductResult
     picture: Picture
     copy_maps: tuple[tuple[int, ...], ...]
@@ -222,7 +201,6 @@ class AmalgamationStep:
 
 @dataclass(frozen=True)
 class ConstructionRun:
-    initial: Picture
     steps: tuple[AmalgamationStep, ...]
     picture: Picture
     truncated: str | None = None
@@ -256,10 +234,9 @@ def run_partite_construction(
     _require_pattern(A, "A")
     _require_pattern(B, "B")
     limits = limits or BuildLimits()
-    initial = build_picture_zero(D, B)
-    if ell is not None and not is_ell_rn(initial.base, ell):
+    picture = build_picture_zero(D, B)
+    if ell is not None and not is_ell_rn(picture.base, ell):
         raise InvariantViolation("a good starting picture cannot fail this")
-    picture = initial
     steps: list[AmalgamationStep] = []
     a_copies = enumerate_copies(A, D)
     if max_steps is not None:
@@ -273,16 +250,14 @@ def run_partite_construction(
             )
         except ResourceExceeded as exc:
             if allow_truncated:
-                return ConstructionRun(
-                    initial, tuple(steps), picture, truncated=f"round {j}: {exc}"
-                )
+                return ConstructionRun(tuple(steps), picture, truncated=f"round {j}: {exc}")
             raise
         if ell is not None and not is_ell_rn(picture.base, ell):
             raise InvariantViolation(
                 f"round {j} lost {ell}-freedom; the gluing argument is violated"
             )
-        steps.append(AmalgamationStep(subsystem, product, picture, copy_maps))
-    return ConstructionRun(initial, tuple(steps), picture)
+        steps.append(AmalgamationStep(product, picture, copy_maps))
+    return ConstructionRun(tuple(steps), picture)
 
 
 @dataclass(frozen=True)
@@ -315,7 +290,7 @@ class Tower:
         """Composition of the downward maps from stage ell onto the first stage."""
         stage = self.stage_for(ell)
         if stage is None:
-            raise TowerTooShort(f"tower has no stage {ell}")
+            raise StructureError(f"tower has no stage {ell}")
         h = identity_homomorphism(stage.C)
         for cur in range(ell, 2, -1):
             h = compose_homomorphisms(self.stage_for(cur).h_down, h)
@@ -401,7 +376,6 @@ def build_tower(
 @dataclass(frozen=True)
 class FinishResult:
     poset: OrderedPoset
-    lam: int
     b_copies_before: int
     b_copies_intact: int
     b_copies_after: int
@@ -417,7 +391,7 @@ def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     closure = transitive_closure(graph.R, graph.n)
     overlap = closure & graph.N
     if overlap:
-        raise ClosureIntersectsN(f"closure meets N at {min(overlap)}")
+        raise InvariantViolation(f"closure meets N at {min(overlap)}")
     poset = make_ordered_poset(graph.n, closure, graph.order)
     before = enumerate_copies(B, graph)
     b_poset = rn_to_poset(B)
@@ -425,7 +399,7 @@ def finish_stage(graph: RNGraph, lam: int, B: RNGraph) -> FinishResult:
     if intact != len(before):
         raise InvariantViolation("closure added a pair inside a pattern copy")
     after = len(enumerate_copies(b_poset, poset))
-    return FinishResult(poset, lam, len(before), intact, after)
+    return FinishResult(poset, len(before), intact, after)
 
 
 def finish_index(first: RNGraph) -> int:
@@ -436,10 +410,10 @@ def finish_index(first: RNGraph) -> int:
 def finish(tower: Tower) -> FinishResult:
     """Close the stage whose index matches the first stage's vertex count."""
     if not tower.stages:
-        raise TowerTooShort(f"tower has no stage; it was truncated at {tower.truncated}")
+        raise StructureError(f"tower has no stage; it was truncated at {tower.truncated}")
     lam = finish_index(tower.stages[0].C)
     stage = tower.stage_for(lam)
     if stage is None:
         last = tower.stages[-1].ell
-        raise TowerTooShort(f"needs stage {lam}, tower ends at stage {last}")
+        raise StructureError(f"needs stage {lam}, tower ends at stage {last}")
     return finish_stage(stage.C, lam, tower.B)

@@ -19,18 +19,6 @@ from .structures import Homomorphism, InvariantViolation, RNGraph, StructureErro
 from .structures import is_complete, make_rn_graph
 
 
-class PartProjectionViolation(StructureError):
-    pass
-
-
-class PartOrderViolation(StructureError):
-    pass
-
-
-class IntraPartEdge(StructureError):
-    pass
-
-
 @dataclass(frozen=True)
 class APartiteRNGraph:
     """RN graph with a part per template vertex; part t belongs to the t-th smallest."""
@@ -66,9 +54,7 @@ def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
             if not 0 <= v < base.n:
                 raise StructureError("part vertex out of range", v)
             if base.rank[v] != rank:
-                raise PartOrderViolation(
-                    f"part {t} is not the next block of the order, ascending", v
-                )
+                raise StructureError(f"part {t} is not the next block of the order, ascending", v)
             rank += 1
     if rank != base.n:
         raise StructureError("parts do not cover the vertex set", base.order[rank])
@@ -77,11 +63,9 @@ def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
         for x, y in sorted(rel):
             s, t = owner[x], owner[y]
             if s == t:
-                raise IntraPartEdge(f"{name} edge inside part {s}", (x, y))
+                raise StructureError(f"{name} edge inside part {s}", (x, y))
             if (template.order[s], template.order[t]) not in template_rel:
-                raise PartProjectionViolation(
-                    f"{name} edge does not project into the template", (x, y)
-                )
+                raise StructureError(f"{name} edge does not project into the template", (x, y))
 
 
 def make_apartite(A: RNGraph, base: RNGraph, parts) -> APartiteRNGraph:

@@ -28,26 +28,6 @@ class InvariantViolation(AssertionError):
     `python -O` keeps the check."""
 
 
-class NotIrreflexive(StructureError):
-    pass
-
-
-class NotTransitive(StructureError):
-    pass
-
-
-class NotLinearExtension(StructureError):
-    pass
-
-
-class NotDisjoint(StructureError):
-    pass
-
-
-class NotCompatible(StructureError):
-    pass
-
-
 def _check_ids(n: int, rel: frozenset[Pair], name: str) -> None:
     if type(n) is not int or n < 0:
         raise StructureError(f"vertex count must be a non-negative int, got {n!r}")
@@ -149,18 +129,18 @@ def make_ordered_poset(n: int, R, order=None) -> OrderedPoset:
     _check_order(n, order)
     for x, y in R:
         if x == y:
-            raise NotIrreflexive("reflexive pair", (x, x))
+            raise StructureError("reflexive pair", (x, x))
     succ: dict[int, list[int]] = {}
     for x, y in R:
         succ.setdefault(x, []).append(y)
     for x, y in R:
         for z in succ.get(y, ()):
             if (x, z) not in R:
-                raise NotTransitive("missing composite pair", (x, z))
+                raise StructureError("missing composite pair", (x, z))
     poset = OrderedPoset(n, R, order)
     for x, y in R:
         if not poset.before(x, y):
-            raise NotLinearExtension("relation pair runs against the order", (x, y))
+            raise StructureError("relation pair runs against the order", (x, y))
     return poset
 
 
@@ -173,12 +153,12 @@ def make_rn_graph(n: int, R, N, order=None) -> RNGraph:
     _check_order(n, order)
     common = R & N
     if common:
-        raise NotDisjoint("pair in both R and N", min(common))
+        raise StructureError("pair in both R and N", min(common))
     graph = RNGraph(n, R, N, order)
     for name, rel in (("R", R), ("N", N)):
         for x, y in rel:
             if not graph.before(x, y):
-                raise NotCompatible(f"{name} pair runs against the order", (x, y))
+                raise StructureError(f"{name} pair runs against the order", (x, y))
     return graph
 
 

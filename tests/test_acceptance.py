@@ -18,6 +18,7 @@ from rnramsey import (
     find_bad_quasicycle,
     find_monochromatic,
     finish,
+    finish_index,
     is_ell_rn,
     is_good,
     make_apartite,
@@ -183,8 +184,9 @@ def test_criterion_5_amalgamation_preserves_ell_freedom():
 def test_criterion_6_end_to_end():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle())
     res = finish(tower)
-    assert res.lam == tower.stages[0].C.n == 3
-    stage = tower.stage_for(res.lam).C
+    lam = finish_index(tower.stages[0].C)
+    assert lam == tower.stages[0].C.n == 3
+    stage = tower.stage_for(lam).C
     closure = transitive_closure(stage.R, stage.n)
     assert not (closure & stage.N)
     assert res.b_copies_intact == res.b_copies_before

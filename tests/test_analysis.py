@@ -3,8 +3,8 @@ import random
 import pytest
 
 from rnramsey import (
-    CycleDetected,
     Homomorphism,
+    StructureError,
     check_homomorphism,
     compose_homomorphisms,
     chain,
@@ -83,7 +83,7 @@ def test_transitive_closure_matches_floyd_warshall():
 
 
 def test_transitive_closure_cycle_detected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(StructureError, match="relation contains a cycle through vertex: 0"):
         transitive_closure(frozenset({(0, 1), (1, 0)}), 2)
 
 

@@ -7,11 +7,10 @@ import pytest
 from rnramsey import (
     BaseOracle,
     BuildLimits,
-    ClosureIntersectsN,
-    GlueConflict,
-    NoCopiesOfB,
+    InvariantViolation,
+    ResourceExceeded,
+    StructureError,
     TowerStage,
-    TowerTooShort,
     antichain,
     build_picture_zero,
     build_tower,
@@ -22,6 +21,7 @@ from rnramsey import (
     enumerate_copies,
     find_monochromatic,
     finish,
+    finish_index,
     finish_stage,
     induced_subsystem,
     is_embedding,
@@ -78,7 +78,7 @@ def test_picture_zero_antichain_example():
 
 
 def test_picture_zero_no_copies():
-    with pytest.raises(NoCopiesOfB):
+    with pytest.raises(StructureError, match="carries no copy of the pattern"):
         build_picture_zero(A3, C2)
 
 
@@ -134,7 +134,7 @@ def test_amalgamate_disjoint_lifts_double_the_picture(tmp_path, monkeypatch):
 def test_glue_refuses_a_pair_in_both_relations():
     # the second map swaps vertices 1 and 2, so each relation lands on the other's pair
     structure = make_rn_graph(3, {(0, 1)}, {(0, 2)})
-    with pytest.raises(GlueConflict, match=r"pair \(0, 1\)"):
+    with pytest.raises(InvariantViolation, match=r"copies disagree on pair \(0, 1\)"):
         construction._glue(3, structure, [(0, 1, 2), (0, 2, 1)])
 
 
@@ -170,7 +170,7 @@ def test_amalgamate_recheck_catches_a_damaged_copy(monkeypatch, D, B, damage):
         return make_rn_graph(n, R, N)
 
     monkeypatch.setattr(construction, "_glue", damaged_glue)
-    with pytest.raises(GlueConflict, match="damaged copy 0"):
+    with pytest.raises(InvariantViolation, match="gluing damaged copy 0"):
         amalgamate(p0, a_copy, product.apartite, product.lifts, BuildLimits())
 
 
@@ -183,7 +183,7 @@ def test_assemble_refuses_a_repeated_key():
 def test_run_vacuous_when_pattern_absent():
     run = run_partite_construction(A3, C2, A2, BaseOracle())
     assert not run.steps
-    assert run.picture == run.initial
+    assert run.picture == build_picture_zero(A3, A2)
 
 
 def test_point_chain_pipeline_documented_blowup():
@@ -200,9 +200,10 @@ def test_point_chain_pipeline_documented_blowup():
     assert len(s2.product.lifts) == 462 and s2.product.base_witness.n == 11
     assert run.truncated and "2772" in run.truncated
     assert all(step.product.certified for step in run.steps)
-    # vertex count bookkeeping: shared + copies * fresh
-    for prev, step in ((run.initial, s1), (s1.picture, s2)):
-        sub_n = step.subsystem.base.n
+    # vertex count bookkeeping: shared + copies * fresh; round j's copy of the point
+    # selects part j, so the sub-picture is that part of the previous picture
+    for j, (prev, step) in enumerate(((build_picture_zero(C3, C2), s1), (s1.picture, s2))):
+        sub_n = len(prev.parts[j])
         used = len({fv for lift in step.product.lifts for fv in lift.map})
         expect = used + len(step.product.lifts) * (prev.base.n - sub_n)
         assert step.picture.base.n == expect
@@ -212,7 +213,7 @@ def test_pipeline_copy_maps_are_embeddings():
     run = run_partite_construction(
         C3, POINT, C2, BaseOracle(), ell=3, allow_truncated=True
     )
-    prev = run.initial
+    prev = build_picture_zero(C3, C2)
     for step in run.steps:
         for vmap in step.copy_maps:
             assert is_embedding(vmap, prev.base, step.picture.base)
@@ -226,7 +227,7 @@ def test_pipeline_preserves_ell_freedom_per_step():
     run = run_partite_construction(
         C3, POINT, C2, BaseOracle(), ell=3, allow_truncated=True
     )
-    assert is_ell_rn(run.initial.base, 3)
+    assert is_ell_rn(build_picture_zero(C3, C2).base, 3)
     for step in run.steps:
         assert is_ell_rn(step.picture.base, 3)
         assert is_good(step.picture.base)
@@ -262,7 +263,7 @@ def test_nful_pipeline_over_antichains():
 
 
 def test_resource_guard_on_picture_size():
-    with pytest.raises(Exception) as exc_info:
+    with pytest.raises(ResourceExceeded) as exc_info:
         run_partite_construction(
             C3, POINT, C2, BaseOracle(), limits=BuildLimits(max_picture_vertices=10)
         )
@@ -311,7 +312,7 @@ def test_build_tower_no_stabilize_small_instance():
 def test_finish_point_chain():
     tower = build_tower(chain(1), chain(2), 3, BaseOracle())
     res = finish(tower)
-    assert res.lam == 3
+    assert finish_index(tower.stages[0].C) == 3
     assert res.poset == make_ordered_poset(3, {(0, 1), (0, 2), (1, 2)})
     assert res.b_copies_before == 3
     assert res.b_copies_intact == 3
@@ -348,7 +349,7 @@ def test_every_pair_up_to_three_vertices_closes():
         assert tower.stages[0].source.startswith("search:")
         assert all(stage.stabilized for stage in tower.stages[1:])
         res = finish(tower)
-        sizes.append(res.lam)
+        sizes.append(finish_index(tower.stages[0].C))
         c_rn, a_rn, b_rn = (poset_to_complete_rn(x) for x in (res.poset, A, B))
         assert check_arrow(c_rn, b_rn, a_rn, 2).holds
     # the two B = {0<2} pairs need 7-vertex witnesses
@@ -357,7 +358,7 @@ def test_every_pair_up_to_three_vertices_closes():
 
 def test_finish_requires_tall_enough_tower():
     tower = build_tower(chain(1), chain(2), 2, BaseOracle())
-    with pytest.raises(TowerTooShort):
+    with pytest.raises(StructureError, match="needs stage 3, tower ends at stage 2"):
         finish(tower)
 
 
@@ -367,7 +368,7 @@ def test_build_tower_truncates_at_stage_two():
     tower = build_tower(chain(1), v, 3, BaseOracle(candidate_budget=5))
     assert tower.stages == ()
     assert tower.truncated.startswith("stage 2: candidate budget (5) exhausted at size ")
-    with pytest.raises(TowerTooShort, match=r"truncated at stage 2: candidate budget \(5\)"):
+    with pytest.raises(StructureError, match=r"truncated at stage 2: candidate budget \(5\)"):
         finish(tower)
     # the oracle's bounded search running dry is a ceiling too
     tower = build_tower(chain(1), v, 3, BaseOracle(size_bound=2))
@@ -380,7 +381,7 @@ def test_build_tower_truncates_at_stage_two():
 
 def test_finish_stage_closure_conflict():
     bad = make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)})
-    with pytest.raises(ClosureIntersectsN):
+    with pytest.raises(InvariantViolation, match=r"closure meets N at \(0, 2\)"):
         finish_stage(bad, 3, C2)
 
 

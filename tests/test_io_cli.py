@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -9,8 +10,6 @@ from rnramsey import (
     BaseOracle,
     BuildLimits,
     CertificationFailed,
-    ClosureIntersectsN,
-    GlueConflict,
     Homomorphism,
     InvariantViolation,
     NotFoundWithinBounds,
@@ -18,7 +17,6 @@ from rnramsey import (
     ResourceExceeded,
     SearchLimits,
     StructureError,
-    TowerTooShort,
     antichain,
     build_picture_zero,
     build_tower,
@@ -329,14 +327,14 @@ def test_cli_arrow(tmp_path, capsys):
     "exc, code, prefix",
     [
         (InvariantViolation, 3, "INVARIANT VIOLATION"),
-        (GlueConflict, 3, "INVARIANT VIOLATION"),
-        (ClosureIntersectsN, 3, "INVARIANT VIOLATION"),
         (ResourceExceeded, 2, "RESOURCE"),
         (NotFoundWithinBounds, 2, "RESOURCE"),
-        (TowerTooShort, 1, "ERROR"),
         (CertificationFailed, 1, "ERROR"),
         (ParseError, 1, "ERROR"),
         (StructureError, 1, "ERROR"),
+        (ValueError, 1, "ERROR"),
+        (TypeError, 1, "ERROR"),
+        (OSError, 1, "ERROR"),
     ],
 )
 def test_cli_exit_code_follows_the_exception_class(monkeypatch, capsys, exc, code, prefix):
@@ -737,3 +735,27 @@ def test_cli_export_dot_and_make(tmp_path, capsys):
     copies = enumerate_copies(C2, C3)
     col = _write(tmp_path, "col.json", make_coloring(copies, [0, 0, 1], 2))
     assert main(["export-dot", col]) == 1
+
+
+# A DOT ID: a name of letters, digits and "_" (any non-ASCII letter too) that does not
+# start with a digit and is not a keyword, a numeral, or a double-quoted string.
+_DOT_ID = re.compile(
+    r"[A-Za-z_\x80-\U0010ffff][\w\x80-\U0010ffff]*"
+    r"|-?(\.\d+|\d+(\.\d*)?)"
+    r'|"(\\.|[^"\\])*"',
+    re.ASCII,
+)
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+@pytest.mark.parametrize("stem", ["2chain", "my chain", "a.b", "graph", "c3", "my-chain"])
+def test_cli_export_dot_names_the_graph_with_a_dot_id(tmp_path, capsys, stem):
+    # Graphviz is not needed: the header is checked against the grammar of a DOT ID
+    path = _write(tmp_path, f"{stem}.json", C3)
+    assert main(["export-dot", path]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("digraph ") and header.endswith(" {")
+    name = header[len("digraph "):-len(" {")]
+    assert _DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
+    if stem in ("c3", "my-chain"):  # identifiers keep their bytes, "-" still becomes "_"
+        assert name == stem.replace("-", "_")
