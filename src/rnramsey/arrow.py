@@ -21,18 +21,22 @@ candidate families (_family): N-free graphs for product rounds, and naturally la
 posets for stage 2, so that a stage-2 witness is itself a poset C -> (B)^A_2.  Complete
 candidates lose no witness size there; asking R to be transitive can, in general.  Every
 witness it returns is certified; its scan skips, uncertified, the candidates that the
-minimal-witness lemma rules out.  A supplied witness is checked by certify_witness on
-the same route (_is_witness); it passes, is refuted (CertificationFailed), or runs past
-a budget (ResourceExceeded), so an OracleWitness carries only its graph and its source.
+minimal-witness lemma rules out.  The scan is a tree walk in which each child inherits
+its parent's copies (_enumerated_candidates); it yields one item per run of skipped
+candidates, each still counted against the budget, and the deadline is read once per
+item.  A supplied witness is checked by certify_witness on the same route (_is_witness);
+it passes, is refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so
+an OracleWitness carries only its graph and its source.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .analysis import is_good
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
@@ -407,30 +411,65 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
             yield poset_to_complete_rn(chain(n)), "search:chain"
 
 
-def _mask(vertices) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
+def _columns(below) -> list[int]:
+    """The columns over a prefix in column order, each holding below[i] if it holds i:
+    every R mask for all-zero below, the down-sets for a poset's own columns."""
+    out = [0]
+    for i, need in enumerate(below):
+        bit = 1 << i
+        out = [m for d in out for m in ((d | bit, d) if not need & ~d else (d,))]
     return out
 
 
-def _graph(columns, posets: bool) -> RNGraph:
-    """The identity-order graph with R masks columns[j]; other pairs N in a poset, else absent."""
-    pairs = [(i, j, column >> i & 1) for j, column in enumerate(columns) for i in range(j)]
-    R = frozenset((i, j) for i, j, bit in pairs if bit)
-    N = frozenset((i, j) for i, j, bit in pairs if posets and not bit)
-    return RNGraph(len(columns), R, N, tuple(range(len(columns))))
+def _grow(copies, cover: int, column: int, bit: int, to_r):
+    """(copies, cover) of a prefix grown by a vertex, mask bit, with this column.
+
+    copies[j] lists the copies of E[:j], E's first j vertices, as (image mask, wants):
+    wants[i] masks the image vertices E wants R pairs from to its vertex i; cover masks
+    the vertices of E-copies.  The child keeps these and adds the copies through the
+    new vertex: a copy of E[:j + 1] there extends one of E[:j] with column & image ==
+    wants[j], its other pairs then absent or N as E wants.
+    """
+    last = len(to_r) - 1
+    grown = [copies[0]]
+    for j in range(last):
+        adds = [bit * r for r in to_r[j]]  # the new vertex joins the wants of E's R-successors of j
+        grown.append(copies[j + 1] + [
+            (image | bit, tuple(map(operator.or_, wants, adds)))
+            for image, wants in copies[j]
+            if column & image == wants[j]
+        ])
+    for image, wants in copies[last]:
+        if column & image == wants[last]:
+            cover |= image | bit
+    return grown, cover
 
 
-def _down_closed(column: int, prefix) -> bool:
-    """Whether column holds the R mask prefix[i] of each of its i: a down-set of prefix."""
-    return all(not prefix[i] & ~column for i in range(column.bit_length()) if column >> i & 1)
+def _prefixes(E: RNGraph, depth: int, columns):
+    """Every prefix on `depth` vertices, as (its columns, (copies, cover)) (see _grow):
+    a depth-first walk in column order from the empty prefix, each child grown from its
+    parent; columns(cols) gives a prefix's child columns.  The yielded list is reused."""
+    to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
+    cols: list[int] = []
+
+    def walk(state):
+        if len(cols) == depth:
+            yield cols, state
+            return
+        for column in columns(cols):
+            bit = 1 << len(cols)
+            cols.append(column)
+            yield from walk(_grow(*state, column, bit, to_r))
+            cols.pop()
+
+    return walk(([[(0, (0,) * E.n)]] + [[] for _ in range(E.n - 1)], 0))
 
 
 def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     """Every graph of the family on the identity order with E.n to size_bound vertices,
-    by size and within a size in column order; yields (n, graph) for a candidate that
-    may be the first witness and (n, None) for one the minimal-witness lemma skips.
+    by size and within a size in column order; E has a vertex.  Yields (n, 1, graph)
+    for a candidate that may be the first witness and (n, run, None) for a run of `run`
+    consecutive candidates that the minimal-witness lemma skips.
 
     Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
     column: the R mask of the pairs (i, n-1), earliest i most significant, R first; its
@@ -438,7 +477,7 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     each followed by all its columns.  On the identity order, distinct relation sets
     are distinct up to order-preserving isomorphism, so the scan is canonical.  R stays
     transitive exactly when each column is a down-set of the poset before it, so the
-    poset scan is the complete scan with _down_closed on each prefix and new column.
+    poset scan offers only down-sets (_columns) and never grows a non-poset prefix.
 
     Minimal-witness lemma (exact).  Both families are closed under deleting a vertex,
     and sizes ascend from E.n, below which a graph holds no E-copy.  So when F has n
@@ -448,58 +487,38 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     no E-copy, so their colors never matter: F -> (E)^A_2 exactly when F - v ->
     (E)^A_2.  So F is skipped when the union of its E-copy images is not all n vertices.
 
-    One-vertex extension.  For each prefix, its E-copies and its copies of E minus its
-    last vertex are listed once (_extension).  An E-copy through the new vertex n-1 maps
-    E's last vertex there, so it extends a copy of E minus its last vertex, with image
-    I, whose R pairs to n-1 are those E wants: column & I == want (_coverage); the other
-    pairs are then absent or N as E wants.  No graph is built for a skipped candidate.
+    Tree.  Each size walks the prefixes (_prefixes), which inherit their copies, so no
+    prefix graph is built.  A candidate's E-copies are its prefix's and those through
+    the new vertex (_grow's compare); only a covered candidate's graph is built, and a
+    run of skipped ones ends at a covered one or its prefix's last column.
     """
     posets = family == "poset"
-    e_minus = induced_substructure(E, E.order[:-1])
-    columns = []  # columns[j]: the R masks over i < j, in column order
-    for n in range(1, size_bound + 1):
-        top = n - 1
-        bits = itertools.product((1, 0), repeat=top)
-        columns.append([_mask(i for i, bit in enumerate(col) if bit) for col in bits])
-        if n < E.n:
-            continue  # no E-copy fits, so no witness
-        new, full = 1 << top, (1 << n) - 1
-        for prefix in itertools.product(*columns[:top]):
-            if posets and not all(_down_closed(column, prefix) for column in prefix):
-                continue
-            graph = _graph(prefix, posets)
-            cover, extensions = _extension(E, e_minus, graph)
-            for column in columns[top]:
-                if posets and not _down_closed(column, prefix):
-                    continue
-                if _coverage(cover, extensions, column, new) != full:
-                    yield n, None
-                    continue
-                R = graph.R.union((i, top) for i in range(top) if column >> i & 1)
-                N = graph.N.union((i, top) for i in range(top) if posets and not column >> i & 1)
-                yield n, RNGraph(n, R, N, tuple(range(n)))
-
-
-def _extension(E: RNGraph, e_minus: RNGraph, prefix: RNGraph):
-    """(cover, extensions) of a prefix: the union of its E-copy images as a vertex mask,
-    and per copy of e_minus (E without its last vertex) its (image mask, want), the R
-    bits a column needs on the image to extend the copy to an E-copy through it."""
     last = E.n - 1
-    cover = _mask(v for c in enumerate_copies(E, prefix) for v in c.image)
-    to_r = [row >> last & 1 for row in E.rows[0][:last]]
-    return cover, [
-        (_mask(c.image), _mask(c.map[i] for i in range(last) if to_r[i]))
-        for c in enumerate_copies(e_minus, prefix)
-    ]
-
-
-def _coverage(cover: int, extensions, column: int, new: int) -> int:
-    """The union of the E-copy images of prefix + column, as a vertex mask; `new` is
-    the bit of the new vertex."""
-    for image, want in extensions:
-        if column & image == want:
-            cover |= image | new
-    return cover
+    every = cache(lambda t: _columns((0,) * t))  # every column over t vertices
+    columns = _columns if posets else lambda cols: every(len(cols))
+    for n in range(E.n, size_bound + 1):
+        top = n - 1
+        new, full = 1 << top, (1 << n) - 1
+        for cols, (copies, cover) in _prefixes(E, top, columns):
+            ends = [(image, wants[last], image | new) for image, wants in copies[last]]
+            run = 0
+            for column in columns(cols):
+                covered = cover
+                for image, want, through in ends:
+                    if column & image == want:
+                        covered |= through
+                if covered != full:
+                    run += 1
+                    continue
+                if run:
+                    yield n, run, None
+                    run = 0
+                bits = [(i, j, c >> i & 1) for j, c in enumerate((*cols, column)) for i in range(j)]
+                R = frozenset((i, j) for i, j, bit in bits if bit)
+                N = frozenset((i, j) for i, j, bit in bits if posets and not bit)
+                yield n, 1, RNGraph(n, R, N, tuple(range(n)))
+            if run:
+                yield n, run, None
 
 
 def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, deadline: float) -> bool:
@@ -533,8 +552,10 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     The seeds come first, then the scan of _family's candidates in column order (see
     _enumerated_candidates), which passes over a seed met again and skips, uncertified,
     a candidate with a vertex in no E-copy: its first witness is still the one returned.
-    Every candidate met counts against candidate_budget and checks the deadline; a
-    budget stop names the size reached and how many were certified and skipped.
+    Every candidate met counts against candidate_budget, one at a time also inside a
+    run of skipped ones; the deadline is read once per item, a seed, a candidate or a
+    run.  A budget stop names the size of the first candidate past the budget and how
+    many were certified and skipped.
     """
     family = _family(A, E)
     if E.n > oracle.size_bound:
@@ -546,26 +567,27 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     deadline = time.monotonic() + oracle.time_bound  # certifications included
     seeds: dict[RNGraph, str] = {}  # each seed met, with its source
     seeded = (
-        (graph.n, graph, seeds.setdefault(graph, source))
+        (graph.n, 1, graph, seeds.setdefault(graph, source))
         for graph, source in _seed_candidates(A, E, oracle.size_bound)
         if graph not in seeds
     )
     scan = (
-        (n, graph, "search:enumeration")
-        for n, graph in _enumerated_candidates(E, oracle.size_bound, family)
+        (n, run, graph, "search:enumeration")
+        for n, run, graph in _enumerated_candidates(E, oracle.size_bound, family)
         if graph not in seeds  # a seed is never skipped as uncovered, so it is met here
     )
     certified = skipped = 0
-    for n, graph, source in itertools.chain(seeded, scan):
-        if certified + skipped == oracle.candidate_budget:
+    for n, run, graph, source in itertools.chain(seeded, scan):
+        room = oracle.candidate_budget - certified - skipped
+        if run > room:  # the budget runs out before this item or inside its run
             raise ResourceExceeded(
                 f"candidate budget ({oracle.candidate_budget}) exhausted at size {n}: "
-                f"{certified} certified, {skipped} skipped by the minimal-witness lemma"
+                f"{certified} certified, {skipped + room} skipped by the minimal-witness lemma"
             )
         if time.monotonic() > deadline:
             raise ResourceExceeded(f"search time budget ({oracle.time_bound}s) exhausted")
         if graph is None:
-            skipped += 1
+            skipped += run
             continue
         certified += 1
         if _is_witness(graph, A, E, p_in_q, deadline):

@@ -203,19 +203,11 @@ def cmd_finish(args) -> int:
     return 0
 
 
-def _dot_id(stem: str) -> str:
-    """The file stem as a DOT ID: "_" for each character an ID cannot hold, and a
-    leading "_" before a digit or a keyword."""
-    name = "".join(c if c == "_" or c.isalnum() or not c.isascii() else "_" for c in stem)
-    keyword = name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
-    return "_" + name if name[:1].isdigit() or keyword else name or "g"
-
-
 def cmd_export_dot(args) -> int:
     obj = load_structure(args.path)
     if isinstance(obj, (HomomorphismDoc, Coloring)):
         raise StructureError("only graph-like structures render to DOT")
-    text = export_dot(obj, name=_dot_id(Path(args.path).stem))
+    text = export_dot(obj, name=Path(args.path).stem)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")

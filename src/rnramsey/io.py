@@ -263,9 +263,18 @@ def parse_manifest(text: str) -> dict[str, str]:
     return out
 
 
+def _dot_id(name: str) -> str:
+    """The name as a DOT ID: "_" for each character an ID cannot hold, and a leading
+    "_" before a digit or a keyword."""
+    name = "".join(c if c == "_" or c.isalnum() or not c.isascii() else "_" for c in name)
+    keyword = name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    return "_" + name if name[:1].isdigit() or keyword else name or "g"
+
+
 def export_dot(obj, name: str = "g") -> str:
     """Deterministic DOT text: solid R arcs, dashed N arcs, clustered parts,
-    invisible arcs chaining the linear order so layouts respect it."""
+    invisible arcs chaining the linear order so layouts respect it.  The graph is
+    named `name` made a DOT ID (_dot_id), so any name gives valid DOT."""
     parts: tuple[tuple[int, ...], ...] | None = None
     if isinstance(obj, (APartiteRNGraph, Picture)):
         parts = obj.parts
@@ -273,7 +282,7 @@ def export_dot(obj, name: str = "g") -> str:
     if not isinstance(obj, (OrderedPoset, RNGraph)):
         raise TypeError(f"cannot render {type(obj).__name__}")
     R, N, order, n = obj.R, obj.N, obj.order, obj.n
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines = [f"digraph {_dot_id(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
     if parts is None:
         for v in range(n):
             lines.append(f"  v{v};")

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -416,7 +418,7 @@ def test_every_seed_is_met_again_by_the_scan():
     seeds = 0
     for A, E, member in queries:
         family = arrow._family(A, E)
-        scanned = {F for _, F in arrow._enumerated_candidates(E, 5, family)}
+        scanned = {F for _, F in _scan(E, 5, family)}
         for F, _ in arrow._seed_candidates(A, E, 5):
             assert member(F) and F in scanned
             seeds += 1
@@ -715,9 +717,10 @@ def _random_identity_poset(rng, n: int):
 
 
 def test_one_vertex_extension_coverage():
-    # the extension's coverage of prefix + column is the union of the E-copy images
-    # of the whole candidate, listed by brute force, in both families: an N-free E
-    # with an N-free F, and a poset E with a poset F
+    # growing F one vertex at a time from the empty prefix, each child inheriting its
+    # parent's copies, gives the copies of every E[:j] that brute force lists in F, with
+    # the R pairs E wants to its later vertices, and the union of F's E-copy images; in
+    # both families: an N-free E with an N-free F, and a poset E with a poset F
     rng = random.Random(36)
     full = 0
     for family in ("N-free", "poset"):
@@ -728,16 +731,34 @@ def test_one_vertex_extension_coverage():
             else:
                 E = random_good_complete(rng, 4)
                 F = _random_identity_poset(rng, rng.randint(1, 6))
-            top = F.n - 1
-            column = sum(1 << i for i, j in F.R if j == top)
-            e_minus = induced_substructure(E, E.order[:-1])
-            cover, extensions = arrow._extension(E, e_minus, _without(F, top))
+            own = [sum(1 << i for i, j in F.R if j == t) for t in range(F.n)]
+            [(_, (copies, cover))] = arrow._prefixes(E, F.n, lambda cols: [own[len(cols)]])
             expected = _covered(E, F)
-            assert arrow._coverage(cover, extensions, column, 1 << top) == sum(
-                1 << v for v in expected
-            )
+            assert cover == sum(1 << v for v in expected)
+            for j in range(E.n):
+                grown = sorted(copies[j])
+                assert [image for image, _ in grown] == sorted(
+                    sum(1 << v for v in image)
+                    for image in brute_copies(induced_substructure(E, E.order[:j]), F)
+                )
+                for image, wants in grown:
+                    at = [v for v in range(F.n) if image >> v & 1]  # E's vertex s goes to at[s]
+                    assert list(wants[j:]) == [
+                        sum(1 << at[s] for s in range(j) if (E.order[s], E.order[i]) in E.R)
+                        for i in range(j, E.n)
+                    ]
             full += len(expected) == F.n
     assert full >= 200
+
+
+def _scan(E, size_bound: int, family: str) -> list:
+    """The scan with every run of skipped candidates expanded into Nones, one (n, F)
+    per candidate; a graph comes alone, and a run holds at least one candidate."""
+    out = []
+    for n, run, F in arrow._enumerated_candidates(E, size_bound, family):
+        assert run == 1 if F is not None else run >= 1
+        out.extend([(n, F)] * run)
+    return out
 
 
 def _identity_posets(max_n: int):
@@ -748,28 +769,169 @@ def _identity_posets(max_n: int):
 def test_scan_runs_in_column_order():
     # with E a single vertex every candidate is covered, so the scan yields them all
     # (the poset scan over a single vertex is checked below)
-    scan = arrow._enumerated_candidates(POINT, 4, "N-free")
+    scan = _scan(POINT, 4, "N-free")
     assert [F for _, F in scan] == list(_identity_graphs(4, "R-"))
     # otherwise the scan starts at |E| vertices, and a candidate comes as None exactly
-    # when a vertex of it is in no copy of E
+    # when a vertex of it is in no copy of E; over C2 and V a prefix's last column, the
+    # empty one, often leaves a run of one skipped candidate
+    posets, n_free = _identity_posets(4), list(_identity_graphs(4, "R-"))
     for E, family, reference in (
-        (A2, "poset", _identity_posets(4)),
-        (make_rn_graph(3, {(0, 2), (1, 2)}, ()), "N-free", list(_identity_graphs(4, "R-"))),
+        (A2, "poset", posets),
+        (V, "poset", posets),
+        (make_rn_graph(3, {(0, 2), (1, 2)}, ()), "N-free", n_free),
+        (C2, "N-free", n_free),
     ):
         expected = [
             (F.n, F if _covered(E, F) == set(range(F.n)) else None)
             for F in reference
             if F.n >= E.n
         ]
-        assert list(arrow._enumerated_candidates(E, 4, family)) == expected
+        assert _scan(E, 4, family) == expected
 
 
 def test_poset_scan_meets_the_naturally_labelled_posets():
     # the poset scan over E a single vertex is exactly the transitive complete graphs
     # on the identity order, in column order: 1, 2, 7, 40 and 357 of them (OEIS A006455)
-    scan = [F for _, F in arrow._enumerated_candidates(POINT, 5, "poset")]
+    scan = [F for _, F in _scan(POINT, 5, "poset")]
     assert scan == _identity_posets(5)
     assert [sum(F.n == n for F in scan) for n in range(1, 6)] == [1, 2, 7, 40, 357]
+
+
+def test_poset_scan_grows_only_posets(monkeypatch):
+    # a column that is no down-set is dropped at the depth where it appears: the walk to
+    # the 6-vertex candidates over E = point grows exactly the 1, 2, 7, 40 and 357
+    # naturally labelled posets at depths 1-5, and no prefix the scan extends, at any
+    # size up to 6, is anything but a poset
+    grown = collections.Counter()
+    grow = arrow._grow
+
+    def counting(copies, cover, column, bit, to_r):
+        grown[bit.bit_length()] += 1
+        return grow(copies, cover, column, bit, to_r)
+
+    extended = []
+    columns = arrow._columns
+
+    def recording(cols):
+        extended.append(tuple(cols))
+        return columns(cols)
+
+    monkeypatch.setattr(arrow, "_grow", counting)
+    monkeypatch.setattr(arrow, "_columns", recording)
+    assert sum(1 for _ in arrow._prefixes(POINT, 5, recording)) == 357
+    assert [grown[depth] for depth in range(1, 6)] == [1, 2, 7, 40, 357]
+    extended.clear()
+    assert len(_scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
+    distinct = set(extended)
+    assert collections.Counter(map(len, distinct)) == {0: 1, 1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
+    for cols in distinct:
+        n = len(cols)
+        R = [(i, j) for j, c in enumerate(cols) for i in range(j) if c >> i & 1]
+        N = set(itertools.combinations(range(n), 2)) - set(R)
+        assert brute_is_poset(make_rn_graph(n, R, N))
+
+
+def _one_at_a_time(A, E, oracle: BaseOracle, verdict) -> tuple:
+    """The outcome of the oracle's loop as a reference that counts one candidate at a
+    time: the seeds, then the scan with each run expanded, every seed met again passed
+    over; verdict(F) decides a certified candidate."""
+    seeds = {}
+    for F, source in arrow._seed_candidates(A, E, oracle.size_bound):
+        seeds.setdefault(F, source)
+    scan = _scan(E, oracle.size_bound, arrow._family(A, E))
+    met = [(F.n, F, source) for F, source in seeds.items()]
+    met += [(n, F, "search:enumeration") for n, F in scan if F not in seeds]
+    certified = skipped = 0
+    for n, F, source in met:
+        if certified + skipped == oracle.candidate_budget:
+            return "budget", n, certified, skipped
+        if F is None:
+            skipped += 1
+            continue
+        certified += 1
+        if verdict(F):
+            return "witness", F, source
+    return ("exhausted",)
+
+
+def _outcome(A, E, oracle: BaseOracle) -> tuple:
+    try:
+        w = oracle_ramsey(oracle, A, E)
+    except NotFoundWithinBounds:
+        return ("exhausted",)
+    except ResourceExceeded as stop:
+        counts = re.fullmatch(
+            r"candidate budget \(\d+\) exhausted at size (\d+): (\d+) certified, "
+            r"(\d+) skipped by the minimal-witness lemma",
+            str(stop),
+        )
+        return ("budget", *map(int, counts.groups()))
+    return "witness", w.graph, w.source
+
+
+@pytest.mark.parametrize(
+    "A, E, size_bound, stops",
+    [
+        # 1 seed and 2 candidates of size 2, the seed among them; the witness is the
+        # last of the 7 of size 3
+        (POINT, A2, 3, {2: ("budget", 3, 1, 1), 8: ("budget", 3, 4, 4), 9: ("witness",)}),
+        # 1 seed, then 7 candidates of size 3, the seed among them, 40 of size 4 and 357
+        # of size 5: no witness up to 5 vertices
+        (POINT, V, 5, {
+            7: ("budget", 4, 1, 6),
+            47: ("budget", 5, 7, 40),
+            403: ("budget", 5, 72, 331),
+            404: ("exhausted",),
+        }),
+        # pattern-19's fused query: 1 seed, then 64 candidates of size 4, the seed among
+        # them, and 1,024 of size 5
+        (C2, make_rn_graph(4, {(0, 2), (0, 3), (1, 3)}, ()), 5, {
+            64: ("budget", 5, 1, 63),
+            1087: ("budget", 5, 11, 1076),
+            1088: ("exhausted",),
+        }),
+    ],
+)
+def test_budget_is_exact_at_run_boundaries(A, E, size_bound, stops):
+    # a run of skipped candidates is one item to the oracle, yet every budget on either
+    # side of each item's end stops as the one-at-a-time count does: the same witness,
+    # or the same size with the same certified and skipped counts.  A budget spent by
+    # the last candidate of a size names the next size; one spent by the scan's last
+    # candidate finds no witness
+    verdicts = {}
+    p_in_q = enumerate_copies(A, E)
+
+    def verdict(F):
+        if F not in verdicts:
+            verdicts[F] = arrow._is_witness(F, A, E, p_in_q, NEVER)
+        return verdicts[F]
+
+    family = arrow._family(A, E)
+    seeds = {F for F, _ in arrow._seed_candidates(A, E, size_bound)}
+    ends = list(itertools.accumulate(
+        [1] * len(seeds)
+        + [run for _, run, F in arrow._enumerated_candidates(E, size_bound, family)
+           if F not in seeds]
+    ))
+    budgets = {b + d for b in ends for d in (-1, 0, 1)} | {0}
+    assert set(stops) <= budgets
+    for budget in sorted(budgets):
+        oracle = BaseOracle(size_bound=size_bound, candidate_budget=budget)
+        expected = _one_at_a_time(A, E, oracle, verdict)
+        assert _outcome(A, E, oracle) == expected
+        if budget in stops:
+            assert expected[:len(stops[budget])] == stops[budget]
+
+
+def test_pattern_nineteen_stops_where_it_always_has():
+    # the oracle-corpus query that exhausts its budget: runs of skipped candidates leave
+    # the counts of its stop as they were when each candidate was one item
+    with pytest.raises(
+        ResourceExceeded,
+        match=r"^candidate budget \(60000\) exhausted at size 7: 422 certified, "
+        r"59578 skipped by the minimal-witness lemma$",
+    ):
+        oracle_ramsey(BaseOracle(size_bound=8), C2, make_rn_graph(4, {(0, 2), (0, 3), (1, 3)}, ()))
 
 
 def test_complete_candidates_lemma():

@@ -759,3 +759,14 @@ def test_cli_export_dot_names_the_graph_with_a_dot_id(tmp_path, capsys, stem):
     assert _DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
     if stem in ("c3", "my-chain"):  # identifiers keep their bytes, "-" still becomes "_"
         assert name == stem.replace("-", "_")
+
+
+@pytest.mark.parametrize(
+    "name, dot_id",
+    [("my chain", "my_chain"), ("graph", "_graph"), ("Strict", "_Strict"), ("c2", "c2")],
+)
+def test_export_dot_makes_any_name_a_dot_id(name, dot_id):
+    # library callers get a valid DOT ID too, not only the CLI's file stems
+    header = export_dot(chain(2), name=name).splitlines()[0]
+    assert header == f"digraph {dot_id} {{"
+    assert _DOT_ID.fullmatch(dot_id) and dot_id.lower() not in _DOT_KEYWORDS
