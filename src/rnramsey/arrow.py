@@ -14,7 +14,9 @@ The P-copies are the slots and the Q-copies the edges of a hypergraph, built onc
 masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
 then only whether a Q-copy exists is asked.  The search keeps its edge state in such
 masks: per color, the edges with a member of that color, and the edges that carry two
-colors; the local search keeps, per color, the edges one member short of it.
+colors; the local search keeps, per color, the edges one member short of it.  check_arrow
+and check_partite_arrow make every listed P-copy a slot, so that a counterexample colors
+them all; the oracle's certifications take only the P-copies inside some Q-copy.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -22,11 +24,14 @@ posets for stage 2, so that a stage-2 witness is itself a poset C -> (B)^A_2.  C
 candidates lose no witness size there; asking R to be transitive can, in general.  Every
 witness it returns is certified; its scan skips, uncertified, the candidates that the
 minimal-witness lemma rules out.  The scan is a tree walk in which each child inherits
-its parent's copies (_enumerated_candidates); it yields one item per run of skipped
-candidates, each still counted against the budget, and the deadline is read once per
-item.  A supplied witness is checked by certify_witness on the same route (_is_witness);
-it passes, is refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so
-an OracleWitness carries only its graph and its source.
+its parent's copies and child columns (_enumerated_candidates); it yields one item per
+run of skipped candidates, each still counted against the budget, and the deadline is
+read once per item.  A covered candidate comes as its columns and its E-copies' image
+masks, and is certified from those (_is_witness): no copy is listed for it, and only
+the witness becomes a graph.  The seeds, and a supplied witness in certify_witness, go
+the same route with the E-copies enumerate_copies lists; a supplied witness passes, is
+refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so an
+OracleWitness carries only its graph and its source.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from .analysis import is_good
 from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
@@ -47,7 +52,7 @@ _WALK_SEED = 0x5EED
 _WALK_TRIES = 5
 _WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
 _WALK_NOISE = 0.1
-_SLOT_CEILING = 2000  # P-copies the exact search takes on
+_SLOT_CEILING = 2000  # slots (P-copies) the exact search takes on
 _CLOCK_EVERY = 4096  # steps between the searches' reads of the deadline
 _FIRST_LOOK = 4096  # exact-search nodes before the walk
 
@@ -115,25 +120,29 @@ class ArrowVerdict:
     nodes_explored: int = field(compare=False, default=0)
 
 
-def _incidence(p_copies, q_copies, p_in_q) -> list[int]:
-    """inc[i] is the int mask of the edges (bit e for q_copies[e]) that hold slot i,
-    the P-copy p_copies[i].
+def _incidence(q_maps, p_in_q, slots=None) -> dict:
+    """The hypergraph: per slot, the image of a P-copy in the target, the int mask of
+    the edges that hold it, bit e for the e-th Q-copy.
 
-    Each copy of P in Q itself (p_in_q) is carried through the Q-copy's vertex map and
-    looked up by image.  Composed embeddings are embeddings, so every lookup must
-    succeed; a miss means a Q-copy that is not a copy.
+    q_maps[e][u] is where the e-th Q-copy sends u, and each copy of P in Q itself comes
+    as the tuple of its u (p_in_q); carried through a map it is a P-copy's image.
+    Given the slots, the masks come in their order, and every carried image must be a
+    slot: composed embeddings are embeddings, so a miss means a Q-copy that is not a
+    copy.  Without them, the slots are the carried images, the P-copies inside some
+    Q-copy, in the order first met.
     """
-    index = {c.image: i for i, c in enumerate(p_copies)}
-    inc = [0] * len(p_copies)
-    for e_idx, q in enumerate(q_copies):
-        bit = 1 << e_idx
+    held = {} if slots is None else dict.fromkeys(slots, 0)
+    for e, at in enumerate(q_maps):
+        bit = 1 << e
         for c in p_in_q:
-            image = tuple(q.map[u] for u in c.image)
-            i = index.get(image)
-            if i is None:
-                raise InvariantViolation(f"Q-copy {q.image} maps a P-copy onto non-copy {image}")
-            inc[i] |= bit
-    return inc
+            image = tuple([at[u] for u in c])
+            if image in held:
+                held[image] |= bit
+            elif slots is None:
+                held[image] = bit
+            else:
+                raise InvariantViolation(f"Q-copy {e} maps a P-copy onto non-copy {image}")
+    return held
 
 
 def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int, deadline: float):
@@ -283,42 +292,63 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
         q_copies = list(itertools.islice(iter_copies(Q, target), 1))
     else:
         q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    return _verdict(r, p_copies, q_copies, enumerate_copies(P, Q), limits.max_nodes, deadline)
+    p_in_q = enumerate_copies(P, Q)
+    return _arrow_verdict(r, p_copies, q_copies, p_in_q, limits.max_nodes, deadline)
 
 
-def _verdict(r: int, p_copies, q_copies, p_in_q, max_nodes: int, deadline: float) -> ArrowVerdict:
-    """Decide whether every r-coloring of p_copies makes some member of q_copies
-    monochromatic; the copies (and the copies p_in_q of P in Q itself) are given,
-    everything after enumeration happens here, by the query's deadline.  Past the walk's
-    gate the exact search looks at _FIRST_LOOK nodes first; only a decision it leaves
-    open gets the walk (a FAILS of 0 nodes), then the exact search gets all max_nodes."""
+def _arrow_verdict(
+    r: int, p_copies, q_copies, p_in_q, max_nodes: int, deadline: float
+) -> ArrowVerdict:
+    """_verdict with every P-copy listed in the target a slot, as an ArrowVerdict whose
+    counterexample colors them all; the copies are Copy lists."""
+    colors, nodes = _verdict(
+        r, [q.map for q in q_copies], [c.image for c in p_in_q], max_nodes, deadline,
+        [c.image for c in p_copies],
+    )
+    if colors is None:
+        return ArrowVerdict(True, None, nodes)
+    return ArrowVerdict(False, make_coloring(p_copies, colors, r), nodes)
+
+
+def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float, slots=None):
+    """Decide whether every r-coloring of the slots makes some Q-copy monochromatic:
+    (colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic, or
+    None when no such coloring exists (the arrow holds).  The Q-copies and the copies
+    p_in_q of P in Q itself come as _incidence takes them; everything after enumeration
+    happens here, by the query's deadline.  The slots are the given P-copy images or, by
+    default, the P-copies inside some Q-copy, by image ascending (exact by the slot
+    lemma, see _enumerated_candidates).  Past the walk's gate the exact search looks at
+    _FIRST_LOOK nodes first; only a decision it leaves open gets the walk (a FAILS of 0
+    nodes), then the exact search gets all max_nodes."""
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an int of at least 1, got {r!r}")
-    if not q_copies:
-        return ArrowVerdict(False, make_coloring(p_copies, [0] * len(p_copies), r))
+    if not q_maps:
+        return [0] * len(slots or ()), 0
     if not p_in_q:
         # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
-        return ArrowVerdict(True, None)
-    m = len(p_copies)
+        return None, 0
+    held = None
+    if slots is None:
+        held = _incidence(q_maps, p_in_q)
+        slots = sorted(held)
+    m = len(slots)  # given slots are refused here before their masks are built
     if m > _SLOT_CEILING:
         raise ResourceExceeded(
             f"{m} P-copies is beyond the exact search ceiling of {_SLOT_CEILING} slots"
         )
-    inc, n_edges = _incidence(p_copies, q_copies, p_in_q), len(q_copies)
+    held = held or _incidence(q_maps, p_in_q, slots)
+    inc, n_edges = [held[s] for s in slots], len(q_maps)
     walk = m > 16 and r >= 2
     look = min(_FIRST_LOOK, max_nodes) if walk else max_nodes
     try:
-        assignment, nodes = _proper_coloring_search(inc, n_edges, r, look, deadline)
+        return _proper_coloring_search(inc, n_edges, r, look, deadline)
     except ResourceExceeded:
         if not walk:
             raise
-        colors = _local_search(inc, n_edges, r, deadline)
-        if colors is not None:
-            return ArrowVerdict(False, make_coloring(p_copies, colors, r))
-        assignment, nodes = _proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
-    if assignment is None:
-        return ArrowVerdict(True, None, nodes)
-    return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
+    colors = _local_search(inc, n_edges, r, deadline)
+    if colors is not None:
+        return colors, 0
+    return _proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
 
 
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
@@ -411,24 +441,22 @@ def _seed_candidates(A: RNGraph, E: RNGraph, size_bound: int):
             yield poset_to_complete_rn(chain(n)), "search:chain"
 
 
-def _columns(below) -> list[int]:
-    """The columns over a prefix in column order, each holding below[i] if it holds i:
-    every R mask for all-zero below, the down-sets for a poset's own columns."""
-    out = [0]
-    for i, need in enumerate(below):
-        bit = 1 << i
-        out = [m for d in out for m in ((d | bit, d) if not need & ~d else (d,))]
-    return out
+def _columns(offered: list[int], column: int, bit: int) -> list[int]:
+    """The columns over a prefix grown by a vertex (mask bit) with this column, in
+    column order, from the prefix's own (offered): each d of them gives d | bit, when d
+    holds the column, then d.  Column 0 offers every mask, as the N-free scan takes;
+    from a poset's own down-sets and column, the grown poset's down-sets."""
+    return [m for d in offered for m in ((d | bit, d) if not column & ~d else (d,))]
 
 
-def _grow(copies, cover: int, column: int, bit: int, to_r):
-    """(copies, cover) of a prefix grown by a vertex, mask bit, with this column.
+def _grow(copies, column: int, bit: int, to_r):
+    """The copies of a prefix grown by a vertex, mask bit, with this column.
 
-    copies[j] lists the copies of E[:j], E's first j vertices, as (image mask, wants):
-    wants[i] masks the image vertices E wants R pairs from to its vertex i; cover masks
-    the vertices of E-copies.  The child keeps these and adds the copies through the
-    new vertex: a copy of E[:j + 1] there extends one of E[:j] with column & image ==
-    wants[j], its other pairs then absent or N as E wants.
+    copies[j] lists the copies of E[:j], E's first j vertices: as (image mask, wants)
+    for j < E.n, wants[i] masking the image vertices E wants R pairs from to its vertex
+    i, and as bare image masks for E itself.  The child keeps these and adds the copies
+    through the new vertex: a copy of E[:j + 1] there extends one of E[:j] with column &
+    image == wants[j], its other pairs then absent or N as E wants.
     """
     last = len(to_r) - 1
     grown = [copies[0]]
@@ -439,37 +467,48 @@ def _grow(copies, cover: int, column: int, bit: int, to_r):
             for image, wants in copies[j]
             if column & image == wants[j]
         ])
-    for image, wants in copies[last]:
-        if column & image == wants[last]:
-            cover |= image | bit
-    return grown, cover
+    ends = [image | bit for image, wants in copies[last] if column & image == wants[last]]
+    grown.append(copies[-1] + ends)
+    return grown
 
 
 def _prefixes(E: RNGraph, depth: int, columns):
-    """Every prefix on `depth` vertices, as (its columns, (copies, cover)) (see _grow):
-    a depth-first walk in column order from the empty prefix, each child grown from its
-    parent; columns(cols) gives a prefix's child columns.  The yielded list is reused."""
+    """Every prefix on `depth` vertices, as (its columns, its child columns, its copies)
+    (see _grow): a depth-first walk in column order from the empty prefix, whose one
+    child column is 0, each child grown from its parent; columns(offered, column, bit)
+    gives a grown prefix's child columns from its parent's (offered).  The yielded
+    column list is reused."""
     to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
     cols: list[int] = []
 
-    def walk(state):
+    def walk(offered, copies):
         if len(cols) == depth:
-            yield cols, state
+            yield cols, offered, copies
             return
-        for column in columns(cols):
-            bit = 1 << len(cols)
+        bit = 1 << len(cols)
+        for column in offered:
             cols.append(column)
-            yield from walk(_grow(*state, column, bit, to_r))
+            yield from walk(columns(offered, column, bit), _grow(copies, column, bit, to_r))
             cols.pop()
 
-    return walk(([[(0, (0,) * E.n)]] + [[] for _ in range(E.n - 1)], 0))
+    return walk([0], [[(0, (0,) * E.n)]] + [[] for _ in range(E.n)])
+
+
+def _graph(cols, posets: bool) -> RNGraph:
+    """The candidate on the identity order with these columns: pair (i, j) is R when
+    bit i of cols[j] is set, else N for posets and absent for N-free graphs."""
+    n = len(cols)
+    pairs = frozenset((i, j) for j in range(n) for i in range(j))
+    R = frozenset((i, j) for i, j in pairs if cols[j] >> i & 1)
+    return RNGraph(n, R, pairs - R if posets else frozenset(), tuple(range(n)))
 
 
 def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     """Every graph of the family on the identity order with E.n to size_bound vertices,
-    by size and within a size in column order; E has a vertex.  Yields (n, 1, graph)
-    for a candidate that may be the first witness and (n, run, None) for a run of `run`
-    consecutive candidates that the minimal-witness lemma skips.
+    by size and within a size in column order; E has a vertex.  Yields (n, 1, columns,
+    e_copies) for a candidate that may be the first witness, with the image masks of
+    its E-copies, and (n, run, None, None) for a run of `run` consecutive candidates that
+    the minimal-witness lemma skips.
 
     Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
     column: the R mask of the pairs (i, n-1), earliest i most significant, R first; its
@@ -487,48 +526,89 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     no E-copy, so their colors never matter: F -> (E)^A_2 exactly when F - v ->
     (E)^A_2.  So F is skipped when the union of its E-copy images is not all n vertices.
 
-    Tree.  Each size walks the prefixes (_prefixes), which inherit their copies, so no
-    prefix graph is built.  A candidate's E-copies are its prefix's and those through
-    the new vertex (_grow's compare); only a covered candidate's graph is built, and a
-    run of skipped ones ends at a covered one or its prefix's last column.
+    Slot lemma (exact).  Likewise an A-copy of F in no E-copy is in no edge of the
+    hypergraph: its color neither makes nor spoils a monochromatic E-copy.  Dropping
+    it keeps HOLDS and FAILS (a counterexample on the rest extends by any color), and
+    HOLDS is still proved by exhausting the search.  So the slots of a certification
+    are the A-copies inside some E-copy, and F's own A-copies are never listed
+    (_is_witness).
+
+    Tree.  Each size walks the prefixes (_prefixes), which inherit their copies and
+    their child columns, so no prefix graph is built and no down-set is listed from
+    scratch.  A candidate's E-copies are its prefix's and those through the new vertex
+    (_grow's compare), handed over as masks; no candidate's graph is built, and a run of
+    skipped ones ends at a covered one or its prefix's last column.
     """
-    posets = family == "poset"
     last = E.n - 1
-    every = cache(lambda t: _columns((0,) * t))  # every column over t vertices
-    columns = _columns if posets else lambda cols: every(len(cols))
+    if family == "poset":
+        columns = _columns
+    else:
+        every = cache(lambda t: [0] if t == 0 else _columns(every(t - 1), 0, 1 << t - 1))
+
+        def columns(offered, column, bit):
+            return every(bit.bit_length())  # every mask over the grown prefix
+
     for n in range(E.n, size_bound + 1):
         top = n - 1
-        new, full = 1 << top, (1 << n) - 1
-        for cols, (copies, cover) in _prefixes(E, top, columns):
+        new, whole = 1 << top, (1 << n) - 1
+        for cols, offered, copies in _prefixes(E, top, columns):
+            full = copies[-1]
+            cover = reduce(operator.or_, full, 0)
             ends = [(image, wants[last], image | new) for image, wants in copies[last]]
             run = 0
-            for column in columns(cols):
+            for column in offered:
                 covered = cover
                 for image, want, through in ends:
                     if column & image == want:
                         covered |= through
-                if covered != full:
+                if covered != whole:
                     run += 1
                     continue
                 if run:
-                    yield n, run, None
+                    yield n, run, None, None
                     run = 0
-                bits = [(i, j, c >> i & 1) for j, c in enumerate((*cols, column)) for i in range(j)]
-                R = frozenset((i, j) for i, j, bit in bits if bit)
-                N = frozenset((i, j) for i, j, bit in bits if posets and not bit)
-                yield n, 1, RNGraph(n, R, N, tuple(range(n)))
+                through = [t for image, want, t in ends if column & image == want]
+                yield n, 1, (*cols, column), full + through
             if run:
-                yield n, run, None
+                yield n, run, None, None
 
 
-def _is_witness(graph: RNGraph, A: RNGraph, E: RNGraph, p_in_q, deadline: float) -> bool:
-    """graph -> (E)^A_2 on check_arrow's verdict path within SearchLimits' default counts,
-    E-copies first: a graph without one is no witness, so its A-copies are never listed."""
-    q_copies = enumerate_copies(E, graph, limit=SearchLimits.max_copies)
-    if not q_copies:
-        return False
-    p_copies = enumerate_copies(A, graph, limit=SearchLimits.max_copies)
-    return _verdict(2, p_copies, q_copies, p_in_q, SearchLimits.max_nodes, deadline).holds
+def _positions(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _ranked(A: RNGraph, E: RNGraph) -> list[tuple[int, ...]]:
+    """The copies of A in E, each as the ranks in E of its image."""
+    return [tuple(E.rank[u] for u in c.image) for c in enumerate_copies(A, E)]
+
+
+def _e_copies(graph: RNGraph, E: RNGraph) -> list[int]:
+    """The image masks of E's copies in graph (bit p for graph's p-th vertex in its
+    order), listed within SearchLimits' default count."""
+    rank = graph.rank
+    return [
+        sum(1 << rank[v] for v in c.image)
+        for c in enumerate_copies(E, graph, limit=SearchLimits.max_copies)
+    ]
+
+
+def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
+    """Whether a graph arrows (E)^A_2, given the image masks of its E-copies and the
+    A-copies in E as ranks (_ranked), on _verdict's path within SearchLimits' default
+    counts.  Each E-copy carries each A-copy in E to the positions of its image; the
+    slots are the A-copies so met, the ones inside some E-copy (the slot lemma, see
+    _enumerated_candidates).  A graph without an E-copy is no witness."""
+    limit = SearchLimits.max_copies
+    if len(e_copies) > limit:
+        raise ResourceExceeded(f"more than {limit} copies of the pattern in a candidate")
+    maps = [_positions(image) for image in e_copies]
+    return _verdict(2, maps, p_in_e, SearchLimits.max_nodes, deadline)[0] is None
 
 
 def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
@@ -536,7 +616,8 @@ def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
     candidates.  A refuted witness is a CertificationFailed; a certification that
     runs past its budgets raises ResourceExceeded, like every other ceiling."""
     deadline = time.monotonic() + SearchLimits.time_budget
-    if not _is_witness(graph, A, E, enumerate_copies(A, E), deadline):
+    p_in_e = _ranked(A, E)
+    if not _is_witness(_e_copies(graph, E), p_in_e, deadline):
         raise CertificationFailed(
             f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
             f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
@@ -550,12 +631,14 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     exact verdict path of check_arrow.
 
     The seeds come first, then the scan of _family's candidates in column order (see
-    _enumerated_candidates), which passes over a seed met again and skips, uncertified,
-    a candidate with a vertex in no E-copy: its first witness is still the one returned.
-    Every candidate met counts against candidate_budget, one at a time also inside a
-    run of skipped ones; the deadline is read once per item, a seed, a candidate or a
-    run.  A budget stop names the size of the first candidate past the budget and how
-    many were certified and skipped.
+    _enumerated_candidates), which passes over a seed met again (the same columns) and
+    skips, uncertified, a candidate with a vertex in no E-copy: its first witness is
+    still the one returned.  Every candidate is certified on one route (_is_witness),
+    from the scan's E-copies or, for a seed, those enumerate_copies lists; only the
+    witness becomes a graph.  Every candidate met counts against candidate_budget, one
+    at a time also inside a run of skipped ones; the deadline is read once per item, a
+    seed, a candidate or a run.  A budget stop names the size of the first candidate
+    past the budget and how many were certified and skipped.
     """
     family = _family(A, E)
     if E.n > oracle.size_bound:
@@ -563,21 +646,29 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             f"every witness contains a copy of the {E.n}-vertex pattern, "
             f"beyond the size bound {oracle.size_bound}"
         )
-    p_in_q = enumerate_copies(A, E)
+    posets = family == "poset"
+    p_in_e = _ranked(A, E)
     deadline = time.monotonic() + oracle.time_bound  # certifications included
-    seeds: dict[RNGraph, str] = {}  # each seed met, with its source
-    seeded = (
-        (graph.n, 1, graph, seeds.setdefault(graph, source))
-        for graph, source in _seed_candidates(A, E, oracle.size_bound)
-        if graph not in seeds
-    )
+    met: set[tuple[int, ...]] = set()  # the columns of each seed the scan meets again
+
+    def seeded():
+        seeds = set()
+        for graph, source in _seed_candidates(A, E, oracle.size_bound):
+            if graph in seeds:
+                continue
+            seeds.add(graph)
+            cols = tuple(sum(1 << i for i, j in graph.R if j == t) for t in range(graph.n))
+            if _graph(cols, posets) == graph:
+                met.add(cols)
+            yield graph.n, 1, graph, _e_copies(graph, E), source
+
     scan = (
-        (n, run, graph, "search:enumeration")
-        for n, run, graph in _enumerated_candidates(E, oracle.size_bound, family)
-        if graph not in seeds  # a seed is never skipped as uncovered, so it is met here
+        (n, run, cols, e_copies, "search:enumeration")
+        for n, run, cols, e_copies in _enumerated_candidates(E, oracle.size_bound, family)
+        if cols not in met  # a seed is never skipped as uncovered, so it is met here
     )
     certified = skipped = 0
-    for n, run, graph, source in itertools.chain(seeded, scan):
+    for n, run, made, e_copies, source in itertools.chain(seeded(), scan):
         room = oracle.candidate_budget - certified - skipped
         if run > room:  # the budget runs out before this item or inside its run
             raise ResourceExceeded(
@@ -586,11 +677,12 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             )
         if time.monotonic() > deadline:
             raise ResourceExceeded(f"search time budget ({oracle.time_bound}s) exhausted")
-        if graph is None:
+        if made is None:
             skipped += run
             continue
         certified += 1
-        if _is_witness(graph, A, E, p_in_q, deadline):
+        if _is_witness(e_copies, p_in_e, deadline):
+            graph = _graph(made, posets) if isinstance(made, tuple) else made
             return OracleWitness(graph, source)
     raise NotFoundWithinBounds(
         f"no witness among {family} candidates up to {oracle.size_bound} vertices"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analysis import is_good
-from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _verdict, oracle_ramsey
+from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _arrow_verdict, oracle_ramsey
 from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
 from .structures import Homomorphism, InvariantViolation, RNGraph, StructureError, fuse
 from .structures import is_complete, make_rn_graph
@@ -201,4 +201,4 @@ def check_partite_arrow(
                     and _keeps_parts(pattern, host, copy.map)):
                 raise StructureError("family member is not a part-preserving copy", copy.map)
     a_in_pattern = enumerate_copies(host.A, pattern.base)
-    return _verdict(r, a_copies, members, a_in_pattern, limits.max_nodes, deadline)
+    return _arrow_verdict(r, a_copies, members, a_in_pattern, limits.max_nodes, deadline)

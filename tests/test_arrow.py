@@ -33,7 +33,7 @@ from rnramsey import (
     poset_to_complete_rn,
     save_structure,
 )
-from rnramsey import arrow
+from rnramsey import arrow, embeddings
 from rnramsey.structures import induced_substructure
 from helpers import (
     brute_arrow,
@@ -201,11 +201,18 @@ def test_time_budget_fires():
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
 
 
+def _hypergraph(target, Q, P):
+    """The P-copies and Q-copies of target, with check_arrow's masks of the edges that
+    hold each P-copy."""
+    p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
+    p_in_q = [c.image for c in enumerate_copies(P, Q)]
+    held = arrow._incidence([q.map for q in q_copies], p_in_q, [c.image for c in p_copies])
+    return p_copies, q_copies, list(held.values())
+
+
 def _search(n: int, q: int, p: int, r: int):
     """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no local search."""
-    target, Q, P = (_rn_chain(k) for k in (n, q, p))
-    p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
-    inc = arrow._incidence(p_copies, q_copies, enumerate_copies(P, Q))
+    p_copies, q_copies, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
     assignment, nodes = arrow._proper_coloring_search(inc, len(q_copies), r, MAX_NODES, NEVER)
     coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
     return coloring, nodes
@@ -335,9 +342,7 @@ def test_local_search_agrees_with_brute_force():
 def test_local_search_gives_up_at_its_deadline():
     # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
     # past its deadline, the one check_arrow fixed for the whole query
-    target, Q, P = _rn_chain(12), _rn_chain(4), _rn_chain(3)
-    q_copies = enumerate_copies(Q, target)
-    inc = arrow._incidence(enumerate_copies(P, target), q_copies, enumerate_copies(P, Q))
+    _, q_copies, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
     assert arrow._local_search(inc, len(q_copies), 2, NEVER) is not None
     assert arrow._local_search(inc, len(q_copies), 2, float("-inf")) is None
 
@@ -348,7 +353,7 @@ def test_incidence_refuses_a_forged_q_copy():
     p_copies = enumerate_copies(C2, target)
     forged = [Copy((0, 1, 2), (0, 1, 2))]
     with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)"):
-        arrow._verdict(2, p_copies, forged, enumerate_copies(C2, C3), MAX_NODES, NEVER)
+        arrow._arrow_verdict(2, p_copies, forged, enumerate_copies(C2, C3), MAX_NODES, NEVER)
 
 
 def test_verdict_deterministic():
@@ -446,17 +451,17 @@ def test_oracle_enumeration_fallback():
     assert w.graph.n == 3 and not w.graph.R and len(w.graph.N) == 3
 
 
-def _recording_is_witness(monkeypatch) -> list:
-    """Record every candidate that reaches certification."""
-    certified = []
+def _certifications(monkeypatch) -> list:
+    """Record every certification: its E-copy image masks, sorted, and its deadline."""
+    calls = []
     is_witness = arrow._is_witness
 
-    def recording(graph, *args):
-        certified.append(graph)
-        return is_witness(graph, *args)
+    def recording(e_copies, p_in_e, deadline):
+        calls.append((sorted(e_copies), deadline))
+        return is_witness(e_copies, p_in_e, deadline)
 
     monkeypatch.setattr(arrow, "_is_witness", recording)
-    return certified
+    return calls
 
 
 def _covered(E, F) -> set:
@@ -464,13 +469,30 @@ def _covered(E, F) -> set:
     return {v for image in brute_copies(E, F) for v in image}
 
 
+def _masks(E, F) -> list:
+    """The image masks of the copies of E in F (bit p for F's p-th vertex), by brute
+    force, sorted."""
+    return sorted(sum(1 << F.rank[v] for v in image) for image in brute_copies(E, F))
+
+
+def _certified(A, E, size_bound: int, calls: list) -> list:
+    """The candidates of the reference loop (_met) that reach certification, as many
+    as there were calls, each checked against its call: the call got the candidate's
+    E-copies, those brute force lists."""
+    certified = [F for _, F, _ in _met(A, E, size_bound) if F is not None][:len(calls)]
+    assert [masks for masks, _ in calls] == [_masks(E, F) for F in certified]
+    return certified
+
+
 def test_oracle_tries_each_candidate_once(monkeypatch):
-    # the identity seed (the antichain itself) comes round again in the enumeration
-    certified = _recording_is_witness(monkeypatch)
+    # the identity seed (the antichain itself) comes round again in the enumeration;
+    # each certification is handed one candidate's E-copies
+    calls = _certifications(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, A2)
     assert w.source == "search:enumeration" and w.graph.n == 3
+    certified = _certified(POINT, A2, w.graph.n, calls)
     assert certified[0] == A2 and certified[-1] == w.graph
-    assert len(certified) == len(set(certified)) == 5
+    assert len(certified) == len(set(certified)) == len(calls) == 5
     # only posets with every vertex in a copy of E reach certification
     for F in certified:
         assert brute_is_poset(F) and _covered(A2, F) == set(range(F.n))
@@ -485,26 +507,21 @@ def test_oracle_tries_each_candidate_once(monkeypatch):
 def test_oracle_time_bound_caps_each_certification(monkeypatch):
     # one deadline per query, fixed before the scan at the oracle's time bound: every
     # certification stops on it, so none can outrun --oracle-time-bound
-    received = []
-    is_witness = arrow._is_witness
-
-    def recording(graph, A, E, p_in_q, deadline):
-        received.append(deadline)
-        return is_witness(graph, A, E, p_in_q, deadline)
-
-    monkeypatch.setattr(arrow, "_is_witness", recording)
+    calls = _certifications(monkeypatch)
     monkeypatch.setattr(arrow, "time", SimpleNamespace(monotonic=lambda: 100.0))
     oracle_ramsey(BaseOracle(time_bound=7.5), POINT, poset_to_complete_rn(antichain(2)))
-    assert received == [107.5] * 5
+    assert [deadline for _, deadline in calls] == [107.5] * 5
 
 
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
     # timing could hide; the witness is a 6-vertex poset
-    certified = _recording_is_witness(monkeypatch)
+    calls = _certifications(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, V)
     assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
-    assert len(certified) == 775 and certified[0] == V and certified[-1] == w.graph
+    certified = _certified(POINT, V, w.graph.n, calls)
+    assert len(certified) == len(calls) == 775
+    assert certified[0] == V and certified[-1] == w.graph
     # 3,765 candidates are met up to the witness, none below |V| = 3 vertices; the
     # budget stop names how far the scan got
     assert oracle_ramsey(BaseOracle(candidate_budget=3765), POINT, V) == w
@@ -719,7 +736,7 @@ def _random_identity_poset(rng, n: int):
 def test_one_vertex_extension_coverage():
     # growing F one vertex at a time from the empty prefix, each child inheriting its
     # parent's copies, gives the copies of every E[:j] that brute force lists in F, with
-    # the R pairs E wants to its later vertices, and the union of F's E-copy images; in
+    # the R pairs E wants to its later vertices, and F's E-copies as bare masks; in
     # both families: an N-free E with an N-free F, and a poset E with a poset F
     rng = random.Random(36)
     full = 0
@@ -731,10 +748,13 @@ def test_one_vertex_extension_coverage():
             else:
                 E = random_good_complete(rng, 4)
                 F = _random_identity_poset(rng, rng.randint(1, 6))
-            own = [sum(1 << i for i, j in F.R if j == t) for t in range(F.n)]
-            [(_, (copies, cover))] = arrow._prefixes(E, F.n, lambda cols: [own[len(cols)]])
+            # each prefix offers its one child column; the last offer is never taken
+            own = [sum(1 << i for i, j in F.R if j == t) for t in range(F.n)] + [0]
+            [(_, _, copies)] = arrow._prefixes(
+                E, F.n, lambda offered, column, bit: [own[bit.bit_length()]]
+            )
             expected = _covered(E, F)
-            assert cover == sum(1 << v for v in expected)
+            assert sorted(copies[E.n]) == _masks(E, F)
             for j in range(E.n):
                 grown = sorted(copies[j])
                 assert [image for image, _ in grown] == sorted(
@@ -751,13 +771,27 @@ def test_one_vertex_extension_coverage():
     assert full >= 200
 
 
+def _candidate(cols, posets: bool):
+    """The graph on the identity order with these columns, built apart from the
+    oracle: (i, j) is R when bit i of cols[j] is set, else N in a poset, else absent."""
+    pairs = [(i, j) for j in range(len(cols)) for i in range(j)]
+    R = [(i, j) for i, j in pairs if cols[j] >> i & 1]
+    return make_rn_graph(len(cols), R, [p for p in pairs if p not in R] if posets else ())
+
+
 def _scan(E, size_bound: int, family: str) -> list:
     """The scan with every run of skipped candidates expanded into Nones, one (n, F)
-    per candidate; a graph comes alone, and a run holds at least one candidate."""
+    per candidate, F built from its columns.  A candidate comes alone, with the image
+    masks of its E-copies, those brute force lists; a run holds at least one."""
     out = []
-    for n, run, F in arrow._enumerated_candidates(E, size_bound, family):
-        assert run == 1 if F is not None else run >= 1
-        out.extend([(n, F)] * run)
+    for n, run, cols, e_copies in arrow._enumerated_candidates(E, size_bound, family):
+        if cols is None:
+            assert run >= 1 and e_copies is None
+            out.extend([(n, None)] * run)
+            continue
+        F = _candidate(cols, family == "poset")
+        assert run == 1 and F.n == n and sorted(e_copies) == _masks(E, F)
+        out.append((n, F))
     return out
 
 
@@ -805,22 +839,22 @@ def test_poset_scan_grows_only_posets(monkeypatch):
     grown = collections.Counter()
     grow = arrow._grow
 
-    def counting(copies, cover, column, bit, to_r):
+    def counting(copies, column, bit, to_r):
         grown[bit.bit_length()] += 1
-        return grow(copies, cover, column, bit, to_r)
+        return grow(copies, column, bit, to_r)
 
     extended = []
-    columns = arrow._columns
+    prefixes = arrow._prefixes
 
-    def recording(cols):
-        extended.append(tuple(cols))
-        return columns(cols)
+    def recording(E, depth, columns):
+        for cols, offered, state in prefixes(E, depth, columns):
+            extended.append(tuple(cols))
+            yield cols, offered, state
 
     monkeypatch.setattr(arrow, "_grow", counting)
-    monkeypatch.setattr(arrow, "_columns", recording)
-    assert sum(1 for _ in arrow._prefixes(POINT, 5, recording)) == 357
+    assert sum(1 for _ in arrow._prefixes(POINT, 5, arrow._columns)) == 357
     assert [grown[depth] for depth in range(1, 6)] == [1, 2, 7, 40, 357]
-    extended.clear()
+    monkeypatch.setattr(arrow, "_prefixes", recording)
     assert len(_scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
     distinct = set(extended)
     assert collections.Counter(map(len, distinct)) == {0: 1, 1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
@@ -831,18 +865,149 @@ def test_poset_scan_grows_only_posets(monkeypatch):
         assert brute_is_poset(make_rn_graph(n, R, N))
 
 
+def _met(A, E, size_bound: int) -> list:
+    """The candidates of the oracle's loop, one (n, F, source) at a time: the seeds,
+    then the scan with each run expanded into Nones, every seed met again passed over."""
+    seeds = {}
+    for F, source in arrow._seed_candidates(A, E, size_bound):
+        seeds.setdefault(F, source)
+    scan = _scan(E, size_bound, arrow._family(A, E))
+    met = [(F.n, F, source) for F, source in seeds.items()]
+    return met + [(n, F, "search:enumeration") for n, F in scan if F not in seeds]
+
+
+def _down_sets(cols) -> list:
+    """The down-sets of the poset with these columns, from scratch: every vertex set
+    that holds each member's column, in column order (earliest vertex most significant,
+    in before out)."""
+    n = len(cols)
+    closed = [d for d in range(1 << n) if all(not cols[i] & ~d for i in range(n) if d >> i & 1)]
+    return sorted(closed, key=lambda d: [-(d >> i & 1) for i in range(n)])
+
+
+def test_down_sets_follow_from_the_parent():
+    # each prefix's child columns come from its parent's in one step, and they are the
+    # down-sets listed from scratch, in order, at every depth up to 5; the one child
+    # column of the empty prefix is 0
+    counts = []
+    for depth in range(6):
+        prefixes = arrow._prefixes(POINT, depth, arrow._columns)
+        met = [(tuple(cols), offered) for cols, offered, _ in prefixes]
+        counts.append(len(met))
+        for cols, offered in met:
+            assert offered == _down_sets(cols)
+    assert counts == [1, 1, 2, 7, 40, 357]
+    # from column 0, every mask: the N-free scan's offer
+    assert arrow._columns([1, 0], 0, 2) == [3, 1, 2, 0]
+    assert arrow._columns([1, 0], 1, 2) == [3, 1, 0]
+
+
+def test_certification_needs_only_the_slots_in_some_e_copy():
+    # the slot lemma: an A-copy in no E-copy is in no edge, so the route, whose slots are
+    # the A-copies inside some E-copy, decides as check_arrow does over every A-copy; on
+    # random graphs of both families, in any order
+    rng = random.Random(38)
+    dropped = dropped_holds = 0
+    for family in ("N-free", "poset"):
+        for _ in range(250):
+            if family == "N-free":
+                A = rng.choice((POINT, C2, C3))
+                E, F = fuse(random_rn(rng, 3)), fuse(random_rn(rng, 6))
+            else:
+                A, E, F = (random_good_complete(rng, k) for k in (2, 3, 6))
+            holds = check_arrow(F, E, A, 2).holds
+            assert arrow._is_witness(arrow._e_copies(F, E), arrow._ranked(A, E), NEVER) == holds
+            # the slots, as positions in F's order, and the edges that hold each
+            maps = [arrow._positions(image) for image in arrow._e_copies(F, E)]
+            held = arrow._incidence(maps, arrow._ranked(A, E))
+            images = [set(image) for image in brute_copies(E, F)]
+            inside = {c for c in brute_copies(A, F) if any(set(c) <= q for q in images)}
+            assert set(held) == {tuple(sorted(F.rank[v] for v in c)) for c in inside}
+            for slot, mask in held.items():
+                assert mask == sum(1 << e for e, at in enumerate(maps) if set(slot) <= set(at))
+            outside = [c for c in brute_copies(A, F) if not any(set(c) <= q for q in images)]
+            dropped += bool(outside and images)
+            dropped_holds += bool(outside and images and holds)
+    assert dropped >= 100 and dropped_holds >= 80
+    # and on every covered candidate of the scan, from the E-copies it hands over
+    verdicts = collections.Counter()
+    for A, E, size_bound in (
+        (POINT, V, 5),
+        (C2, make_rn_graph(4, {(0, 2), (0, 3), (1, 3)}, ()), 5),
+        (A2, make_rn_graph(3, {(0, 1)}, {(0, 2), (1, 2)}), 5),
+    ):
+        family = arrow._family(A, E)
+        p_in_e = arrow._ranked(A, E)
+        for n, run, cols, e_copies in arrow._enumerated_candidates(E, size_bound, family):
+            if cols is not None:
+                holds = check_arrow(_candidate(cols, family == "poset"), E, A, 2).holds
+                assert arrow._is_witness(e_copies, p_in_e, NEVER) == holds
+                verdicts[holds] += 1
+    # the first two queries have no witness up to 5 vertices; the third has 18
+    assert verdicts == {False: 72 + 48 + 11, True: 18}
+
+
+def test_certification_of_degenerate_queries():
+    # an empty A is one slot inside every E-copy; an empty E has one copy, the empty one;
+    # an A that does not embed in E holds vacuously once there is an E-copy
+    empty = make_rn_graph(0, (), ())
+    edgeless = make_rn_graph(2, (), ())
+    rng = random.Random(39)
+    targets = [empty, POINT, C3, edgeless] + [fuse(random_rn(rng, 5)) for _ in range(20)]
+    outcomes = set()
+    for A, E in (
+        (empty, C2), (empty, empty), (empty, edgeless),  # A empty
+        (POINT, empty),  # E empty
+        (C2, edgeless), (C3, C2),  # A not in E
+    ):
+        for F in targets:
+            holds = check_arrow(F, E, A, 2).holds
+            assert arrow._is_witness(arrow._e_copies(F, E), arrow._ranked(A, E), NEVER) == holds
+            outcomes.add(holds)
+        # the oracle's first seed, E itself, is then its witness
+        assert oracle_ramsey(BaseOracle(), A, E) == OracleWitness(E, "search:identity")
+    assert outcomes == {True, False}
+
+
+def test_the_scan_lists_no_copies_per_candidate(monkeypatch):
+    # the tower point v query lists A's copies in E and its seed's E-copies, and nothing
+    # per scanned candidate: the count is the same whether the budget stops the oracle
+    # after 1, 774 or 775 certified candidates (the last finds the witness)
+    listed = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            listed[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arrow, "enumerate_copies", counting("enumerate", arrow.enumerate_copies))
+    monkeypatch.setattr(arrow, "iter_copies", counting("iter", arrow.iter_copies))
+    monkeypatch.setattr(embeddings, "iter_copies", counting("iter", embeddings.iter_copies))
+    for budget in (1, 3764, 60_000):
+        listed.clear()
+        try:
+            oracle_ramsey(BaseOracle(candidate_budget=budget), POINT, V)
+        except ResourceExceeded:
+            assert budget < 3765
+        assert listed == {"enumerate": 2, "iter": 2}
+
+
+def test_certification_keeps_the_copy_limit_on_e_copies(monkeypatch):
+    # SearchLimits.max_copies caps a candidate's E-copies on the scan's route too: under
+    # a cap of 2 the 2-antichain seed (1 copy) and the size-3 candidates with 2 copies
+    # are certified, and the first with 3 copies stops the search
+    monkeypatch.setattr(arrow.SearchLimits, "max_copies", 2)
+    stop = "^more than 2 copies of the pattern in a candidate$"
+    with pytest.raises(ResourceExceeded, match=stop):
+        oracle_ramsey(BaseOracle(), POINT, A2)
+
+
 def _one_at_a_time(A, E, oracle: BaseOracle, verdict) -> tuple:
     """The outcome of the oracle's loop as a reference that counts one candidate at a
-    time: the seeds, then the scan with each run expanded, every seed met again passed
-    over; verdict(F) decides a certified candidate."""
-    seeds = {}
-    for F, source in arrow._seed_candidates(A, E, oracle.size_bound):
-        seeds.setdefault(F, source)
-    scan = _scan(E, oracle.size_bound, arrow._family(A, E))
-    met = [(F.n, F, source) for F, source in seeds.items()]
-    met += [(n, F, "search:enumeration") for n, F in scan if F not in seeds]
+    time (_met); verdict(F) decides a certified candidate."""
     certified = skipped = 0
-    for n, F, source in met:
+    for n, F, source in _met(A, E, oracle.size_bound):
         if certified + skipped == oracle.candidate_budget:
             return "budget", n, certified, skipped
         if F is None:
@@ -899,19 +1064,18 @@ def test_budget_is_exact_at_run_boundaries(A, E, size_bound, stops):
     # the last candidate of a size names the next size; one spent by the scan's last
     # candidate finds no witness
     verdicts = {}
-    p_in_q = enumerate_copies(A, E)
 
     def verdict(F):
         if F not in verdicts:
-            verdicts[F] = arrow._is_witness(F, A, E, p_in_q, NEVER)
+            verdicts[F] = check_arrow(F, E, A, 2).holds
         return verdicts[F]
 
     family = arrow._family(A, E)
     seeds = {F for F, _ in arrow._seed_candidates(A, E, size_bound)}
     ends = list(itertools.accumulate(
         [1] * len(seeds)
-        + [run for _, run, F in arrow._enumerated_candidates(E, size_bound, family)
-           if F not in seeds]
+        + [run for _, run, cols, _ in arrow._enumerated_candidates(E, size_bound, family)
+           if cols is None or _candidate(cols, family == "poset") not in seeds]
     ))
     budgets = {b + d for b in ends for d in (-1, 0, 1)} | {0}
     assert set(stops) <= budgets
@@ -966,11 +1130,11 @@ def test_oracle_loop_agrees_with_check_arrow():
         (POINT, make_rn_graph(3, {(0, 1)}, ()), lambda F: not F.N),
     ]
     for A, E, member in queries:
-        p_in_q = enumerate_copies(A, E)
+        p_in_e = arrow._ranked(A, E)
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(F, A, E, p_in_q, NEVER) == holds
+            assert arrow._is_witness(arrow._e_copies(F, E), p_in_e, NEVER) == holds
             if holds and member(F):
                 witnesses.append(F)
         family = "poset" if member is brute_is_poset else "N-free"
