@@ -59,10 +59,7 @@ from .io import (
 from .partite import (
     APartiteRNGraph,
     ProductResult,
-    check_partite_arrow,
-    crossing_copies,
     make_apartite,
-    partite_embeddings,
     product_construction,
 )
 from .structures import (

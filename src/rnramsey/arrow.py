@@ -15,8 +15,8 @@ masks over the edges (_incidence) unless the slots are past the exact search's c
 then only whether a Q-copy exists is asked.  The search keeps its edge state in such
 masks: per color, the edges with a member of that color, and the edges that carry two
 colors; the local search keeps, per color, the edges one member short of it.  check_arrow
-and check_partite_arrow make every listed P-copy a slot, so that a counterexample colors
-them all; the oracle's certifications take only the P-copies inside some Q-copy.
+makes every listed P-copy a slot, so that a counterexample colors them all; the oracle's
+certifications take only the P-copies inside some Q-copy.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -284,6 +284,8 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     replayable through find_monochromatic.  HOLDS verdicts are proofs by exhaustion of
     the counterexample search.
     """
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"r must be an int of at least 1, got {r!r}")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
@@ -292,18 +294,9 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
         q_copies = list(itertools.islice(iter_copies(Q, target), 1))
     else:
         q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    p_in_q = enumerate_copies(P, Q)
-    return _arrow_verdict(r, p_copies, q_copies, p_in_q, limits.max_nodes, deadline)
-
-
-def _arrow_verdict(
-    r: int, p_copies, q_copies, p_in_q, max_nodes: int, deadline: float
-) -> ArrowVerdict:
-    """_verdict with every P-copy listed in the target a slot, as an ArrowVerdict whose
-    counterexample colors them all; the copies are Copy lists."""
     colors, nodes = _verdict(
-        r, [q.map for q in q_copies], [c.image for c in p_in_q], max_nodes, deadline,
-        [c.image for c in p_copies],
+        r, [q.map for q in q_copies], [c.image for c in enumerate_copies(P, Q)],
+        limits.max_nodes, deadline, [c.image for c in p_copies],
     )
     if colors is None:
         return ArrowVerdict(True, None, nodes)
@@ -320,8 +313,6 @@ def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float, slots=None
     lemma, see _enumerated_candidates).  Past the walk's gate the exact search looks at
     _FIRST_LOOK nodes first; only a decision it leaves open gets the walk (a FAILS of 0
     nodes), then the exact search gets all max_nodes."""
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be an int of at least 1, got {r!r}")
     if not q_maps:
         return [0] * len(slots or ()), 0
     if not p_in_q:

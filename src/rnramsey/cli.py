@@ -40,6 +40,7 @@ from .io import (
     load_structure,
     parse_manifest,
     save_structure,
+    to_doc,
 )
 from .partite import APartiteRNGraph
 from .structures import (
@@ -162,11 +163,14 @@ def _entry(manifest: dict[str, str], key: str) -> str:
 
 
 def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
-    """Load the manifest's `<key>.file`, refusing it unless it matches `<key>.digest`."""
+    """Load the manifest's `<key>.file`, refusing it unless it matches `<key>.digest`
+    and holds an RN graph."""
     name = _entry(manifest, f"{key}.file")
     obj = load_structure(tower_dir / name)
     if digest(obj) != manifest.get(f"{key}.digest"):
         raise ParseError(f"{name} does not match its digest in the manifest")
+    if not isinstance(obj, RNGraph):  # tower writes only RN graphs there
+        raise ParseError(f"{name} is of kind {to_doc(obj)['kind']!r}, not an RN graph")
     return obj
 
 

@@ -8,13 +8,12 @@ cross edges ascend with the parts, and every copy of A meets each part exactly o
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
 from .analysis import is_good
-from .arrow import ArrowVerdict, BaseOracle, SearchLimits, _arrow_verdict, oracle_ramsey
-from .embeddings import Copy, enumerate_copies, is_embedding, iter_copies
+from .arrow import BaseOracle, oracle_ramsey
+from .embeddings import Copy, enumerate_copies, is_embedding
 from .structures import Homomorphism, InvariantViolation, RNGraph, StructureError, fuse
 from .structures import is_complete, make_rn_graph
 
@@ -70,10 +69,11 @@ def check_partition(base: RNGraph, parts, template: RNGraph) -> None:
 
 def make_apartite(A: RNGraph, base: RNGraph, parts) -> APartiteRNGraph:
     """Validate and build a partite graph over a good complete template."""
-    if not is_complete(A):
-        raise StructureError("template must be complete")
-    if not is_good(A):
-        raise StructureError("template must be good")
+    if isinstance(A, RNGraph):  # check_partition refuses any other kind
+        if not is_complete(A):
+            raise StructureError("template must be complete")
+        if not is_good(A):
+            raise StructureError("template must be good")
     parts = tuple(tuple(members) for members in parts)
     check_partition(base, parts, A)
     return APartiteRNGraph(A, base, parts)
@@ -82,31 +82,6 @@ def make_apartite(A: RNGraph, base: RNGraph, parts) -> APartiteRNGraph:
 def collapse(base: RNGraph, part_of, template: RNGraph) -> Homomorphism:
     """Each vertex onto the template vertex owning its part: the t-th smallest owns t."""
     return Homomorphism(tuple(template.order[t] for t in part_of), base, template)
-
-
-def crossing_copies(graph: APartiteRNGraph) -> list[Copy]:
-    """All copies of the template in the underlying graph; each must be crossing."""
-    copies = enumerate_copies(graph.A, graph.base)
-    for copy in copies:
-        touched = sorted(graph.part_of[v] for v in copy.image)
-        if touched != list(range(graph.A.n)):
-            raise InvariantViolation("template copy is not crossing")
-    return copies
-
-
-def _keeps_parts(pattern: APartiteRNGraph, host: APartiteRNGraph, vmap) -> bool:
-    return all(host.part_of[w] == pattern.part_of[v] for v, w in enumerate(vmap))
-
-
-def partite_embeddings(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[Copy]:
-    """Part-preserving copies of pattern in host (both over the same template)."""
-    if pattern.A != host.A:
-        raise StructureError("pattern and host are over different templates")
-    return [
-        copy
-        for copy in iter_copies(pattern.base, host.base)
-        if _keeps_parts(pattern, host, copy.map)
-    ]
 
 
 @dataclass(frozen=True)
@@ -176,29 +151,3 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
 
     lifts = tuple(lift(c) for c in enumerate_copies(fused_e, witness))
     return ProductResult(apartite, witness, True, lifts)
-
-
-def check_partite_arrow(
-    host: APartiteRNGraph,
-    pattern: APartiteRNGraph,
-    r: int,
-    family: tuple[Copy, ...] | None = None,
-    limits: SearchLimits | None = None,
-) -> ArrowVerdict:
-    """Exact partite arrow: every r-coloring of the template copies in the host admits
-    a monochromatic member of the copy family (default: all part-respecting copies)."""
-    limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.time_budget
-    if pattern.A != host.A:
-        raise StructureError("pattern and host are over different templates")
-    a_copies = crossing_copies(host)
-    if family is None:
-        members = partite_embeddings(pattern, host)
-    else:
-        members = list(family)
-        for copy in members:
-            if not (is_embedding(copy.map, pattern.base, host.base)
-                    and _keeps_parts(pattern, host, copy.map)):
-                raise StructureError("family member is not a part-preserving copy", copy.map)
-    a_in_pattern = enumerate_copies(host.A, pattern.base)
-    return _arrow_verdict(r, a_copies, members, a_in_pattern, limits.max_nodes, deadline)

@@ -229,3 +229,34 @@ def brute_copies(pattern, target) -> list[tuple[int, ...]]:
         if ok:
             out.append(tuple(combo))  # already ascending in target order
     return out
+
+
+def brute_partite_copies(pattern: APartiteRNGraph, host: APartiteRNGraph) -> list[tuple[int, ...]]:
+    """The images of the copies of pattern in host that keep each vertex in its part."""
+    src = pattern.base.order
+    return [
+        image
+        for image in brute_copies(pattern.base, host.base)
+        if all(host.part_of[w] == pattern.part_of[v] for v, w in zip(src, image))
+    ]
+
+
+def brute_partite_arrow(
+    host: APartiteRNGraph, pattern: APartiteRNGraph, r: int, family=None
+) -> bool:
+    """Whether every r-coloring of the template copies in host leaves some member of
+    the family (default: every part-keeping copy of pattern) with all the template
+    copies inside its image one color.  A member is given as a Copy and must be a
+    part-keeping copy; the template copies inside it are those whose vertex set lies
+    within its image, read off the host alone."""
+    copies = brute_partite_copies(pattern, host)
+    members = copies if family is None else [c.image for c in family]
+    strays = set(members) - set(copies)
+    if strays:
+        raise ValueError(f"family members {sorted(strays)} are no part-keeping copies")
+    a_copies = brute_copies(host.A, host.base)
+    inside = [[i for i, a in enumerate(a_copies) if set(a) <= set(m)] for m in members]
+    return all(
+        any(len({colors[i] for i in held}) <= 1 for held in inside)
+        for colors in itertools.product(range(r), repeat=len(a_copies))
+    )

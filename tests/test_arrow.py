@@ -12,7 +12,6 @@ from rnramsey import (
     BaseOracle,
     BuildLimits,
     CertificationFailed,
-    Copy,
     NotFoundWithinBounds,
     OracleWitness,
     ResourceExceeded,
@@ -350,10 +349,10 @@ def test_local_search_gives_up_at_its_deadline():
 def test_incidence_refuses_a_forged_q_copy():
     # 0<1<2 with the pair (0, 2) absent: C3's copy (0, 2) of C2 lands on a non-copy
     target = make_rn_graph(3, {(0, 1), (1, 2)}, ())
-    p_copies = enumerate_copies(C2, target)
-    forged = [Copy((0, 1, 2), (0, 1, 2))]
+    slots = [c.image for c in enumerate_copies(C2, target)]
+    p_in_q = [c.image for c in enumerate_copies(C2, C3)]
     with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)"):
-        arrow._arrow_verdict(2, p_copies, forged, enumerate_copies(C2, C3), MAX_NODES, NEVER)
+        arrow._verdict(2, [(0, 1, 2)], p_in_q, MAX_NODES, NEVER, slots)
 
 
 def test_verdict_deterministic():

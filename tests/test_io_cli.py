@@ -203,6 +203,24 @@ def test_cli_validate_lines(tmp_path, capsys):
     assert capsys.readouterr().out == "OK coloring entries=3 r=2\n"
 
 
+@pytest.mark.parametrize("kind", ["coloring", "homomorphism", "apartite", "picture"])
+def test_cli_refuses_a_template_that_is_no_graph(tmp_path, capsys, kind):
+    # the template's kind is checked before it is asked whether it is complete
+    template = {
+        "coloring": make_coloring(enumerate_copies(C2, C3), [0, 0, 1], 2),
+        "homomorphism": Homomorphism((0, 1), C2, C3),
+        "apartite": _apartite_example(),
+        "picture": build_picture_zero(C3, C2),
+    }[kind]
+    path = tmp_path / "ap.json"
+    path.write_text(json.dumps({**to_doc(_apartite_example()), "A": to_doc(template)}))
+    message = "a partite graph and its template must be RN graphs"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"INVALID ap.json: {message}\n"
+    assert main(["export-dot", str(path)]) == 1
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+
+
 def test_cli_validate_refuses_a_huge_n_before_building_its_range(tmp_path, capsys):
     # a 53-byte file once asked for tens of GB: range(n) came before the length check
     huge = tmp_path / "huge.json"
@@ -400,6 +418,16 @@ def test_cli_negative_budget_is_an_input_error(tmp_path, capsys, command, flag, 
     assert "must be non-negative" in capsys.readouterr().err
 
 
+def test_cli_bad_r_is_an_input_error_before_any_copy_budget(tmp_path, capsys):
+    # r is input, checked before any copy is listed, so no copy budget can turn a bad
+    # r into a ceiling (exit 2)
+    c6 = _write(tmp_path, "c6.json", poset_to_complete_rn(chain(6)))
+    q = _write(tmp_path, "q.json", C3)
+    p = _write(tmp_path, "p.json", C2)
+    assert main(["arrow", c6, q, p, "-r", "0", "--max-copies", "3"]) == 1
+    assert capsys.readouterr().err == "ERROR: r must be an int of at least 1, got 0\n"
+
+
 def _run_tower(tmp_path, out_name, *extra):
     a = _write(tmp_path, "a.json", chain(1))
     b = _write(tmp_path, "b.json", chain(2))
@@ -476,6 +504,31 @@ def test_cli_finish_refuses_repeated_manifest_key(tmp_path, capsys):
     assert main(["finish", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"ERROR: manifest line {lines + 1} repeats key 'stage.2.digest'" in err
+    assert not (out / "C.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, obj",
+    [
+        ("stage.2", make_coloring(enumerate_copies(C2, C3), [0, 0, 1], 2)),
+        ("stage.3", chain(3)),
+        ("b", Homomorphism((0, 1), C2, C3)),
+    ],
+    ids=["stage.2-coloring", "stage.3-poset", "b-homomorphism"],
+)
+def test_cli_finish_refuses_a_listed_file_of_another_kind(tmp_path, capsys, key, obj):
+    # a file of another kind under a listed name, even with its own digest in the
+    # manifest, is an input error that names the kind, not a traceback in finish_stage
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    manifest = parse_manifest((out / "manifest.txt").read_text())
+    name = manifest[f"{key}.file"]
+    manifest[f"{key}.digest"] = save_structure(out / name, obj)
+    (out / "manifest.txt").write_text(format_manifest(manifest))
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    kind = to_doc(obj)["kind"]
+    assert capsys.readouterr().err == f"ERROR: {name} is of kind {kind!r}, not an RN graph\n"
     assert not (out / "C.json").exists()
 
 
