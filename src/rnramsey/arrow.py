@@ -26,12 +26,15 @@ witness it returns is certified; its scan skips, uncertified, the candidates tha
 minimal-witness lemma rules out.  The scan is a tree walk in which each child inherits
 its parent's copies and child columns (_enumerated_candidates); it yields one item per
 run of skipped candidates, each still counted against the budget, and the deadline is
-read once per item.  A covered candidate comes as its columns and its E-copies' image
-masks, and is certified from those (_is_witness): no copy is listed for it, and only
-the witness becomes a graph.  The seeds, and a supplied witness in certify_witness, go
-the same route with the E-copies enumerate_copies lists; a supplied witness passes, is
-refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so an
-OracleWitness carries only its graph and its source.
+read once per item.  A prefix whose candidates of the size at hand would all be skipped
+(the prefix-coverage lemma) is not grown: its subtree comes as one run for N-free
+graphs, and as one run per last-level prefix for posets.  A covered candidate comes as
+its columns and its E-copies' image masks, and is certified from those (_is_witness):
+no copy is listed for it, and only the witness becomes a graph.  The seeds, and a
+supplied witness in certify_witness, go the same route with the E-copies
+enumerate_copies lists; a supplied witness passes, is refuted (CertificationFailed), or
+runs past a budget (ResourceExceeded), so an OracleWitness carries only its graph and
+its source.
 """
 
 from __future__ import annotations
@@ -467,16 +470,26 @@ def _prefixes(E: RNGraph, depth: int, columns):
     """Every prefix on `depth` vertices, as (its columns, its child columns, its copies)
     (see _grow): a depth-first walk in column order from the empty prefix, whose one
     child column is 0, each child grown from its parent; columns(offered, column, bit)
-    gives a grown prefix's child columns from its parent's (offered).  The yielded
-    column list is reused."""
+    gives a grown prefix's child columns from its parent's (offered).  A prefix that the
+    prefix-coverage lemma rules out for the candidates on depth + 1 vertices (see
+    _enumerated_candidates) comes at its own depth, with None for its copies, and
+    nothing below it is grown.  The yielded column list is reused."""
     to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
     cols: list[int] = []
 
     def walk(offered, copies):
-        if len(cols) == depth:
+        p = len(cols)
+        low = E.n - (depth + 1 - p)  # fewest vertices of an E-copy in the prefix
+        if low > 1 and reduce(
+            operator.or_, (image for level in copies[low:-1] for image, _ in level),
+            reduce(operator.or_, copies[-1], 0),
+        ) != (1 << p) - 1:
+            yield cols, offered, None
+            return
+        if p == depth:
             yield cols, offered, copies
             return
-        bit = 1 << len(cols)
+        bit = 1 << p
         for column in offered:
             cols.append(column)
             yield from walk(columns(offered, column, bit), _grow(copies, column, bit, to_r))
@@ -517,6 +530,16 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     no E-copy, so their colors never matter: F -> (E)^A_2 exactly when F - v ->
     (E)^A_2.  So F is skipped when the union of its E-copy images is not all n vertices.
 
+    Prefix-coverage lemma (exact).  An E-copy of a size-n candidate meets its prefix P
+    on p vertices in a copy of E[:j], E's first j vertices, with j >= E.n - (n - p): at
+    most n - p of its vertices lie past P.  So if a vertex of P is in no copy of E[:j]
+    with j >= max(1, E.n - (n - p)), every size-n candidate below P has a vertex in no
+    E-copy and is skipped; as every vertex is a copy of E[:1], only a bound of 2 or
+    more can rule P out.  P is then grown no further (_prefixes), and its candidates
+    are counted as runs: 1 << sum(range(p, n)) at once for N-free graphs, and for
+    posets one run per last-level prefix by a walk over the columns alone, so that no
+    count runs far ahead of the budget.
+
     Slot lemma (exact).  Likewise an A-copy of F in no E-copy is in no edge of the
     hypergraph: its color neither makes nor spoils a monochromatic E-copy.  Dropping
     it keeps HOLDS and FAILS (a counterexample on the rest extends by any color), and
@@ -528,21 +551,36 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     their child columns, so no prefix graph is built and no down-set is listed from
     scratch.  A candidate's E-copies are its prefix's and those through the new vertex
     (_grow's compare), handed over as masks; no candidate's graph is built, and a run of
-    skipped ones ends at a covered one or its prefix's last column.
+    skipped ones ends at a covered one, its prefix's last column, or the end of a
+    count by the prefix-coverage lemma.
     """
     last = E.n - 1
     if family == "poset":
         columns = _columns
+
+        def runs(offered, p, depth):  # one per last-level prefix, walking columns only
+            if p == depth:
+                yield len(offered)
+                return
+            for column in offered:
+                yield from runs(_columns(offered, column, 1 << p), p + 1, depth)
     else:
         every = cache(lambda t: [0] if t == 0 else _columns(every(t - 1), 0, 1 << t - 1))
 
         def columns(offered, column, bit):
             return every(bit.bit_length())  # every mask over the grown prefix
 
+        def runs(offered, p, depth):  # vertex t takes any of 2^t columns
+            yield 1 << sum(range(p, depth + 1))
+
     for n in range(E.n, size_bound + 1):
         top = n - 1
         new, whole = 1 << top, (1 << n) - 1
         for cols, offered, copies in _prefixes(E, top, columns):
+            if copies is None:  # the prefix-coverage lemma skips every candidate below
+                for run in runs(offered, len(cols), top):
+                    yield n, run, None, None
+                continue
             full = copies[-1]
             cover = reduce(operator.or_, full, 0)
             ends = [(image, wants[last], image | new) for image, wants in copies[last]]

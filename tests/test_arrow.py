@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
 import re
@@ -514,10 +515,15 @@ def test_oracle_time_bound_caps_each_certification(monkeypatch):
 
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
-    # timing could hide; the witness is a 6-vertex poset
+    # timing could hide; the witness is a 6-vertex poset, and 374 prefixes are grown
     calls = _certifications(monkeypatch)
+    grown = _grows(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, V)
     assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
+    assert len(grown) == 374
+    assert sorted(w.graph.R) == [
+        (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)
+    ]
     certified = _certified(POINT, V, w.graph.n, calls)
     assert len(certified) == len(calls) == 775
     assert certified[0] == V and certified[-1] == w.graph
@@ -736,7 +742,8 @@ def test_one_vertex_extension_coverage():
     # growing F one vertex at a time from the empty prefix, each child inheriting its
     # parent's copies, gives the copies of every E[:j] that brute force lists in F, with
     # the R pairs E wants to its later vertices, and F's E-copies as bare masks; in
-    # both families: an N-free E with an N-free F, and a poset E with a poset F
+    # both families: an N-free E with an N-free F, and a poset E with a poset F.  F is
+    # grown by _grow alone, as _prefixes would grow it were no prefix ruled out
     rng = random.Random(36)
     full = 0
     for family in ("N-free", "poset"):
@@ -747,11 +754,11 @@ def test_one_vertex_extension_coverage():
             else:
                 E = random_good_complete(rng, 4)
                 F = _random_identity_poset(rng, rng.randint(1, 6))
-            # each prefix offers its one child column; the last offer is never taken
-            own = [sum(1 << i for i, j in F.R if j == t) for t in range(F.n)] + [0]
-            [(_, _, copies)] = arrow._prefixes(
-                E, F.n, lambda offered, column, bit: [own[bit.bit_length()]]
-            )
+            to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
+            copies = [[(0, (0,) * E.n)]] + [[] for _ in range(E.n)]  # the empty prefix's
+            for t in range(F.n):
+                column = sum(1 << i for i, j in F.R if j == t)
+                copies = arrow._grow(copies, column, 1 << t, to_r)
             expected = _covered(E, F)
             assert sorted(copies[E.n]) == _masks(E, F)
             for j in range(E.n):
@@ -830,18 +837,24 @@ def test_poset_scan_meets_the_naturally_labelled_posets():
     assert [sum(F.n == n for F in scan) for n in range(1, 6)] == [1, 2, 7, 40, 357]
 
 
+def _grows(monkeypatch) -> list:
+    """The depth of the prefix each _grow call makes, in call order."""
+    depths = []
+    grow = arrow._grow
+
+    def counting(copies, column, bit, to_r):
+        depths.append(bit.bit_length())
+        return grow(copies, column, bit, to_r)
+
+    monkeypatch.setattr(arrow, "_grow", counting)
+    return depths
+
+
 def test_poset_scan_grows_only_posets(monkeypatch):
     # a column that is no down-set is dropped at the depth where it appears: the walk to
     # the 6-vertex candidates over E = point grows exactly the 1, 2, 7, 40 and 357
     # naturally labelled posets at depths 1-5, and no prefix the scan extends, at any
     # size up to 6, is anything but a poset
-    grown = collections.Counter()
-    grow = arrow._grow
-
-    def counting(copies, column, bit, to_r):
-        grown[bit.bit_length()] += 1
-        return grow(copies, column, bit, to_r)
-
     extended = []
     prefixes = arrow._prefixes
 
@@ -850,9 +863,9 @@ def test_poset_scan_grows_only_posets(monkeypatch):
             extended.append(tuple(cols))
             yield cols, offered, state
 
-    monkeypatch.setattr(arrow, "_grow", counting)
+    grown = _grows(monkeypatch)
     assert sum(1 for _ in arrow._prefixes(POINT, 5, arrow._columns)) == 357
-    assert [grown[depth] for depth in range(1, 6)] == [1, 2, 7, 40, 357]
+    assert [grown.count(depth) for depth in range(1, 6)] == [1, 2, 7, 40, 357]
     monkeypatch.setattr(arrow, "_prefixes", recording)
     assert len(_scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
     distinct = set(extended)
@@ -862,6 +875,69 @@ def test_poset_scan_grows_only_posets(monkeypatch):
         R = [(i, j) for j, c in enumerate(cols) for i in range(j) if c >> i & 1]
         N = set(itertools.combinations(range(n), 2)) - set(R)
         assert brute_is_poset(make_rn_graph(n, R, N))
+
+
+def _extensions(cols, n: int, posets: bool) -> list:
+    """The columns of every graph of the family on n vertices whose first columns are
+    cols: each later column any mask, for posets one that holds the column of each of
+    its members (R stays transitive), written apart from the oracle's offer."""
+    out = [tuple(cols)]
+    for t in range(len(cols), n):
+        out = [
+            (*c, m) for c in out for m in range(1 << t)
+            if not posets or all(not c[i] & ~m for i in range(t) if m >> i & 1)
+        ]
+    return out
+
+
+def _ruled_out(E, family: str, max_n: int, prefixes, rng):
+    """For the candidates below each prefix that prefixes rules out at sizes up to
+    max_n, whether brute force puts every vertex in a copy of E: all of them up to 5
+    vertices, and one drawn per ruled-out prefix at 6.  The prefix-coverage lemma says
+    never."""
+    posets = family == "poset"
+
+    def columns(offered, column, bit):  # column 0 offers every mask: the N-free offer
+        return arrow._columns(offered, column if posets else 0, bit)
+
+    for n in range(E.n, max_n + 1):
+        for cols, _, copies in prefixes(E, n - 1, columns):
+            if copies is not None:
+                continue
+            below = _extensions(cols, n, posets)
+            for full in below if n <= 5 else [rng.choice(below)]:
+                yield _covered(E, _candidate(full, posets)) == set(range(n))
+
+
+def test_prefix_coverage_lemma():
+    # a prefix on p vertices whose vertices are not all in copies of E[:j] with j >=
+    # |E| - (n - p) has only candidates on n vertices with a vertex in no E-copy, so
+    # the scan counts them without growing it; on random E of both families with |E| <=
+    # 4, each size up to 6 still comes to the family's count: 2^(n(n-1)/2) N-free graphs
+    # and 1, 2, 7, 40, 357, 4,824 naturally labelled posets (OEIS A006455)
+    rng = random.Random(45)
+    posets = [1, 1, 2, 7, 40, 357, 4824]
+    queries = [("N-free", fuse(random_rn(rng, 4))) for _ in range(6)]
+    queries += [("poset", random_good_complete(rng, 4)) for _ in range(6)]
+    checked = []
+    for family, E in queries:
+        totals = collections.Counter()
+        for n, run, _, _ in arrow._enumerated_candidates(E, 6, family):
+            totals[n] += run
+        assert totals == {
+            n: posets[n] if family == "poset" else 1 << n * (n - 1) // 2
+            for n in range(E.n, 7)
+        }
+        checked += _ruled_out(E, family, 6, arrow._prefixes, rng)
+    assert not any(checked) and len(checked) >= 5000
+    # the check fires on a bound one level too aggressive, j >= |E| - (n - p) + 1
+    source = inspect.getsource(arrow._prefixes)
+    aggressive = source.replace("E.n - (depth + 1 - p)", "E.n - (depth - p)")
+    assert aggressive != source
+    namespace = dict(vars(arrow))
+    exec(aggressive, namespace)
+    mutated = namespace["_prefixes"]
+    assert any(any(_ruled_out(E, family, 6, mutated, rng)) for family, E in queries)
 
 
 def _met(A, E, size_bound: int) -> list:
@@ -1086,15 +1162,48 @@ def test_budget_is_exact_at_run_boundaries(A, E, size_bound, stops):
             assert expected[:len(stops[budget])] == stops[budget]
 
 
-def test_pattern_nineteen_stops_where_it_always_has():
+def test_pattern_nineteen_stops_where_it_always_has(monkeypatch):
     # the oracle-corpus query that exhausts its budget: runs of skipped candidates leave
-    # the counts of its stop as they were when each candidate was one item
+    # the counts of its stop as they were when each candidate was one item; the subtrees
+    # the prefix-coverage lemma rules out are not grown, 798 prefixes where growing
+    # every prefix takes 1,611
+    grown = _grows(monkeypatch)
     with pytest.raises(
         ResourceExceeded,
         match=r"^candidate budget \(60000\) exhausted at size 7: 422 certified, "
         r"59578 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(size_bound=8), C2, make_rn_graph(4, {(0, 2), (0, 3), (1, 3)}, ()))
+    assert len(grown) == 798
+
+
+def test_a_poset_count_stops_with_the_budget(monkeypatch):
+    # point over B = {0<1} plus two free vertices, up to 12 vertices: each budget runs
+    # out inside a subtree that the prefix-coverage lemma rules out two levels above its
+    # candidates, and stops as it did when every prefix was grown, with as many _columns
+    # calls (9 and 2,788): the count walks the columns only as far as the stop
+    B = make_rn_graph(4, {(0, 1)}, {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
+    offers = []
+    columns = arrow._columns
+    monkeypatch.setattr(arrow, "_columns", lambda *args: offers.append(1) or columns(*args))
+    prefixes = arrow._prefixes
+    last = []
+
+    def recording(E, depth, columns):
+        for cols, offered, copies in prefixes(E, depth, columns):
+            last[:] = [len(cols), depth, copies is None]
+            yield cols, offered, copies
+
+    monkeypatch.setattr(arrow, "_prefixes", recording)
+    for budget, size, certified, calls in ((28, 4, 1, 9), (43_000, 7, 2885, 2788)):
+        offers.clear()
+        with pytest.raises(
+            ResourceExceeded,
+            match=rf"^candidate budget \({budget}\) exhausted at size {size}: {certified} "
+            rf"certified, {budget - certified} skipped by the minimal-witness lemma$",
+        ):
+            oracle_ramsey(BaseOracle(size_bound=12, candidate_budget=budget), POINT, B)
+        assert last == [size - 2, size - 1, True] and len(offers) == calls
 
 
 def test_complete_candidates_lemma():
