@@ -22,19 +22,20 @@ The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
 posets for stage 2, so that a stage-2 witness is itself a poset C -> (B)^A_2.  Complete
 candidates lose no witness size there; asking R to be transitive can, in general.  Every
-witness it returns is certified; its scan skips, uncertified, the candidates that the
-minimal-witness lemma rules out.  The scan is a tree walk in which each child inherits
-its parent's copies and child columns (_enumerated_candidates); it yields one item per
-run of skipped candidates, each still counted against the budget, and the deadline is
-read once per item.  A prefix whose candidates of the size at hand would all be skipped
-(the prefix-coverage lemma) is not grown: its subtree comes as one run for N-free
-graphs, and as one run per last-level prefix for posets.  A covered candidate comes as
-its columns and its E-copies' image masks, and is certified from those (_is_witness):
-no copy is listed for it, and only the witness becomes a graph.  The seeds, and a
-supplied witness in certify_witness, go the same route with the E-copies
-enumerate_copies lists; a supplied witness passes, is refuted (CertificationFailed), or
-runs past a budget (ResourceExceeded), so an OracleWitness carries only its graph and
-its source.
+witness it returns is certified.  Its scan skips, uncertified, the candidates with a
+vertex in no E-copy (the minimal-witness lemma), and grows no prefix whose candidates of
+the size at hand would all be skipped (the prefix-coverage lemma, whose case at full
+depth is the former).  Each size is one depth-first walk (_walk), in which a prefix
+inherits its parent's child columns and the copies of E's first vertices that the lemma
+reads below it.  A ruled-out prefix's subtree comes as one run for N-free graphs, and as
+one run per last-level prefix for posets; the scan yields one item per run of skipped
+candidates, each still counted against the budget, and the deadline is read once per
+item.  A covered candidate comes as its columns and its E-copies' image masks, and is
+certified from those (_is_witness): no copy is listed for it, and only the witness
+becomes a graph.  The seeds, and a supplied witness in certify_witness, go the same
+route with the E-copies enumerate_copies lists; a supplied witness passes, is refuted
+(CertificationFailed), or runs past a budget (ResourceExceeded), so an OracleWitness
+carries only its graph and its source.
 """
 
 from __future__ import annotations
@@ -443,59 +444,55 @@ def _columns(offered: list[int], column: int, bit: int) -> list[int]:
     return [m for d in offered for m in ((d | bit, d) if not column & ~d else (d,))]
 
 
-def _grow(copies, column: int, bit: int, to_r):
-    """The copies of a prefix grown by a vertex, mask bit, with this column.
-
-    copies[j] lists the copies of E[:j], E's first j vertices: as (image mask, wants)
-    for j < E.n, wants[i] masking the image vertices E wants R pairs from to its vertex
-    i, and as bare image masks for E itself.  The child keeps these and adds the copies
-    through the new vertex: a copy of E[:j + 1] there extends one of E[:j] with column &
-    image == wants[j], its other pairs then absent or N as E wants.
-    """
-    last = len(to_r) - 1
-    grown = [copies[0]]
-    for j in range(last):
-        adds = [bit * r for r in to_r[j]]  # the new vertex joins the wants of E's R-successors of j
-        grown.append(copies[j + 1] + [
-            (image | bit, tuple(map(operator.or_, wants, adds)))
-            for image, wants in copies[j]
-            if column & image == wants[j]
-        ])
-    ends = [image | bit for image, wants in copies[last] if column & image == wants[last]]
-    grown.append(copies[-1] + ends)
-    return grown
-
-
-def _prefixes(E: RNGraph, depth: int, columns):
-    """Every prefix on `depth` vertices, as (its columns, its child columns, its copies)
-    (see _grow): a depth-first walk in column order from the empty prefix, whose one
-    child column is 0, each child grown from its parent; columns(offered, column, bit)
-    gives a grown prefix's child columns from its parent's (offered).  A prefix that the
-    prefix-coverage lemma rules out for the candidates on depth + 1 vertices (see
-    _enumerated_candidates) comes at its own depth, with None for its copies, and
-    nothing below it is grown.  The yielded column list is reused."""
-    to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
-    cols: list[int] = []
-
-    def walk(offered, copies):
-        p = len(cols)
-        low = E.n - (depth + 1 - p)  # fewest vertices of an E-copy in the prefix
-        if low > 1 and reduce(
-            operator.or_, (image for level in copies[low:-1] for image, _ in level),
-            reduce(operator.or_, copies[-1], 0),
-        ) != (1 << p) - 1:
-            yield cols, offered, None
-            return
-        if p == depth:
-            yield cols, offered, copies
-            return
-        bit = 1 << p
-        for column in offered:
+def _walk(n: int, cols: list[int], offered: list[int], copies: dict, scan):
+    """The scan's items for the size-n candidates below one prefix on q vertices, in
+    batches, from its columns (cols, reused), child columns (offered) and copies: {image
+    mask: wants} over the copies of E[:j] it keeps, j (the image's size) >= E.n - (n -
+    q) (see _enumerated_candidates), wants[i] masking the image vertices E wants R pairs
+    from to its vertex i.  scan is (to_r, columns, runs), to_r[j][i] being 1 when E
+    wants an R pair from its vertex j to i.  A copy of E[:j] extends through the new
+    vertex (mask bit) to one of E[:j + 1] when the column meets its image in wants[j],
+    its other pairs then absent or N as E wants.  Each extension is made once per prefix
+    and matched once per column; the matches decide the child's coverage and are a
+    covered child's new copies.  A batch is a list of items or the count of a prefix
+    that is not grown."""
+    to_r, columns, runs = scan
+    q = len(cols)
+    bit, whole = 1 << q, (2 << q) - 1
+    low = len(to_r) - (n - q - 1)  # the child keeps only its copies of E[:j] with j >= low
+    kept = {image: wants for image, wants in copies.items() if image.bit_count() >= low}
+    cover = reduce(operator.or_, kept, 0)
+    adds = [[bit * r for r in row] for row in to_r]  # to the wants of j's R-successors
+    ends = []  # each copy below E: what it asks of a column, and its extension
+    for image, wants in copies.items():
+        j = image.bit_count()
+        if j < len(to_r):
+            ends.append((image, wants[j], image | bit, tuple(map(operator.or_, wants, adds[j]))))
+    out, run = [], 0
+    for column in offered:
+        seen, new = cover, {}
+        for image, want, grown, wants in ends:
+            if column & image == want:
+                seen |= grown
+                new[grown] = wants
+        if seen != whole and q + 1 == n:  # the minimal-witness lemma skips the candidate
+            run += 1
+            continue
+        if run:
+            out.append((n, run, None, None))
+            run = 0
+        if seen != whole:  # the prefix-coverage lemma skips every candidate below
+            yield runs(columns(offered, column, bit), q + 1, n)
+        elif q + 1 == n:
+            out.append((n, 1, (*cols, column), [*kept, *new]))
+        else:
             cols.append(column)
-            yield from walk(columns(offered, column, bit), _grow(copies, column, bit, to_r))
+            yield from _walk(n, cols, columns(offered, column, bit), kept | new, scan)
             cols.pop()
-
-    return walk([0], [[(0, (0,) * E.n)]] + [[] for _ in range(E.n)])
+    if run:
+        out.append((n, run, None, None))
+    if out:
+        yield out
 
 
 def _graph(cols, posets: bool) -> RNGraph:
@@ -512,7 +509,7 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     by size and within a size in column order; E has a vertex.  Yields (n, 1, columns,
     e_copies) for a candidate that may be the first witness, with the image masks of
     its E-copies, and (n, run, None, None) for a run of `run` consecutive candidates that
-    the minimal-witness lemma skips.
+    the prefix-coverage lemma skips.
 
     Column order.  A size-n candidate is a size-(n-1) candidate, its prefix, plus a
     column: the R mask of the pairs (i, n-1), earliest i most significant, R first; its
@@ -530,15 +527,13 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     no E-copy, so their colors never matter: F -> (E)^A_2 exactly when F - v ->
     (E)^A_2.  So F is skipped when the union of its E-copy images is not all n vertices.
 
-    Prefix-coverage lemma (exact).  An E-copy of a size-n candidate meets its prefix P
-    on p vertices in a copy of E[:j], E's first j vertices, with j >= E.n - (n - p): at
-    most n - p of its vertices lie past P.  So if a vertex of P is in no copy of E[:j]
-    with j >= max(1, E.n - (n - p)), every size-n candidate below P has a vertex in no
-    E-copy and is skipped; as every vertex is a copy of E[:1], only a bound of 2 or
-    more can rule P out.  P is then grown no further (_prefixes), and its candidates
-    are counted as runs: 1 << sum(range(p, n)) at once for N-free graphs, and for
-    posets one run per last-level prefix by a walk over the columns alone, so that no
-    count runs far ahead of the budget.
+    Prefix-coverage lemma (exact).  An E-copy of a size-n candidate meets its prefix on
+    q vertices in a copy of E[:j], E's first j vertices, with j >= E.n - (n - q): at most
+    n - q of its vertices lie past the prefix.  So if a vertex of the prefix is in no
+    copy of E[:j] with j >= E.n - (n - q), every size-n candidate below it has a vertex
+    in no E-copy and is skipped.  At q = n the prefix is the candidate and j = E.n: the
+    minimal-witness lemma.  As every vertex is a copy of E[:1], only a bound of 2 or
+    more rules a prefix out.
 
     Slot lemma (exact).  Likewise an A-copy of F in no E-copy is in no edge of the
     hypergraph: its color neither makes nor spoils a monochromatic E-copy.  Dropping
@@ -547,59 +542,41 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     are the A-copies inside some E-copy, and F's own A-copies are never listed
     (_is_witness).
 
-    Tree.  Each size walks the prefixes (_prefixes), which inherit their copies and
-    their child columns, so no prefix graph is built and no down-set is listed from
-    scratch.  A candidate's E-copies are its prefix's and those through the new vertex
-    (_grow's compare), handed over as masks; no candidate's graph is built, and a run of
-    skipped ones ends at a covered one, its prefix's last column, or the end of a
-    count by the prefix-coverage lemma.
+    Walk.  Each size is one depth-first walk from the empty prefix (_walk), in which a
+    prefix on q vertices keeps only its copies of E[:j] with j >= E.n - (n - q), the
+    levels that the prefix-coverage lemma reads at it and below, and hands these and its
+    child columns on; no prefix graph is built and no down-set is listed from scratch.
+    The lemma is tested in one place, on each child before it is built.  A candidate
+    that fails it joins a run of skipped ones, which ends at a covered candidate or its
+    prefix's last column; a prefix that fails it is not grown, and its candidates are
+    counted (runs): 1 << sum(range(q, n)) at once for N-free graphs, and for posets one
+    run per last-level prefix by a walk over the columns alone, so that no count runs
+    far ahead of the budget.  A covered candidate's E-copies come as masks.  The walk
+    hands its items over in batches, a last-level prefix's in one list, so that they
+    are not passed up through every level one at a time.
     """
-    last = E.n - 1
     if family == "poset":
         columns = _columns
 
-        def runs(offered, p, depth):  # one per last-level prefix, walking columns only
-            if p == depth:
-                yield len(offered)
+        def runs(offered, p, n):  # one per last-level prefix, walking columns only
+            if p + 1 == n:
+                yield n, len(offered), None, None
                 return
             for column in offered:
-                yield from runs(_columns(offered, column, 1 << p), p + 1, depth)
+                yield from runs(_columns(offered, column, 1 << p), p + 1, n)
     else:
         every = cache(lambda t: [0] if t == 0 else _columns(every(t - 1), 0, 1 << t - 1))
 
         def columns(offered, column, bit):
             return every(bit.bit_length())  # every mask over the grown prefix
 
-        def runs(offered, p, depth):  # vertex t takes any of 2^t columns
-            yield 1 << sum(range(p, depth + 1))
+        def runs(offered, p, n):  # vertex t takes any of 2^t columns
+            yield n, 1 << sum(range(p, n)), None, None
 
+    scan = ([tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]], columns, runs)
     for n in range(E.n, size_bound + 1):
-        top = n - 1
-        new, whole = 1 << top, (1 << n) - 1
-        for cols, offered, copies in _prefixes(E, top, columns):
-            if copies is None:  # the prefix-coverage lemma skips every candidate below
-                for run in runs(offered, len(cols), top):
-                    yield n, run, None, None
-                continue
-            full = copies[-1]
-            cover = reduce(operator.or_, full, 0)
-            ends = [(image, wants[last], image | new) for image, wants in copies[last]]
-            run = 0
-            for column in offered:
-                covered = cover
-                for image, want, through in ends:
-                    if column & image == want:
-                        covered |= through
-                if covered != whole:
-                    run += 1
-                    continue
-                if run:
-                    yield n, run, None, None
-                    run = 0
-                through = [t for image, want, t in ends if column & image == want]
-                yield n, 1, (*cols, column), full + through
-            if run:
-                yield n, run, None, None
+        for items in _walk(n, [], [0], {0: (0,) * E.n}, scan):
+            yield from items
 
 
 def _positions(mask: int) -> list[int]:
@@ -681,11 +658,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     met: set[tuple[int, ...]] = set()  # the columns of each seed the scan meets again
 
     def seeded():
-        seeds = set()
         for graph, source in _seed_candidates(A, E, oracle.size_bound):
-            if graph in seeds:
-                continue
-            seeds.add(graph)
             cols = tuple(sum(1 << i for i, j in graph.R if j == t) for t in range(graph.n))
             if _graph(cols, posets) == graph:
                 met.add(cols)

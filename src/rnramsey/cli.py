@@ -149,7 +149,7 @@ def cmd_tower(args) -> int:
         print(f"stage {stage.ell}: n={stage.C.n} {certified} source={stage.source}")
     if tower.truncated:
         manifest["truncated"] = tower.truncated
-    (out / "manifest.txt").write_text(format_manifest(manifest))
+    (out / "manifest.txt").write_text(format_manifest(manifest), encoding="utf-8")
     if tower.truncated:
         print(f"TRUNCATED: {tower.truncated}")
         return 2
@@ -176,7 +176,10 @@ def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
 
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
-    manifest = parse_manifest((tower_dir / "manifest.txt").read_text())
+    try:
+        manifest = parse_manifest((tower_dir / "manifest.txt").read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest.txt is not UTF-8 text: {exc}") from None
     if "stage.2.file" not in manifest and "truncated" in manifest:
         raise StructureError(f"tower has no stage; it was truncated at {manifest['truncated']}")
     lam = finish_index(_load_listed(tower_dir, manifest, "stage.2"))

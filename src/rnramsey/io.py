@@ -235,10 +235,9 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_structure(path):
-    raw = Path(path).read_text()
     try:
-        doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or deep nesting
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

@@ -515,12 +515,12 @@ def test_oracle_time_bound_caps_each_certification(monkeypatch):
 
 def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
-    # timing could hide; the witness is a 6-vertex poset, and 374 prefixes are grown
+    # timing could hide; the witness is a 6-vertex poset, and 324 prefixes are grown
     calls = _certifications(monkeypatch)
-    grown = _grows(monkeypatch)
+    grown = _grown(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, V)
     assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
-    assert len(grown) == 374
+    assert sum(1 for _, cols, _, _ in grown if cols) == 324
     assert sorted(w.graph.R) == [
         (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)
     ]
@@ -738,12 +738,14 @@ def _random_identity_poset(rng, n: int):
     return make_rn_graph(n, R, [(i, j) for j in range(n) for i in range(j) if (i, j) not in R])
 
 
-def test_one_vertex_extension_coverage():
+def test_one_vertex_extension_coverage(monkeypatch):
     # growing F one vertex at a time from the empty prefix, each child inheriting its
     # parent's copies, gives the copies of every E[:j] that brute force lists in F, with
-    # the R pairs E wants to its later vertices, and F's E-copies as bare masks; in
-    # both families: an N-free E with an N-free F, and a poset E with a poset F.  F is
-    # grown by _grow alone, as _prefixes would grow it were no prefix ruled out
+    # the R pairs E wants to its later vertices, and F's E-copies; in both families:
+    # an N-free E with an N-free F, and a poset E with a poset F.  The walk grows F
+    # offered F's own columns only, towards |F| + |E| vertices, so that every prefix
+    # keeps every level and none is ruled out
+    grown = _grown(monkeypatch)
     rng = random.Random(36)
     full = 0
     for family in ("N-free", "poset"):
@@ -754,20 +756,19 @@ def test_one_vertex_extension_coverage():
             else:
                 E = random_good_complete(rng, 4)
                 F = _random_identity_poset(rng, rng.randint(1, 6))
+            cols = [sum(1 << i for i, j in F.R if j == t) for t in range(F.n)]
             to_r = [tuple(row >> i & 1 for i in range(E.n)) for row in E.rows[0]]
-            copies = [[(0, (0,) * E.n)]] + [[] for _ in range(E.n)]  # the empty prefix's
-            for t in range(F.n):
-                column = sum(1 << i for i, j in F.R if j == t)
-                copies = arrow._grow(copies, column, 1 << t, to_r)
+            offer = (to_r, lambda offered, column, bit: cols[bit.bit_length():][:1], None)
+            grown.clear()  # from the empty prefix, with its one copy, of E[:0]
+            assert list(arrow._walk(F.n + E.n, [], cols[:1], {0: (0,) * E.n}, offer)) == []
+            copies = grown[-1][3]
+            assert grown[-1][1] == tuple(cols)
             expected = _covered(E, F)
-            assert sorted(copies[E.n]) == _masks(E, F)
+            assert sorted(image for image in copies if image.bit_count() == E.n) == _masks(E, F)
             for j in range(E.n):
-                grown = sorted(copies[j])
-                assert [image for image, _ in grown] == sorted(
-                    sum(1 << v for v in image)
-                    for image in brute_copies(induced_substructure(E, E.order[:j]), F)
-                )
-                for image, wants in grown:
+                level = {image: wants for image, wants in copies.items() if image.bit_count() == j}
+                assert sorted(level) == _level_masks(E, j, F)
+                for image, wants in level.items():
                     at = [v for v in range(F.n) if image >> v & 1]  # E's vertex s goes to at[s]
                     assert list(wants[j:]) == [
                         sum(1 << at[s] for s in range(j) if (E.order[s], E.order[i]) in E.R)
@@ -775,6 +776,15 @@ def test_one_vertex_extension_coverage():
                     ]
             full += len(expected) == F.n
     assert full >= 200
+
+
+def _level_masks(E, j: int, F) -> list:
+    """The image masks of the copies of E[:j], E's first j vertices, in F, by brute
+    force, ascending."""
+    return sorted(
+        sum(1 << v for v in image)
+        for image in brute_copies(induced_substructure(E, E.order[:j]), F)
+    )
 
 
 def _candidate(cols, posets: bool):
@@ -854,38 +864,32 @@ def test_scan_stream_is_pinned():
     assert digest.hexdigest()[:16] == "6cd940634da13213"
 
 
-def _grows(monkeypatch) -> list:
-    """The depth of the prefix each _grow call makes, in call order."""
-    depths = []
-    grow = arrow._grow
+def _grown(monkeypatch) -> list:
+    """Each prefix the walk grows, in call order, as (n, its columns, its child
+    columns, its copies), the empty prefix of each size included."""
+    grown = []
+    walk = arrow._walk
 
-    def counting(copies, column, bit, to_r):
-        depths.append(bit.bit_length())
-        return grow(copies, column, bit, to_r)
+    def recording(n, cols, offered, copies, scan):
+        grown.append((n, tuple(cols), offered, copies))
+        return walk(n, cols, offered, copies, scan)
 
-    monkeypatch.setattr(arrow, "_grow", counting)
-    return depths
+    # the walk calls itself by name in the namespace it was defined in
+    monkeypatch.setitem(walk.__globals__, "_walk", recording)
+    monkeypatch.setattr(arrow, "_walk", recording)
+    return grown
 
 
 def test_poset_scan_grows_only_posets(monkeypatch):
     # a column that is no down-set is dropped at the depth where it appears: the walk to
     # the 6-vertex candidates over E = point grows exactly the 1, 2, 7, 40 and 357
-    # naturally labelled posets at depths 1-5, and no prefix the scan extends, at any
+    # naturally labelled posets at depths 1-5, and no prefix the scan grows, at any
     # size up to 6, is anything but a poset
-    extended = []
-    prefixes = arrow._prefixes
-
-    def recording(E, depth, columns):
-        for cols, offered, state in prefixes(E, depth, columns):
-            extended.append(tuple(cols))
-            yield cols, offered, state
-
-    grown = _grows(monkeypatch)
-    assert sum(1 for _ in arrow._prefixes(POINT, 5, arrow._columns)) == 357
-    assert [grown.count(depth) for depth in range(1, 6)] == [1, 2, 7, 40, 357]
-    monkeypatch.setattr(arrow, "_prefixes", recording)
+    grown = _grown(monkeypatch)
     assert len(_scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
-    distinct = set(extended)
+    depths = collections.Counter(len(cols) for n, cols, _, _ in grown if n == 6)
+    assert [depths[depth] for depth in range(1, 6)] == [1, 2, 7, 40, 357]
+    distinct = {cols for _, cols, _, _ in grown}
     assert collections.Counter(map(len, distinct)) == {0: 1, 1: 1, 2: 2, 3: 7, 4: 40, 5: 357}
     for cols in distinct:
         n = len(cols)
@@ -907,28 +911,27 @@ def _extensions(cols, n: int, posets: bool) -> list:
     return out
 
 
-def _ruled_out(E, family: str, max_n: int, prefixes, rng):
-    """For the candidates below each prefix that prefixes rules out at sizes up to
+def _ruled_out(E, family: str, max_n: int, grown: list, rng):
+    """For the candidates below each prefix that the walk rules out at sizes up to
     max_n, whether brute force puts every vertex in a copy of E: all of them up to 5
     vertices, and one drawn per ruled-out prefix at 6.  The prefix-coverage lemma says
-    never."""
+    never.  grown records the walk (_grown): a child column of a grown prefix whose
+    child is neither grown nor a candidate was ruled out."""
     posets = family == "poset"
-
-    def columns(offered, column, bit):  # column 0 offers every mask: the N-free offer
-        return arrow._columns(offered, column if posets else 0, bit)
-
-    for n in range(E.n, max_n + 1):
-        for cols, _, copies in prefixes(E, n - 1, columns):
-            if copies is not None:
-                continue
-            below = _extensions(cols, n, posets)
-            for full in below if n <= 5 else [rng.choice(below)]:
-                yield _covered(E, _candidate(full, posets)) == set(range(n))
+    grown.clear()
+    collections.deque(arrow._enumerated_candidates(E, max_n, family), maxlen=0)
+    built = {(n, cols) for n, cols, _, _ in grown}
+    for n, cols, offered, _ in grown:
+        for child in [(*cols, column) for column in offered if len(cols) + 1 < n]:
+            if (n, child) not in built:
+                below = _extensions(child, n, posets)
+                for full in below if n <= 5 else [rng.choice(below)]:
+                    yield _covered(E, _candidate(full, posets)) == set(range(n))
 
 
-def test_prefix_coverage_lemma():
-    # a prefix on p vertices whose vertices are not all in copies of E[:j] with j >=
-    # |E| - (n - p) has only candidates on n vertices with a vertex in no E-copy, so
+def test_prefix_coverage_lemma(monkeypatch):
+    # a prefix on q vertices whose vertices are not all in copies of E[:j] with j >=
+    # |E| - (n - q) has only candidates on n vertices with a vertex in no E-copy, so
     # the scan counts them without growing it; on random E of both families with |E| <=
     # 4, each size up to 6 still comes to the family's count: 2^(n(n-1)/2) N-free graphs
     # and 1, 2, 7, 40, 357, 4,824 naturally labelled posets (OEIS A006455)
@@ -936,25 +939,39 @@ def test_prefix_coverage_lemma():
     posets = [1, 1, 2, 7, 40, 357, 4824]
     queries = [("N-free", fuse(random_rn(rng, 4))) for _ in range(6)]
     queries += [("poset", random_good_complete(rng, 4)) for _ in range(6)]
+    source = inspect.getsource(arrow._walk)
+    grown = _grown(monkeypatch)
     checked = []
+    kept = 0
     for family, E in queries:
         totals = collections.Counter()
+        grown.clear()
         for n, run, _, _ in arrow._enumerated_candidates(E, 6, family):
             totals[n] += run
         assert totals == {
             n: posets[n] if family == "poset" else 1 << n * (n - 1) // 2
             for n in range(E.n, 7)
         }
-        checked += _ruled_out(E, family, 6, arrow._prefixes, rng)
-    assert not any(checked) and len(checked) >= 5000
-    # the check fires on a bound one level too aggressive, j >= |E| - (n - p) + 1
-    source = inspect.getsource(arrow._prefixes)
-    aggressive = source.replace("E.n - (depth + 1 - p)", "E.n - (depth - p)")
+        # a grown prefix on q vertices keeps exactly its copies of E[:j] with j >= |E| -
+        # (n - q), those brute force lists, and E's own
+        for n, cols, _, copies in grown:
+            if len(cols) <= 4:
+                F = _candidate(cols, family == "poset")
+                assert sorted(copies) == sorted(
+                    mask for j in range(max(0, E.n - (n - len(cols))), E.n + 1)
+                    for mask in _level_masks(E, j, F)
+                )
+                kept += 1
+        checked += _ruled_out(E, family, 6, grown, rng)
+    assert not any(checked) and len(checked) >= 5000 and kept >= 1000
+    # the check fires on a bound one level too aggressive, j >= |E| - (n - q) + 1
+    aggressive = source.replace("len(to_r) - (n - q - 1)", "len(to_r) - (n - q - 2)")
     assert aggressive != source
     namespace = dict(vars(arrow))
     exec(aggressive, namespace)
-    mutated = namespace["_prefixes"]
-    assert any(any(_ruled_out(E, family, 6, mutated, rng)) for family, E in queries)
+    monkeypatch.setattr(arrow, "_walk", namespace["_walk"])
+    grown = _grown(monkeypatch)
+    assert any(any(_ruled_out(E, family, 6, grown, rng)) for family, E in queries)
 
 
 def _met(A, E, size_bound: int) -> list:
@@ -977,18 +994,18 @@ def _down_sets(cols) -> list:
     return sorted(closed, key=lambda d: [-(d >> i & 1) for i in range(n)])
 
 
-def test_down_sets_follow_from_the_parent():
+def test_down_sets_follow_from_the_parent(monkeypatch):
     # each prefix's child columns come from its parent's in one step, and they are the
     # down-sets listed from scratch, in order, at every depth up to 5; the one child
     # column of the empty prefix is 0
-    counts = []
-    for depth in range(6):
-        prefixes = arrow._prefixes(POINT, depth, arrow._columns)
-        met = [(tuple(cols), offered) for cols, offered, _ in prefixes]
-        counts.append(len(met))
-        for cols, offered in met:
-            assert offered == _down_sets(cols)
-    assert counts == [1, 1, 2, 7, 40, 357]
+    grown = _grown(monkeypatch)
+    collections.deque(arrow._enumerated_candidates(POINT, 6, "poset"), maxlen=0)
+    met = [(cols, offered) for n, cols, offered, _ in grown if n == 6]
+    assert collections.Counter(len(cols) for cols, _ in met) == {
+        0: 1, 1: 1, 2: 2, 3: 7, 4: 40, 5: 357
+    }
+    for cols, offered in met:
+        assert offered == _down_sets(cols)
     # from column 0, every mask: the N-free scan's offer
     assert arrow._columns([1, 0], 0, 2) == [3, 1, 2, 0]
     assert arrow._columns([1, 0], 1, 2) == [3, 1, 0]
@@ -1037,6 +1054,18 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
                 verdicts[holds] += 1
     # the first two queries have no witness up to 5 vertices; the third has 18
     assert verdicts == {False: 72 + 48 + 11, True: 18}
+
+
+def test_point_over_point_is_its_own_witness(monkeypatch):
+    # with |E| = 1 the pigeonhole seed is E itself, but the identity seed, one slot in a
+    # one-member edge, certifies first, so no seed needs passing over as met before
+    seeds = arrow._seed_candidates(POINT, POINT, 16)
+    assert [next(seeds), next(seeds)] == [
+        (POINT, "search:identity"), (POINT, "search:pigeonhole")
+    ]
+    calls = _certifications(monkeypatch)
+    assert oracle_ramsey(BaseOracle(), POINT, POINT) == OracleWitness(POINT, "search:identity")
+    assert len(calls) == 1
 
 
 def test_certification_of_degenerate_queries():
@@ -1182,16 +1211,16 @@ def test_budget_is_exact_at_run_boundaries(A, E, size_bound, stops):
 def test_pattern_nineteen_stops_where_it_always_has(monkeypatch):
     # the oracle-corpus query that exhausts its budget: runs of skipped candidates leave
     # the counts of its stop as they were when each candidate was one item; the subtrees
-    # the prefix-coverage lemma rules out are not grown, 798 prefixes where growing
+    # the prefix-coverage lemma rules out are not grown, 256 prefixes where growing
     # every prefix takes 1,611
-    grown = _grows(monkeypatch)
+    grown = _grown(monkeypatch)
     with pytest.raises(
         ResourceExceeded,
         match=r"^candidate budget \(60000\) exhausted at size 7: 422 certified, "
         r"59578 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(size_bound=8), C2, make_rn_graph(4, {(0, 2), (0, 3), (1, 3)}, ()))
-    assert len(grown) == 798
+    assert sum(1 for _, cols, _, _ in grown if cols) == 256
 
 
 def test_a_poset_count_stops_with_the_budget(monkeypatch):
@@ -1203,15 +1232,22 @@ def test_a_poset_count_stops_with_the_budget(monkeypatch):
     offers = []
     columns = arrow._columns
     monkeypatch.setattr(arrow, "_columns", lambda *args: offers.append(1) or columns(*args))
-    prefixes = arrow._prefixes
-    last = []
+    walk = arrow._walk
+    counts = []  # per count of a ruled-out prefix: [its depth, n, whether it ended]
 
-    def recording(E, depth, columns):
-        for cols, offered, copies in prefixes(E, depth, columns):
-            last[:] = [len(cols), depth, copies is None]
-            yield cols, offered, copies
+    def recording(n, cols, offered, copies, scan):
+        to_r, columns, runs = scan
 
-    monkeypatch.setattr(arrow, "_prefixes", recording)
+        def counted(offered, p, n):
+            count = [p, n, False]
+            counts.append(count)
+            yield from runs(offered, p, n)
+            count[2] = True
+
+        # the empty prefix hands its scan, with the recording count, to every descendant
+        return walk(n, cols, offered, copies, scan if cols else (to_r, columns, counted))
+
+    monkeypatch.setattr(arrow, "_walk", recording)
     for budget, size, certified, calls in ((28, 4, 1, 9), (43_000, 7, 2885, 2788)):
         offers.clear()
         with pytest.raises(
@@ -1220,7 +1256,7 @@ def test_a_poset_count_stops_with_the_budget(monkeypatch):
             rf"certified, {budget - certified} skipped by the minimal-witness lemma$",
         ):
             oracle_ramsey(BaseOracle(size_bound=12, candidate_budget=budget), POINT, B)
-        assert last == [size - 2, size - 1, True] and len(offers) == calls
+        assert counts[-1] == [size - 2, size, False] and len(offers) == calls
 
 
 def test_complete_candidates_lemma():

@@ -507,6 +507,30 @@ def test_cli_finish_refuses_repeated_manifest_key(tmp_path, capsys):
     assert not (out / "C.json").exists()
 
 
+def test_cli_refuses_bytes_that_are_not_utf8(tmp_path, capsys):
+    # a file of bytes that are not UTF-8 is an input error on the parse route: validate
+    # prints its INVALID line, not a decoder ERROR, and finish refuses such a manifest
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "rn", "n": 0\xff}')
+    assert main(["validate", str(bad)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == "" and printed.out.startswith(
+        "INVALID bad.json: not valid JSON: 'utf-8' codec can't decode byte 0xff"
+    )
+    with pytest.raises(ParseError):
+        load_structure(bad)
+    code, out = _run_tower(tmp_path, "tower")
+    assert code == 0
+    manifest = out / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes() + b"note: \xff\n")
+    capsys.readouterr()
+    assert main(["finish", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ERROR: manifest.txt is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+    )
+    assert not (out / "C.json").exists()
+
+
 @pytest.mark.parametrize(
     "key, obj",
     [
