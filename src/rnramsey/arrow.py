@@ -454,8 +454,9 @@ def _walk(n: int, cols: list[int], offered: list[int], copies: dict, scan):
     vertex (mask bit) to one of E[:j + 1] when the column meets its image in wants[j],
     its other pairs then absent or N as E wants.  Each extension is made once per prefix
     and matched once per column; the matches decide the child's coverage and are a
-    covered child's new copies.  A batch is a list of items or the count of a prefix
-    that is not grown."""
+    covered child's new copies.  A batch is the count of a prefix that is not grown, or
+    a list of items, a last-level prefix's all in one, so that no item is passed up
+    level by level."""
     to_r, columns, runs = scan
     q = len(cols)
     bit, whole = 1 << q, (2 << q) - 1
@@ -491,8 +492,7 @@ def _walk(n: int, cols: list[int], offered: list[int], copies: dict, scan):
             cols.pop()
     if run:
         out.append((n, run, None, None))
-    if out:
-        yield out
+    yield out
 
 
 def _graph(cols, posets: bool) -> RNGraph:
@@ -532,8 +532,7 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     n - q of its vertices lie past the prefix.  So if a vertex of the prefix is in no
     copy of E[:j] with j >= E.n - (n - q), every size-n candidate below it has a vertex
     in no E-copy and is skipped.  At q = n the prefix is the candidate and j = E.n: the
-    minimal-witness lemma.  As every vertex is a copy of E[:1], only a bound of 2 or
-    more rules a prefix out.
+    minimal-witness lemma.
 
     Slot lemma (exact).  Likewise an A-copy of F in no E-copy is in no edge of the
     hypergraph: its color neither makes nor spoils a monochromatic E-copy.  Dropping
@@ -551,9 +550,7 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     prefix's last column; a prefix that fails it is not grown, and its candidates are
     counted (runs): 1 << sum(range(q, n)) at once for N-free graphs, and for posets one
     run per last-level prefix by a walk over the columns alone, so that no count runs
-    far ahead of the budget.  A covered candidate's E-copies come as masks.  The walk
-    hands its items over in batches, a last-level prefix's in one list, so that they
-    are not passed up through every level one at a time.
+    far ahead of the budget.  A covered candidate's E-copies come as masks.
     """
     if family == "poset":
         columns = _columns

@@ -177,9 +177,10 @@ def _load_listed(tower_dir: Path, manifest: dict[str, str], key: str):
 def cmd_finish(args) -> int:
     tower_dir = Path(args.tower_dir)
     try:
-        manifest = parse_manifest((tower_dir / "manifest.txt").read_text(encoding="utf-8"))
+        text = (tower_dir / "manifest.txt").read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"manifest.txt is not UTF-8 text: {exc}") from None
+    manifest = parse_manifest(text)
     if "stage.2.file" not in manifest and "truncated" in manifest:
         raise StructureError(f"tower has no stage; it was truncated at {manifest['truncated']}")
     lam = finish_index(_load_listed(tower_dir, manifest, "stage.2"))

@@ -237,7 +237,7 @@ def _unique_keys(pairs) -> dict:
 def load_structure(path):
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or deep nesting
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
