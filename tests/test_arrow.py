@@ -317,6 +317,7 @@ def test_local_search_agrees_with_brute_force():
     # monochromatic edge whenever it returns one, and the same one on every call
     rng = random.Random(2025)
     solvable = found = 0
+    walked = []
     for _ in range(300):
         m = rng.randint(1, 9)
         r = rng.choice((2, 3))
@@ -328,6 +329,7 @@ def test_local_search_agrees_with_brute_force():
         inc = incidence_masks(m, edges)
         colors = arrow._local_search(inc, len(edges), r, NEVER)
         assert colors == arrow._local_search(inc, len(edges), r, NEVER)
+        walked.append(colors)
         exists = brute_proper_coloring_exists(m, edges, r)
         solvable += exists
         if colors is None:
@@ -337,6 +339,8 @@ def test_local_search_agrees_with_brute_force():
         found += 1
     # and on instances this small it misses none: 43 of the 300 have no coloring
     assert (solvable, found) == (257, 257)
+    # the walk's flips on edges of mixed sizes and at r = 3: every coloring, pinned
+    assert _digest(walked) == "695c10482e20e89b"
 
 
 def test_local_search_gives_up_at_its_deadline():
