@@ -157,31 +157,34 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int
     past the maximum color already in use, which loses no generality for existence.
     The edge state lives in int masks over the edges: has[c] marks the edges with an
     assigned member of color c, and spoiled those that carry two colors.  Slot i
-    completes the edges of inc[i] that hold no later slot, so color c is refused at i
-    exactly when one of those edges has no member of another color.  An edge with an
-    assigned member (one of before[i]) has a member of another color exactly when it
-    is spoiled or has no member of color c.  Branches die as soon as some edge is
+    completes the edges of inc[i] that hold no later slot; the unspoiled ones (live,
+    one AND per node) have one color at most, so color c is refused at i exactly when
+    live & has[c], and every color when i completes an edge no earlier slot holds
+    (lone: i alone).  Coloring i with c spoils the edges it shares with earlier slots
+    (shared) that have no member of color c.  Branches die as soon as some edge is
     complete and single-colored; the search ends early as soon as every edge carries
-    two colors.  Undo restores the slot's saved (has[c], spoiled, max_used).
+    two colors.  Undo restores the slot's saved (has[c], spoiled, cap).
 
-    The masks only store the state.  The branch order (slots in index order, colors
-    ascending under the cap) alone fixes the node count and the returned coloring,
-    and tests pin both on chain instances.
+    The masks only store the state; a & ~b is taken as a ^ (a & b), which negates no
+    big int.  The branch order (slots in index order, colors ascending under the cap)
+    alone fixes the node count and the returned coloring, and tests pin both on chain
+    instances.
     """
     m = len(inc)
     full = (1 << n_edges) - 1
-    completes = [0] * m
+    before = list(itertools.accumulate(inc, int.__or__, initial=0))  # edges of slots < i
+    rows = [(0, 0, 0, 0)] * m  # per slot: completes, lone, shared, inc
     later = 0  # edges holding a slot after i
     for i in range(m - 1, -1, -1):
-        completes[i] = inc[i] & ~later
+        completes = inc[i] & ~later
+        rows[i] = (completes, completes & ~before[i], inc[i] & before[i], inc[i])
         later |= inc[i]
     has = [0] * r
     spoiled = 0
     saved = [(0, 0, 0)] * m
     colors = [-1] * m
-    before = list(itertools.accumulate(inc, int.__or__, initial=0))  # edges of slots < i
     nodes = 0
-    max_used = -1
+    cap = 0  # min(r - 1, one past the largest color in use)
     i = 0
     while True:
         nodes += 1
@@ -194,27 +197,25 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int
         if spoiled == full:
             colors[i:] = [0] * (m - i)
             return colors[:], nodes
-        cap = min(r - 1, max_used + 1)
-        c = colors[i] + 1
-        while c <= cap:
-            other = spoiled | (before[i] & ~has[c])
-            if not completes[i] & ~other:
-                break
+        completes, lone, shared, mask = rows[i]
+        live = completes ^ (completes & spoiled)
+        c = r if lone else colors[i] + 1
+        while c <= cap and live & has[c]:
             c += 1
         if c <= cap:
-            saved[i] = (has[c], spoiled, max_used)
-            spoiled |= inc[i] & other
-            has[c] |= inc[i]
+            saved[i] = (has[c], spoiled, cap)
+            spoiled |= shared ^ (shared & has[c])
+            has[c] |= mask
             colors[i] = c
-            if c > max_used:
-                max_used = c
+            if c == cap < r - 1:
+                cap += 1
             i += 1
             continue
         colors[i] = -1
         if i == 0:
             return None, nodes
         i -= 1
-        has[colors[i]], spoiled, max_used = saved[i]
+        has[colors[i]], spoiled, cap = saved[i]
 
 
 def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
@@ -226,19 +227,18 @@ def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
     draws from Random(_WALK_SEED + t), makes _WALK_FLIPS_PER_EDGE * n_edges flips and
     reads the deadline every _CLOCK_EVERY.  count[c][e] counts the members of edge
     e with color c; near[c] masks the edges with all members but one of color c, so
-    recoloring slot i to c breaks the edges of inc[i] & near[c].
+    recoloring slot i to c breaks the edges of inc[i] & near[c].  A flip scans the
+    moves (the edge's members, then colors ascending), one tie-break draw each, and
+    keeps the first with the least (breaks, draw); only a noise move lists them.
     """
-    edges_of: list[list[int]] = [[] for _ in inc]
     members: list[list[int]] = [[] for _ in range(n_edges)]
     for i, mask in enumerate(inc):
-        while mask:
-            e = (mask & -mask).bit_length() - 1
-            edges_of[i].append(e)
+        for e in _positions(mask):
             members[e].append(i)
-            mask ^= 1 << e
     if any(len(slots) < 2 for slots in members):
         return None  # a one-member edge is monochromatic under every coloring
     need = [len(slots) - 1 for slots in members]
+    edges_of = [[(e, need[e], 1 << e) for e in _positions(mask)] for mask in inc]
     others = [[c for c in range(r) if c != a] for a in range(r)]
     for t in range(_WALK_TRIES):
         draw = random.Random(_WALK_SEED + t).random  # picks seq[int(draw() * len(seq))]
@@ -246,35 +246,42 @@ def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
         count = [[sum(colors[i] == c for i in slots) for slots in members] for c in range(r)]
         near = [sum(1 << e for e in range(n_edges) if row[e] == need[e]) for row in count]
         mono = [e for e in range(n_edges) if any(row[e] > need[e] for row in count)]
-        where = {e: j for j, e in enumerate(mono)}  # position of each edge in mono
+        where = [0] * n_edges  # position of each edge of mono in mono
+        for j, e in enumerate(mono):
+            where[e] = j
         for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
             if not mono:
                 return colors
             if flip % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
                 return None
-            moves = [  # (edges broken, tie-break, slot, new color)
-                ((inc[i] & near[c]).bit_count(), draw(), i, c)
-                for i in members[mono[int(draw() * len(mono))]]
-                for c in others[colors[i]]
-            ]
-            _, _, i, c = move = min(moves)
-            if move[0] and draw() < _WALK_NOISE:
-                _, _, i, c = moves[int(draw() * len(moves))]
-            a, old, new = colors[i], count[colors[i]], count[c]
-            for e in edges_of[i]:
-                x, y, top = old[e], new[e], need[e]
-                if x > top:  # e was monochromatic in a: swap the last of mono into its place
-                    last = mono.pop()
-                    if last != e:
-                        mono[where[e]], where[last] = last, where[e]
-                if x >= top:  # e enters or leaves near[a]
-                    near[a] ^= 1 << e
-                if y == top:  # e becomes monochromatic in c
-                    where[e] = len(mono)
-                    mono.append(e)
-                if top - 1 <= y <= top:  # e enters or leaves near[c]
-                    near[c] ^= 1 << e
+            slots = members[mono[int(draw() * len(mono))]]
+            least = n_edges + 1
+            for j in slots:  # moves in order, each with its tie-break draw
+                mask = inc[j]
+                for k in others[colors[j]]:
+                    breaks, tie = (mask & near[k]).bit_count(), draw()
+                    if breaks < least or breaks == least and tie < first:
+                        least, first, i, c = breaks, tie, j, k
+            if least and draw() < _WALK_NOISE:
+                moves = [(j, k) for j in slots for k in others[colors[j]]]
+                i, c = moves[int(draw() * len(moves))]
+            a = colors[i]
+            old, new, near_a, near_c = count[a], count[c], near[a], near[c]
+            for e, top, bit in edges_of[i]:
+                x, y = old[e], new[e]
+                if x >= top:  # e leaves near[a], or was monochromatic in a and enters it
+                    near_a ^= bit
+                    if x > top:  # swap the last of mono into e's place
+                        last = mono.pop()
+                        if last != e:
+                            mono[where[e]], where[last] = last, where[e]
+                if y >= top - 1:  # e enters or leaves near[c]; y never exceeds top
+                    near_c ^= bit
+                    if y == top:  # e becomes monochromatic in c
+                        where[e] = len(mono)
+                        mono.append(e)
                 old[e], new[e] = x - 1, y + 1
+            near[a], near[c] = near_a, near_c
             colors[i] = c
         if not mono:
             return colors
