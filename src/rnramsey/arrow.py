@@ -7,8 +7,9 @@ monochromatic Q-copy); exhaustion proves the arrow.  On over 16 P-copies and 2+ 
 a decision the search's first 4,096 nodes leave open goes to a seeded WalkSAT
 (_local_search, 5 tries of 20 flips per Q-copy), then back to the search; the walk can
 only find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one
-deadline, which every search under it stops on.  The verdict record holds only the
-verdict (holds, counterexample, nodes); colorings replay through find_monochromatic.
+deadline, which every search under it stops on, and a look stopped on it ends the
+query.  The verdict record holds only the verdict (holds, counterexample, nodes);
+colorings replay through find_monochromatic.
 
 The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
 masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
@@ -322,8 +323,8 @@ def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float, slots=None
     happens here, by the query's deadline.  The slots are the given P-copy images or, by
     default, the P-copies inside some Q-copy, by image ascending (exact by the slot
     lemma, see _enumerated_candidates).  Past the walk's gate the exact search looks at
-    _FIRST_LOOK nodes first; only a decision it leaves open gets the walk (a FAILS of 0
-    nodes), then the exact search gets all max_nodes."""
+    _FIRST_LOOK nodes first; what it leaves open before the deadline goes to the walk
+    (a FAILS of 0 nodes), then to the exact search on max_nodes if the look had fewer."""
     if not q_maps:
         return [0] * len(slots or ()), 0
     if not p_in_q:
@@ -345,11 +346,13 @@ def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float, slots=None
     try:
         return _proper_coloring_search(inc, n_edges, r, look, deadline)
     except ResourceExceeded:
-        if not walk:
+        if not walk or time.monotonic() > deadline:
             raise
-    colors = _local_search(inc, n_edges, r, deadline)
-    if colors is not None:
-        return colors, 0
+        colors = _local_search(inc, n_edges, r, deadline)
+        if colors is not None:
+            return colors, 0
+        if look == max_nodes:  # a second search would run the look's nodes again
+            raise
     return _proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
 
 

@@ -201,6 +201,39 @@ def test_time_budget_fires():
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
 
 
+def test_a_look_stopped_on_the_deadline_ends_the_query(monkeypatch):
+    calls = []
+
+    def spy(name):
+        search = getattr(arrow, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return None if name == "_local_search" else search(*args)  # the walk gives up
+
+        monkeypatch.setattr(arrow, name, recorded)
+
+    spy("_proper_coloring_search")
+    spy("_local_search")
+    # the look stops on the deadline at its first clock read: no walk, no second search
+    with pytest.raises(ResourceExceeded, match="time budget after 4096 nodes"):
+        check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
+    assert calls == ["_proper_coloring_search"]
+    # a look on the whole node budget still gets the walk, but is not run again:
+    # v[v[v]] -> (v)^point_3 HOLDS only after 1,041,559 nodes
+    calls.clear()
+    v = make_ordered_poset(3, {(0, 2), (1, 2)})
+    target = poset_to_complete_rn(_lex(v, _lex(v, v)))
+    with pytest.raises(ResourceExceeded, match=r"node budget \(4096\)"):
+        check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=4_096))
+    assert calls == ["_proper_coloring_search", "_local_search"]
+    # past the look's nodes the exact search gets the whole budget
+    calls.clear()
+    with pytest.raises(ResourceExceeded, match=r"node budget \(5000\)"):
+        check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=5_000))
+    assert calls == ["_proper_coloring_search", "_local_search", "_proper_coloring_search"]
+
+
 def _hypergraph(target, Q, P):
     """The P-copies and Q-copies of target, with check_arrow's masks of the edges that
     hold each P-copy."""
