@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -383,6 +384,67 @@ def test_finish_stage_closure_conflict():
     bad = make_rn_graph(3, {(0, 1), (1, 2)}, {(0, 2)})
     with pytest.raises(InvariantViolation, match=r"closure meets N at \(0, 2\)"):
         finish_stage(bad, 3, C2)
+
+
+def _parts_reversed(monkeypatch):
+    pattern = partite.make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))
+    monkeypatch.setattr(
+        partite, "make_apartite",
+        lambda A, base, parts: partite.APartiteRNGraph(A, base, tuple(parts)[::-1]),
+    )
+    run = lambda: product_construction(C2, pattern, BaseOracle())
+    return run, r"lift of witness copy \(0, 1\) moved a part"
+
+
+def _bad_picture_zero(monkeypatch):
+    monkeypatch.setattr(construction, "is_good", lambda graph: False)
+    run = lambda: build_picture_zero(C3, C2)
+    return run, "disjoint copies of a good pattern must form a good graph"
+
+
+def _no_freedom_after_the_start(monkeypatch):
+    answers = iter([True])  # the starting picture passes, every round fails
+    monkeypatch.setattr(construction, "is_ell_rn", lambda graph, ell: next(answers, False))
+    run = lambda: run_partite_construction(C2, C2, C2, BaseOracle(), ell=3)
+    return run, "round 0 lost 3-freedom; the gluing argument is violated"
+
+
+def _stage_without_the_pattern(monkeypatch):
+    stub = SimpleNamespace(picture=SimpleNamespace(base=POINT))  # 3-free, and no C2
+    monkeypatch.setattr(construction, "run_partite_construction", lambda *args, **kw: stub)
+    run = lambda: build_tower(chain(1), chain(2), 3, BaseOracle(), stabilize=False)
+    return run, "completed stage lost every copy of the pattern"
+
+
+def _long_r_path(monkeypatch):
+    monkeypatch.setattr(construction, "longest_r_path_vertices", lambda graph: 3)
+    run = lambda: finish_stage(C2, 2, C2)
+    return run, "an R-path on 3 vertices contradicts the collapse onto stage 2"
+
+
+def _copy_broken_by_closure(monkeypatch):
+    monkeypatch.setattr(construction, "is_embedding", lambda *args: False)
+    run = lambda: finish_stage(C2, 2, C2)
+    return run, "closure added a pair inside a pattern copy"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _parts_reversed,
+        _bad_picture_zero,
+        _no_freedom_after_the_start,
+        _stage_without_the_pattern,
+        _long_r_path,
+        _copy_broken_by_closure,
+    ],
+    ids=lambda damage: damage.__name__.strip("_"),
+)
+def test_invariant_checks_fire(monkeypatch, damage):
+    # each check guards a step the construction's lemmas promise; a damaged step trips it
+    run, message = damage(monkeypatch)
+    with pytest.raises(InvariantViolation, match=message):
+        run()
 
 
 def test_extractor():
