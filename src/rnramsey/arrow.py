@@ -3,21 +3,22 @@
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
-monochromatic Q-copy); exhaustion proves the arrow.  On over 16 P-copies and 2+ colors,
-a decision the search's first 4,096 nodes leave open goes to a seeded WalkSAT
+monochromatic Q-copy); exhaustion proves the arrow.  On over 16 slots and 2+ colors, a
+decision the search's first 4,096 nodes leave open goes to a seeded WalkSAT
 (_local_search, 5 tries of 20 flips per Q-copy), then back to the search; the walk can
 only find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one
 deadline, which every search under it stops on, and a look stopped on it ends the
 query.  The verdict record holds only the verdict (holds, counterexample, nodes);
 colorings replay through find_monochromatic.
 
-The P-copies are the slots and the Q-copies the edges of a hypergraph, built once as int
-masks over the edges (_incidence) unless the slots are past the exact search's ceiling;
-then only whether a Q-copy exists is asked.  The search keeps its edge state in such
+Every query takes one route.  The Q-copies come as image masks over the target's order
+(_e_copies), the copies of P in Q as ranks (_ranked), and the P-copies that some Q-copy
+carries are the slots, the Q-copies the edges of a hypergraph, built once as int masks
+over the edges (_incidence).  A P-copy in no Q-copy is in no edge, so its color never
+matters (the slot lemma, see _enumerated_candidates): check_arrow gives it color 0, and
+past 2,000 slots the exact search refuses.  The search keeps its edge state in such
 masks: per color, the edges with a member of that color, and the edges that carry two
-colors; the local search keeps, per color, the edges one member short of it.  check_arrow
-makes every listed P-copy a slot, so that a counterexample colors them all; the oracle's
-certifications take only the P-copies inside some Q-copy.
+colors; the local search keeps, per color, the edges one member short of it.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
 from .analysis import is_good
-from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
+from .embeddings import Copy, ResourceExceeded, enumerate_copies
 from .structures import InvariantViolation, RNGraph, chain, induced_substructure
 from .structures import is_complete, make_rn_graph, poset_to_complete_rn
 
@@ -57,7 +58,7 @@ _WALK_SEED = 0x5EED
 _WALK_TRIES = 5
 _WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
 _WALK_NOISE = 0.1
-_SLOT_CEILING = 2000  # slots (P-copies) the exact search takes on
+_SLOT_CEILING = 2000  # slots (P-copies inside some Q-copy) the exact search takes on
 _CLOCK_EVERY = 4096  # steps between the searches' reads of the deadline
 _FIRST_LOOK = 4096  # exact-search nodes before the walk
 
@@ -125,28 +126,20 @@ class ArrowVerdict:
     nodes_explored: int = field(compare=False, default=0)
 
 
-def _incidence(q_maps, p_in_q, slots=None) -> dict:
-    """The hypergraph: per slot, the image of a P-copy in the target, the int mask of
-    the edges that hold it, bit e for the e-th Q-copy.
+def _incidence(q_maps, p_in_q) -> dict:
+    """The hypergraph: per slot, the image of a P-copy inside some Q-copy, the int mask
+    of the edges that hold it, bit e for the e-th Q-copy.
 
     q_maps[e][u] is where the e-th Q-copy sends u, and each copy of P in Q itself comes
-    as the tuple of its u (p_in_q); carried through a map it is a P-copy's image.
-    Given the slots, the masks come in their order, and every carried image must be a
-    slot: composed embeddings are embeddings, so a miss means a Q-copy that is not a
-    copy.  Without them, the slots are the carried images, the P-copies inside some
-    Q-copy, in the order first met.
+    as the tuple of its u (p_in_q); carried through a map it is a P-copy's image.  The
+    slots are the carried images, in the order first met.
     """
-    held = {} if slots is None else dict.fromkeys(slots, 0)
+    held = {}
     for e, at in enumerate(q_maps):
         bit = 1 << e
         for c in p_in_q:
             image = tuple([at[u] for u in c])
-            if image in held:
-                held[image] |= bit
-            elif slots is None:
-                held[image] = bit
-            else:
-                raise InvariantViolation(f"Q-copy {e} maps a P-copy onto non-copy {image}")
+            held[image] = held.get(image, 0) | bit
     return held
 
 
@@ -294,66 +287,68 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
 
     FAILS verdicts carry a counterexample coloring admitting no monochromatic Q-copy,
     replayable through find_monochromatic.  HOLDS verdicts are proofs by exhaustion of
-    the counterexample search.
+    the counterexample search.  The slots are _verdict's, each one of the listed P-copies
+    (composed embeddings are embeddings, so a miss means a Q-copy that is not a copy),
+    and a P-copy in no Q-copy takes color 0.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an int of at least 1, got {r!r}")
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
-    if len(p_copies) > _SLOT_CEILING:
-        # past the ceiling _verdict decides only whether some Q-copy exists, or refuses
-        q_copies = list(itertools.islice(iter_copies(Q, target), 1))
-    else:
-        q_copies = enumerate_copies(Q, target, limit=limits.max_copies)
-    colors, nodes = _verdict(
-        r, [q.map for q in q_copies], [c.image for c in enumerate_copies(P, Q)],
-        limits.max_nodes, deadline, [c.image for c in p_copies],
-    )
+    rank = target.rank
+    index = {tuple([rank[v] for v in c.image]): i for i, c in enumerate(p_copies)}
+    q_maps = [_positions(image) for image in _e_copies(target, Q, limits.max_copies)]
+    slots, colors, nodes = _verdict(r, q_maps, _ranked(P, Q), limits.max_nodes, deadline)
+    where = [index.get(slot) for slot in slots]
+    if None in where:
+        image = tuple(target.order[p] for p in slots[where.index(None)])
+        raise InvariantViolation(f"a Q-copy maps a P-copy onto non-copy {image}")
     if colors is None:
         return ArrowVerdict(True, None, nodes)
-    return ArrowVerdict(False, make_coloring(p_copies, colors, r), nodes)
+    assignment = [0] * len(p_copies)
+    for i, color in zip(where, colors):
+        assignment[i] = color
+    return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
 
 
-def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float, slots=None):
+def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float):
     """Decide whether every r-coloring of the slots makes some Q-copy monochromatic:
-    (colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic, or
-    None when no such coloring exists (the arrow holds).  The Q-copies and the copies
+    (slots, colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic,
+    or None when no such coloring exists (the arrow holds).  The Q-copies and the copies
     p_in_q of P in Q itself come as _incidence takes them; everything after enumeration
-    happens here, by the query's deadline.  The slots are the given P-copy images or, by
-    default, the P-copies inside some Q-copy, by image ascending (exact by the slot
-    lemma, see _enumerated_candidates).  Past the walk's gate the exact search looks at
-    _FIRST_LOOK nodes first; what it leaves open before the deadline goes to the walk
-    (a FAILS of 0 nodes), then to the exact search on max_nodes if the look had fewer."""
+    happens here, by the query's deadline.  The slots are the P-copies inside some
+    Q-copy, by image ascending (exact by the slot lemma, see _enumerated_candidates),
+    and past _SLOT_CEILING of them the query is refused before any search.  Past the
+    walk's gate the exact search looks at _FIRST_LOOK nodes first; what it leaves open
+    before the deadline goes to the walk (a FAILS of 0 nodes), then to the exact search
+    on max_nodes if the look had fewer."""
     if not q_maps:
-        return [0] * len(slots or ()), 0
+        return [], [], 0
     if not p_in_q:
         # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
-        return None, 0
-    held = None
-    if slots is None:
-        held = _incidence(q_maps, p_in_q)
-        slots = sorted(held)
-    m = len(slots)  # given slots are refused here before their masks are built
+        return [], None, 0
+    held = _incidence(q_maps, p_in_q)
+    slots = sorted(held)
+    m = len(slots)
     if m > _SLOT_CEILING:
         raise ResourceExceeded(
             f"{m} P-copies is beyond the exact search ceiling of {_SLOT_CEILING} slots"
         )
-    held = held or _incidence(q_maps, p_in_q, slots)
     inc, n_edges = [held[s] for s in slots], len(q_maps)
     walk = m > 16 and r >= 2
     look = min(_FIRST_LOOK, max_nodes) if walk else max_nodes
     try:
-        return _proper_coloring_search(inc, n_edges, r, look, deadline)
+        return slots, *_proper_coloring_search(inc, n_edges, r, look, deadline)
     except ResourceExceeded:
         if not walk or time.monotonic() > deadline:
             raise
         colors = _local_search(inc, n_edges, r, deadline)
         if colors is not None:
-            return colors, 0
+            return slots, colors, 0
         if look == max_nodes:  # a second search would run the look's nodes again
             raise
-    return _proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
+    return slots, *_proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
 
 
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
@@ -601,14 +596,11 @@ def _ranked(A: RNGraph, E: RNGraph) -> list[tuple[int, ...]]:
     return [tuple(E.rank[u] for u in c.image) for c in enumerate_copies(A, E)]
 
 
-def _e_copies(graph: RNGraph, E: RNGraph) -> list[int]:
+def _e_copies(graph: RNGraph, E: RNGraph, limit: int) -> list[int]:
     """The image masks of E's copies in graph (bit p for graph's p-th vertex in its
-    order), listed within SearchLimits' default count."""
+    order), at most limit of them."""
     rank = graph.rank
-    return [
-        sum(1 << rank[v] for v in c.image)
-        for c in enumerate_copies(E, graph, limit=SearchLimits.max_copies)
-    ]
+    return [sum(1 << rank[v] for v in c.image) for c in enumerate_copies(E, graph, limit=limit)]
 
 
 def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
@@ -621,7 +613,7 @@ def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
     if len(e_copies) > limit:
         raise ResourceExceeded(f"more than {limit} copies of the pattern in a candidate")
     maps = [_positions(image) for image in e_copies]
-    return _verdict(2, maps, p_in_e, SearchLimits.max_nodes, deadline)[0] is None
+    return _verdict(2, maps, p_in_e, SearchLimits.max_nodes, deadline)[1] is None
 
 
 def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
@@ -630,7 +622,7 @@ def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
     runs past its budgets raises ResourceExceeded, like every other ceiling."""
     deadline = time.monotonic() + SearchLimits.time_budget
     p_in_e = _ranked(A, E)
-    if not _is_witness(_e_copies(graph, E), p_in_e, deadline):
+    if not _is_witness(_e_copies(graph, E, SearchLimits.max_copies), p_in_e, deadline):
         raise CertificationFailed(
             f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
             f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
@@ -669,7 +661,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             cols = tuple(sum(1 << i for i, j in graph.R if j == t) for t in range(graph.n))
             if _graph(cols, posets) == graph:
                 met.add(cols)
-            yield graph.n, 1, graph, _e_copies(graph, E), source
+            yield graph.n, 1, graph, _e_copies(graph, E, SearchLimits.max_copies), source
 
     scan = (
         (n, run, cols, e_copies, "search:enumeration")

@@ -206,7 +206,7 @@ def cmd_finish(args) -> int:
         f"copies of B after closure: {result.b_copies_after}",
     ]
     report = "\n".join(lines) + "\n"
-    (tower_dir / "finish_report.txt").write_text(report)
+    (tower_dir / "finish_report.txt").write_text(report, encoding="utf-8")
     print(report, end="")
     return 0
 
@@ -217,7 +217,7 @@ def cmd_export_dot(args) -> int:
         raise StructureError("only graph-like structures render to DOT")
     text = export_dot(obj, name=Path(args.path).stem)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

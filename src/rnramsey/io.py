@@ -220,7 +220,7 @@ def from_doc(doc: dict):
 def save_structure(path, obj) -> str:
     """Write the canonical file; returns its digest, the hash of the text written."""
     text = dumps_canonical(to_doc(obj))
-    Path(path).write_text(text)
+    Path(path).write_text(text, encoding="utf-8")
     return _sha256(text)
 
 

@@ -54,6 +54,7 @@ A2 = poset_to_complete_rn(antichain(2))
 V = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
 # the private searches take a node budget and an absolute deadline
 MAX_NODES, NEVER = SearchLimits.max_nodes, float("inf")
+MAX_COPIES = SearchLimits.max_copies
 
 
 def _digest(assignment) -> str:
@@ -168,24 +169,17 @@ def test_r_is_a_plain_int_of_at_least_one(r):
         check_arrow(_rn_chain(6), C3, C2, r)
 
 
-def test_slot_ceiling_fires_before_the_hypergraph_is_built(monkeypatch):
-    # chain(24) has 2,024 copies of C3 and 10,626 of C4: past the ceiling, no masks,
-    # and the Q-copies are not listed, only probed for one
-    def no_incidence(*args):
-        raise AssertionError("incidence built past the ceiling")
+def test_slot_ceiling_fires_before_any_search(monkeypatch):
+    # chain(24) has 2,024 copies of C3, each inside one of its 10,626 copies of C4:
+    # 2,024 slots, past the ceiling, refused before either search runs
+    def no_search(*args):
+        raise AssertionError("a search ran past the ceiling")
 
-    listed = []
-
-    def recording_enumerate_copies(pattern, target, *args, **kwargs):
-        listed.append((pattern.n, target.n))
-        return enumerate_copies(pattern, target, *args, **kwargs)
-
-    monkeypatch.setattr(arrow, "_incidence", no_incidence)
-    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
-    with pytest.raises(ResourceExceeded, match="2024 P-copies is beyond the exact search "
-                       "ceiling of 2000 slots"):
+    monkeypatch.setattr(arrow, "_proper_coloring_search", no_search)
+    monkeypatch.setattr(arrow, "_local_search", no_search)
+    with pytest.raises(ResourceExceeded, match="^2024 P-copies is beyond the exact search "
+                       "ceiling of 2000 slots$"):
         check_arrow(_rn_chain(24), _rn_chain(4), C3, 2)
-    assert listed == [(3, 24), (3, 4)]
     # with no Q-copy at all the verdict still FAILS, with the all-zero coloring
     a2 = poset_to_complete_rn(antichain(2))
     verdict = check_arrow(_rn_chain(24), a2, C3, 2)
@@ -193,6 +187,23 @@ def test_slot_ceiling_fires_before_the_hypergraph_is_built(monkeypatch):
     assert {color for _, color in verdict.counterexample.assignment} == {0}
     # and a Q-copy that holds no P-copy still HOLDS vacuously
     assert check_arrow(_rn_chain(24), C2, C3, 2).holds
+
+
+def test_a_p_copy_in_no_q_copy_is_no_slot():
+    # k isolated vertices ordered before a 3-chain: only the chain's 3 points lie in a
+    # C2-copy, and those 3 slots HOLD in 5 nodes however many points come first; as
+    # slots, each point in no edge would double the search once per color (20 of them
+    # reach the 2,000,000-node budget), and 2,001 would pass the slot ceiling
+    for k in (0, 20, 2_001):
+        target = make_rn_graph(k + 3, {(k, k + 1), (k + 1, k + 2), (k, k + 2)}, ())
+        verdict = check_arrow(target, C2, POINT, 2)
+        assert verdict.holds and verdict.nodes_explored == 5
+    # with one R pair it FAILS: the pair's points differ, and every other point takes 0
+    target = make_rn_graph(2_003, {(2_001, 2_002)}, ())
+    verdict = check_arrow(target, C2, POINT, 2)
+    assert not verdict.holds and len(verdict.counterexample) == 2_003
+    assert [color for _, color in verdict.counterexample.assignment] == [0] * 2_002 + [1]
+    assert find_monochromatic(target, verdict.counterexample, C2, POINT) is None
 
 
 def test_time_budget_fires():
@@ -236,17 +247,19 @@ def test_a_look_stopped_on_the_deadline_ends_the_query(monkeypatch):
 
 def _hypergraph(target, Q, P):
     """The P-copies and Q-copies of target, with check_arrow's masks of the edges that
-    hold each P-copy."""
-    p_copies, q_copies = enumerate_copies(P, target), enumerate_copies(Q, target)
-    p_in_q = [c.image for c in enumerate_copies(P, Q)]
-    held = arrow._incidence([q.map for q in q_copies], p_in_q, [c.image for c in p_copies])
-    return p_copies, q_copies, list(held.values())
+    hold each P-copy: on the chains here every P-copy is a slot, in enumeration order."""
+    p_copies = enumerate_copies(P, target)
+    q_maps = [arrow._positions(image) for image in arrow._e_copies(target, Q, MAX_COPIES)]
+    held = arrow._incidence(q_maps, arrow._ranked(P, Q))
+    slots = sorted(held)
+    assert slots == [c.image for c in p_copies]
+    return p_copies, q_maps, [held[slot] for slot in slots]
 
 
 def _search(n: int, q: int, p: int, r: int):
     """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no local search."""
-    p_copies, q_copies, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
-    assignment, nodes = arrow._proper_coloring_search(inc, len(q_copies), r, MAX_NODES, NEVER)
+    p_copies, q_maps, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
+    assignment, nodes = arrow._proper_coloring_search(inc, len(q_maps), r, MAX_NODES, NEVER)
     coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
     return coloring, nodes
 
@@ -376,21 +389,42 @@ def test_local_search_agrees_with_brute_force():
     assert _digest(walked) == "695c10482e20e89b"
 
 
+def test_local_search_is_pinned_on_longer_walks():
+    # 10 to 24 slots and up to 60 edges: walks long enough for the noise move to count,
+    # where the small instances above are solved before it does; every coloring, pinned
+    rng = random.Random(7)
+    walked = []
+    for _ in range(100):
+        m = rng.randint(10, 24)
+        r = rng.choice((2, 3))
+        edges = [
+            frozenset(rng.sample(range(m), rng.randint(2, 4)))
+            for _ in range(rng.randint(0, 60))
+        ]
+        colors = arrow._local_search(incidence_masks(m, edges), len(edges), r, NEVER)
+        walked.append(colors)
+        if colors is not None:
+            assert all(len({colors[i] for i in e}) > 1 for e in edges)
+    assert sum(colors is not None for colors in walked) == 73
+    assert _digest(walked) == "58d8566d679eda9a"
+
+
 def test_local_search_gives_up_at_its_deadline():
     # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
     # past its deadline, the one check_arrow fixed for the whole query
-    _, q_copies, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
-    assert arrow._local_search(inc, len(q_copies), 2, NEVER) is not None
-    assert arrow._local_search(inc, len(q_copies), 2, float("-inf")) is None
+    _, q_maps, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
+    assert arrow._local_search(inc, len(q_maps), 2, NEVER) is not None
+    assert arrow._local_search(inc, len(q_maps), 2, float("-inf")) is None
 
 
-def test_incidence_refuses_a_forged_q_copy():
-    # 0<1<2 with the pair (0, 2) absent: C3's copy (0, 2) of C2 lands on a non-copy
+def test_check_arrow_refuses_a_forged_q_copy(monkeypatch):
+    # 0<1<2 with the pair (0, 2) absent holds no C3, so a forged C3-copy on all three
+    # points carries C3's copy (0, 2) of C2 onto a non-copy: refused on either verdict
     target = make_rn_graph(3, {(0, 1), (1, 2)}, ())
-    slots = [c.image for c in enumerate_copies(C2, target)]
-    p_in_q = [c.image for c in enumerate_copies(C2, C3)]
-    with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)"):
-        arrow._verdict(2, [(0, 1, 2)], p_in_q, MAX_NODES, NEVER, slots)
+    monkeypatch.setattr(arrow, "_e_copies", lambda graph, E, limit: [0b111])
+    for r in (1, 2):  # one color HOLDS, two FAIL
+        with pytest.raises(AssertionError, match=r"maps a P-copy onto non-copy \(0, 2\)$"):
+            check_arrow(target, C3, C2, r)
 
 
 def test_verdict_deterministic():
@@ -1062,9 +1096,10 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
             else:
                 A, E, F = (random_good_complete(rng, k) for k in (2, 3, 6))
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(arrow._e_copies(F, E), arrow._ranked(A, E), NEVER) == holds
+            e_copies = arrow._e_copies(F, E, MAX_COPIES)
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
             # the slots, as positions in F's order, and the edges that hold each
-            maps = [arrow._positions(image) for image in arrow._e_copies(F, E)]
+            maps = [arrow._positions(image) for image in e_copies]
             held = arrow._incidence(maps, arrow._ranked(A, E))
             images = [set(image) for image in brute_copies(E, F)]
             inside = {c for c in brute_copies(A, F) if any(set(c) <= q for q in images)}
@@ -1120,7 +1155,8 @@ def test_certification_of_degenerate_queries():
     ):
         for F in targets:
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(arrow._e_copies(F, E), arrow._ranked(A, E), NEVER) == holds
+            e_copies = arrow._e_copies(F, E, MAX_COPIES)
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
             outcomes.add(holds)
         # the oracle's first seed, E itself, is then its witness
         assert oracle_ramsey(BaseOracle(), A, E) == OracleWitness(E, "search:identity")
@@ -1140,7 +1176,7 @@ def test_the_scan_lists_no_copies_per_candidate(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(arrow, "enumerate_copies", counting("enumerate", arrow.enumerate_copies))
-    monkeypatch.setattr(arrow, "iter_copies", counting("iter", arrow.iter_copies))
+    assert not hasattr(arrow, "iter_copies")  # every listing goes through enumerate_copies
     monkeypatch.setattr(embeddings, "iter_copies", counting("iter", embeddings.iter_copies))
     for budget in (1, 3764, 60_000):
         listed.clear()
@@ -1332,7 +1368,7 @@ def test_oracle_loop_agrees_with_check_arrow():
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(arrow._e_copies(F, E), p_in_e, NEVER) == holds
+            assert arrow._is_witness(arrow._e_copies(F, E, MAX_COPIES), p_in_e, NEVER) == holds
             if holds and member(F):
                 witnesses.append(F)
         family = "poset" if member is brute_is_poset else "N-free"

@@ -350,6 +350,21 @@ def test_no_bare_assert_in_sources():
     assert found == []
 
 
+def test_text_files_name_their_encoding():
+    """Every text file the package reads or writes is UTF-8, named at the call, and
+    never the locale's encoding."""
+    found = []
+    for path in sorted(Path(rnramsey.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            named = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if named in ("read_text", "write_text", "open") and not any(
+                keyword.arg == "encoding" for keyword in node.keywords
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _sources() -> dict[str, str]:
     return {path.name: path.read_text() for path in Path(rnramsey.__file__).parent.glob("*.py")}
 
