@@ -3,22 +3,22 @@
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
-monochromatic Q-copy); exhaustion proves the arrow.  On over 16 slots and 2+ colors, a
-decision the search's first 4,096 nodes leave open goes to a seeded WalkSAT
-(_local_search, 5 tries of 20 flips per Q-copy), then back to the search; the walk can
-only find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one
-deadline, which every search under it stops on, and a look stopped on it ends the
-query.  The verdict record holds only the verdict (holds, counterexample, nodes);
-colorings replay through find_monochromatic.
+monochromatic Q-copy); exhaustion proves the arrow.  On over 16 slots and 2+ colors, the
+search pauses when its first 4,096 nodes leave the decision open, for a seeded WalkSAT
+(_local_search, 5 tries of 20 flips per Q-copy), and then resumes; the walk can only
+find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one deadline,
+which every search under it stops on, and a look stopped on it ends the query.  The
+verdict record holds only the verdict (holds, counterexample, nodes); colorings replay
+through find_monochromatic.
 
 Every query takes one route.  The Q-copies come as image masks over the target's order
 (_e_copies), the copies of P in Q as ranks (_ranked), and the P-copies that some Q-copy
 carries are the slots, the Q-copies the edges of a hypergraph, built once as int masks
-over the edges (_incidence).  A P-copy in no Q-copy is in no edge, so its color never
-matters (the slot lemma, see _enumerated_candidates): check_arrow gives it color 0, and
-past 2,000 slots the exact search refuses.  The search keeps its edge state in such
-masks: per color, the edges with a member of that color, and the edges that carry two
-colors; the local search keeps, per color, the edges one member short of it.
+over the edges (_incidence) unless a 2,001st slot refuses the query.  A P-copy in no
+Q-copy is in no edge, so its color never matters (the slot lemma, see
+_enumerated_candidates): check_arrow gives it color 0.  The search keeps its edge state
+in such masks: per color, the edges with a member of that color, and the edges that
+carry two colors; the local search keeps, per color, the edges one member short of it.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -126,26 +126,33 @@ class ArrowVerdict:
     nodes_explored: int = field(compare=False, default=0)
 
 
-def _incidence(q_maps, p_in_q) -> dict:
+def _incidence(q_copies: list[int], p_in_q) -> dict:
     """The hypergraph: per slot, the image of a P-copy inside some Q-copy, the int mask
     of the edges that hold it, bit e for the e-th Q-copy.
 
-    q_maps[e][u] is where the e-th Q-copy sends u, and each copy of P in Q itself comes
-    as the tuple of its u (p_in_q); carried through a map it is a P-copy's image.  The
-    slots are the carried images, in the order first met.
+    q_copies[e] is the e-th Q-copy's image mask, and each copy of P in Q itself comes
+    as the tuple of its u (p_in_q); carried to the positions of the image, it is a
+    P-copy's image.  The slots are the carried images, in the order first met, and the
+    query is refused as soon as they pass _SLOT_CEILING, with no more Q-copies read.
     """
     held = {}
-    for e, at in enumerate(q_maps):
-        bit = 1 << e
+    for e, image in enumerate(q_copies):
+        at, bit = _positions(image), 1 << e
         for c in p_in_q:
-            image = tuple([at[u] for u in c])
-            held[image] = held.get(image, 0) | bit
+            slot = tuple([at[u] for u in c])
+            held[slot] = held.get(slot, 0) | bit
+        if len(held) > _SLOT_CEILING:
+            raise ResourceExceeded(
+                f"more than {_SLOT_CEILING} P-copies, the exact search ceiling, "
+                f"in the first {e + 1} of {len(q_copies)} Q-copies"
+            )
     return held
 
 
-def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int, deadline: float):
-    """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when none
-    exists.
+def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int, deadline: float):
+    """Yields (colors, nodes) when it ends: an assignment of slots 0..len(inc)-1 with
+    no monochromatic edge, or None when none exists.  It pauses (yields None) instead
+    of counting a node past stop, and resumes where it was once sent a higher stop.
 
     Backtracks over the slots in that fixed order; a slot's color is capped at one
     past the maximum color already in use, which loses no generality for existence.
@@ -182,15 +189,13 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int
     i = 0
     while True:
         nodes += 1
-        if nodes > max_nodes:
-            raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
+        while nodes > stop:
+            stop = yield None
         if nodes % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
             raise ResourceExceeded(f"arrow search time budget after {nodes} nodes")
-        if i == m:
-            return colors[:], nodes
-        if spoiled == full:
+        if i == m or spoiled == full:  # all colored, or the rest take 0: no edge needs them
             colors[i:] = [0] * (m - i)
-            return colors[:], nodes
+            break
         completes, lone, shared, mask = rows[i]
         live = completes ^ (completes & spoiled)
         c = r if lone else colors[i] + 1
@@ -207,9 +212,11 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, max_nodes: int
             continue
         colors[i] = -1
         if i == 0:
-            return None, nodes
+            colors = None
+            break
         i -= 1
         has[colors[i]], spoiled, cap = saved[i]
+    yield colors, nodes
 
 
 def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
@@ -298,8 +305,8 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
     rank = target.rank
     index = {tuple([rank[v] for v in c.image]): i for i, c in enumerate(p_copies)}
-    q_maps = [_positions(image) for image in _e_copies(target, Q, limits.max_copies)]
-    slots, colors, nodes = _verdict(r, q_maps, _ranked(P, Q), limits.max_nodes, deadline)
+    q_copies = _e_copies(target, Q, limits.max_copies)
+    slots, colors, nodes = _verdict(r, q_copies, _ranked(P, Q), limits.max_nodes, deadline)
     where = [index.get(slot) for slot in slots]
     if None in where:
         image = tuple(target.order[p] for p in slots[where.index(None)])
@@ -312,43 +319,36 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
 
 
-def _verdict(r: int, q_maps, p_in_q, max_nodes: int, deadline: float):
+def _verdict(r: int, q_copies: list[int], p_in_q, max_nodes: int, deadline: float):
     """Decide whether every r-coloring of the slots makes some Q-copy monochromatic:
     (slots, colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic,
     or None when no such coloring exists (the arrow holds).  The Q-copies and the copies
-    p_in_q of P in Q itself come as _incidence takes them; everything after enumeration
-    happens here, by the query's deadline.  The slots are the P-copies inside some
-    Q-copy, by image ascending (exact by the slot lemma, see _enumerated_candidates),
-    and past _SLOT_CEILING of them the query is refused before any search.  Past the
-    walk's gate the exact search looks at _FIRST_LOOK nodes first; what it leaves open
-    before the deadline goes to the walk (a FAILS of 0 nodes), then to the exact search
-    on max_nodes if the look had fewer."""
-    if not q_maps:
+    p_in_q of P in Q itself come as _incidence takes them, and it refuses the query past
+    _SLOT_CEILING slots; everything after enumeration happens here, by the query's
+    deadline.  The slots are the P-copies inside some Q-copy, by image ascending (exact
+    by the slot lemma, see _enumerated_candidates).  One exact search decides, on
+    max_nodes; past the walk's gate it pauses after min(_FIRST_LOOK, max_nodes) nodes
+    for the walk (a FAILS of 0 nodes), and then resumes."""
+    if not q_copies:
         return [], [], 0
     if not p_in_q:
         # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
         return [], None, 0
-    held = _incidence(q_maps, p_in_q)
+    held = _incidence(q_copies, p_in_q)
     slots = sorted(held)
-    m = len(slots)
-    if m > _SLOT_CEILING:
-        raise ResourceExceeded(
-            f"{m} P-copies is beyond the exact search ceiling of {_SLOT_CEILING} slots"
-        )
-    inc, n_edges = [held[s] for s in slots], len(q_maps)
-    walk = m > 16 and r >= 2
+    inc, n_edges = [held[s] for s in slots], len(q_copies)
+    walk = len(slots) > 16 and r >= 2
     look = min(_FIRST_LOOK, max_nodes) if walk else max_nodes
-    try:
-        return slots, *_proper_coloring_search(inc, n_edges, r, look, deadline)
-    except ResourceExceeded:
-        if not walk or time.monotonic() > deadline:
-            raise
+    search = _proper_coloring_search(inc, n_edges, r, look, deadline)
+    done = next(search)
+    if done is None and walk:
         colors = _local_search(inc, n_edges, r, deadline)
         if colors is not None:
             return slots, colors, 0
-        if look == max_nodes:  # a second search would run the look's nodes again
-            raise
-    return slots, *_proper_coloring_search(inc, n_edges, r, max_nodes, deadline)
+        done = search.send(max_nodes)
+    if done is None:
+        raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
+    return slots, *done
 
 
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
@@ -612,8 +612,7 @@ def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
     limit = SearchLimits.max_copies
     if len(e_copies) > limit:
         raise ResourceExceeded(f"more than {limit} copies of the pattern in a candidate")
-    maps = [_positions(image) for image in e_copies]
-    return _verdict(2, maps, p_in_e, SearchLimits.max_nodes, deadline)[1] is None
+    return _verdict(2, e_copies, p_in_e, SearchLimits.max_nodes, deadline)[1] is None
 
 
 def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:

@@ -171,15 +171,17 @@ def test_r_is_a_plain_int_of_at_least_one(r):
 
 def test_slot_ceiling_fires_before_any_search(monkeypatch):
     # chain(24) has 2,024 copies of C3, each inside one of its 10,626 copies of C4:
-    # 2,024 slots, past the ceiling, refused before either search runs
+    # the 2,001st slot is met in the 1,748th, and the query is refused there, before
+    # either search runs; chain(30) -> (C5)^C3 meets it in the first 1,217 of 142,506
     def no_search(*args):
         raise AssertionError("a search ran past the ceiling")
 
     monkeypatch.setattr(arrow, "_proper_coloring_search", no_search)
     monkeypatch.setattr(arrow, "_local_search", no_search)
-    with pytest.raises(ResourceExceeded, match="^2024 P-copies is beyond the exact search "
-                       "ceiling of 2000 slots$"):
-        check_arrow(_rn_chain(24), _rn_chain(4), C3, 2)
+    for n, q, seen, listed in ((24, 4, 1_748, 10_626), (30, 5, 1_217, 142_506)):
+        ceiling = f"more than 2000 P-copies, the exact search ceiling, in the first {seen} "
+        with pytest.raises(ResourceExceeded, match=f"^{ceiling}of {listed} Q-copies$"):
+            check_arrow(_rn_chain(n), _rn_chain(q), C3, 2)
     # with no Q-copy at all the verdict still FAILS, with the all-zero coloring
     a2 = poset_to_complete_rn(antichain(2))
     verdict = check_arrow(_rn_chain(24), a2, C3, 2)
@@ -212,7 +214,9 @@ def test_time_budget_fires():
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
 
 
-def test_a_look_stopped_on_the_deadline_ends_the_query(monkeypatch):
+@pytest.fixture
+def searches(monkeypatch):
+    """The searches a query starts, by name in the order started; the walk gives up."""
     calls = []
 
     def spy(name):
@@ -220,46 +224,66 @@ def test_a_look_stopped_on_the_deadline_ends_the_query(monkeypatch):
 
         def recorded(*args):
             calls.append(name)
-            return None if name == "_local_search" else search(*args)  # the walk gives up
+            return None if name == "_local_search" else search(*args)
 
         monkeypatch.setattr(arrow, name, recorded)
 
     spy("_proper_coloring_search")
     spy("_local_search")
-    # the look stops on the deadline at its first clock read: no walk, no second search
+    return calls
+
+
+def test_a_look_stopped_on_the_deadline_ends_the_query(searches):
+    # the look stops on the deadline at its first clock read: no walk, no more search
     with pytest.raises(ResourceExceeded, match="time budget after 4096 nodes"):
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
-    assert calls == ["_proper_coloring_search"]
-    # a look on the whole node budget still gets the walk, but is not run again:
+    assert searches == ["_proper_coloring_search"]
+    # a look on the whole node budget still gets the walk, and then stops at once:
     # v[v[v]] -> (v)^point_3 HOLDS only after 1,041,559 nodes
-    calls.clear()
+    searches.clear()
     v = make_ordered_poset(3, {(0, 2), (1, 2)})
     target = poset_to_complete_rn(_lex(v, _lex(v, v)))
     with pytest.raises(ResourceExceeded, match=r"node budget \(4096\)"):
         check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=4_096))
-    assert calls == ["_proper_coloring_search", "_local_search"]
-    # past the look's nodes the exact search gets the whole budget
-    calls.clear()
+    assert searches == ["_proper_coloring_search", "_local_search"]
+    # past the look's nodes the same search resumes on the whole budget
+    searches.clear()
     with pytest.raises(ResourceExceeded, match=r"node budget \(5000\)"):
         check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=5_000))
-    assert calls == ["_proper_coloring_search", "_local_search", "_proper_coloring_search"]
+    assert searches == ["_proper_coloring_search", "_local_search"]
+
+
+def test_the_search_resumes_after_the_walk(searches):
+    # chain(8) -> (C3)^C2_2 has 28 slots, past the walk's gate, and HOLDS in 12,015
+    # nodes: the look's 4,096 are the first of them, counted once, in one search
+    verdict = check_arrow(_rn_chain(8), C3, C2, 2)
+    assert verdict.holds and verdict.nodes_explored == 12_015
+    assert searches == ["_proper_coloring_search", "_local_search"]
 
 
 def _hypergraph(target, Q, P):
     """The P-copies and Q-copies of target, with check_arrow's masks of the edges that
     hold each P-copy: on the chains here every P-copy is a slot, in enumeration order."""
     p_copies = enumerate_copies(P, target)
-    q_maps = [arrow._positions(image) for image in arrow._e_copies(target, Q, MAX_COPIES)]
-    held = arrow._incidence(q_maps, arrow._ranked(P, Q))
+    q_copies = arrow._e_copies(target, Q, MAX_COPIES)
+    held = arrow._incidence(q_copies, arrow._ranked(P, Q))
     slots = sorted(held)
     assert slots == [c.image for c in p_copies]
-    return p_copies, q_maps, [held[slot] for slot in slots]
+    return p_copies, q_copies, [held[slot] for slot in slots]
+
+
+def _exact(inc, n_edges: int, r: int):
+    """The exact search alone, run to its end on the whole node budget: (colors or
+    None, nodes)."""
+    done = next(arrow._proper_coloring_search(inc, n_edges, r, MAX_NODES, NEVER))
+    assert done is not None, "the search paused at its node budget"
+    return done
 
 
 def _search(n: int, q: int, p: int, r: int):
     """The exact search alone on chain(n) -> (chain(q))^chain(p)_r, with no local search."""
-    p_copies, q_maps, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
-    assignment, nodes = arrow._proper_coloring_search(inc, len(q_maps), r, MAX_NODES, NEVER)
+    p_copies, q_copies, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
+    assignment, nodes = _exact(inc, len(q_copies), r)
     coloring = None if assignment is None else make_coloring(p_copies, assignment, r)
     return coloring, nodes
 
@@ -344,7 +368,7 @@ def test_search_agrees_with_brute_force():
             for _ in range(rng.randint(0, 12))
         ]
         inc = incidence_masks(m, edges)
-        assignment, nodes = arrow._proper_coloring_search(inc, len(edges), r, MAX_NODES, NEVER)
+        assignment, nodes = _exact(inc, len(edges), r)
         searched.append((nodes, assignment))
         expected = brute_proper_coloring_exists(m, edges, r)
         assert (assignment is not None) == expected
@@ -412,9 +436,9 @@ def test_local_search_is_pinned_on_longer_walks():
 def test_local_search_gives_up_at_its_deadline():
     # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
     # past its deadline, the one check_arrow fixed for the whole query
-    _, q_maps, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
-    assert arrow._local_search(inc, len(q_maps), 2, NEVER) is not None
-    assert arrow._local_search(inc, len(q_maps), 2, float("-inf")) is None
+    _, q_copies, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
+    assert arrow._local_search(inc, len(q_copies), 2, NEVER) is not None
+    assert arrow._local_search(inc, len(q_copies), 2, float("-inf")) is None
 
 
 def test_check_arrow_refuses_a_forged_q_copy(monkeypatch):
@@ -724,7 +748,9 @@ def test_certification_ceiling_truncates_at_stage_two():
     # 2,001 A-copies are beyond the exact search's 2,000 slots: certification stops
     # like every other ceiling, and the witness is not passed through
     witness = make_rn_graph(2001, (), ())
-    ceiling = "2001 P-copies is beyond the exact search ceiling of 2000 slots"
+    ceiling = (
+        "more than 2000 P-copies, the exact search ceiling, in the first 2001 of 2001 Q-copies"
+    )
     with pytest.raises(ResourceExceeded, match=f"^{ceiling}$"):
         certify_witness(witness, POINT, POINT)
     tower = build_tower(POINT, POINT, 2, BaseOracle(), witness=witness)
@@ -1100,7 +1126,7 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
             assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
             # the slots, as positions in F's order, and the edges that hold each
             maps = [arrow._positions(image) for image in e_copies]
-            held = arrow._incidence(maps, arrow._ranked(A, E))
+            held = arrow._incidence(e_copies, arrow._ranked(A, E))
             images = [set(image) for image in brute_copies(E, F)]
             inside = {c for c in brute_copies(A, F) if any(set(c) <= q for q in images)}
             assert set(held) == {tuple(sorted(F.rank[v] for v in c)) for c in inside}

@@ -781,7 +781,10 @@ def test_cli_tower_certification_ceiling_truncates_at_stage_two(tmp_path, capsys
     w = _write(tmp_path, "e2001.json", make_rn_graph(2001, (), ()))
     out = tmp_path / "file"
     assert main(["tower", a, a, "--ell-max", "2", "--out", str(out), "--witness", w]) == 2
-    reason = "stage 2: 2001 P-copies is beyond the exact search ceiling of 2000 slots"
+    reason = (
+        "stage 2: more than 2000 P-copies, the exact search ceiling, "
+        "in the first 2001 of 2001 Q-copies"
+    )
     assert capsys.readouterr().out == f"TRUNCATED: {reason}\n"
     assert sorted(p.name for p in out.iterdir()) == ["A.json", "B.json", "manifest.txt"]
     manifest = parse_manifest((out / "manifest.txt").read_text())
