@@ -3,13 +3,12 @@
 `check_arrow(target, Q, P, r)` decides whether every r-coloring of the copies of P in
 the target admits a copy of Q all of whose P-copies share one color.  The verdict comes
 from an exact backtracking search for a counterexample coloring (one with no
-monochromatic Q-copy); exhaustion proves the arrow.  On over 16 slots and 2+ colors, the
-search pauses when its first 4,096 nodes leave the decision open, for a seeded WalkSAT
-(_local_search, 5 tries of 20 flips per Q-copy), and then resumes; the walk can only
-find a counterexample, a FAILS with 0 nodes.  A query's entry point fixes one deadline,
-which every search under it stops on, and a look stopped on it ends the query.  The
-verdict record holds only the verdict (holds, counterexample, nodes); colorings replay
-through find_monochromatic.
+monochromatic Q-copy); exhaustion proves the arrow.  On over 16 slots and 2+ colors, a
+seeded WalkSAT (_local_search) runs at the exact search's first pause, after 4,096
+nodes; it can only find a counterexample, a FAILS with 0 nodes.  Both searches pause
+every 4,096 nodes or flips, and _verdict, the loop that drives them, reads the clock at
+each pause against the one deadline the query's entry point fixes.  An ArrowVerdict
+holds only (holds, counterexample, nodes); colorings replay through find_monochromatic.
 
 Every query takes one route.  The Q-copies come as image masks over the target's order
 (_e_copies), the copies of P in Q as ranks (_ranked), and the P-copies that some Q-copy
@@ -59,8 +58,7 @@ _WALK_TRIES = 5
 _WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
 _WALK_NOISE = 0.1
 _SLOT_CEILING = 2000  # slots (P-copies inside some Q-copy) the exact search takes on
-_CLOCK_EVERY = 4096  # steps between the searches' reads of the deadline
-_FIRST_LOOK = 4096  # exact-search nodes before the walk
+_CLOCK_EVERY = 4096  # nodes or flips between the searches' pauses, each a clock read
 
 
 class NotFoundWithinBounds(ResourceExceeded):
@@ -149,7 +147,7 @@ def _incidence(q_copies: list[int], p_in_q) -> dict:
     return held
 
 
-def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int, deadline: float):
+def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int):
     """Yields (colors, nodes) when it ends: an assignment of slots 0..len(inc)-1 with
     no monochromatic edge, or None when none exists.  It pauses (yields None) instead
     of counting a node past stop, and resumes where it was once sent a higher stop.
@@ -191,8 +189,6 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int, dea
         nodes += 1
         while nodes > stop:
             stop = yield None
-        if nodes % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
-            raise ResourceExceeded(f"arrow search time budget after {nodes} nodes")
         if i == m or spoiled == full:  # all colored, or the rest take 0: no edge needs them
             colors[i:] = [0] * (m - i)
             break
@@ -219,25 +215,26 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int, dea
     yield colors, nodes
 
 
-def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
-    """Assignment of slots 0..len(inc)-1 with no monochromatic edge, or None when the
-    walk gives up, which proves nothing; r >= 2.  WalkSAT with the Selman-Kautz-Cohen
-    rule: take a random monochromatic edge; make a move of a member that breaks no
-    other edge (makes it monochromatic) if there is one, else with probability
-    _WALK_NOISE a random move, else one that breaks the fewest, ties at random.  Try t
-    draws from Random(_WALK_SEED + t), makes _WALK_FLIPS_PER_EDGE * n_edges flips and
-    reads the deadline every _CLOCK_EVERY.  count[c][e] counts the members of edge
-    e with color c; near[c] masks the edges with all members but one of color c, so
-    recoloring slot i to c breaks the edges of inc[i] & near[c].  A flip scans the
-    moves (the edge's members, then colors ascending), one tie-break draw each, and
-    keeps the first with the least (breaks, draw); only a noise move lists them.
+def _local_search(inc: list[int], n_edges: int, r: int):
+    """Yields an assignment of slots 0..len(inc)-1 with no monochromatic edge if it finds
+    one, and ends when it gives up, which proves nothing; r >= 2.  WalkSAT with the
+    Selman-Kautz-Cohen rule: take a random monochromatic edge; make a move of a member
+    that breaks no other edge (makes it monochromatic) if there is one, else with
+    probability _WALK_NOISE a random move, else one that breaks the fewest, ties at
+    random.  Try t draws from Random(_WALK_SEED + t) and makes _WALK_FLIPS_PER_EDGE *
+    n_edges flips, pausing (yielding None) before flips 0, _CLOCK_EVERY, ...  count[c][e]
+    counts the members of edge e with color c; near[c] masks the edges with all members
+    but one of color c, so recoloring slot i to c breaks the edges of inc[i] & near[c].
+    A flip scans the moves (the edge's members, then colors ascending), one tie-break
+    draw each, and keeps the first with the least (breaks, draw); only a noise move
+    lists them.
     """
     members: list[list[int]] = [[] for _ in range(n_edges)]
     for i, mask in enumerate(inc):
         for e in _positions(mask):
             members[e].append(i)
     if any(len(slots) < 2 for slots in members):
-        return None  # a one-member edge is monochromatic under every coloring
+        return  # a one-member edge is monochromatic under every coloring
     need = [len(slots) - 1 for slots in members]
     edges_of = [[(e, need[e], 1 << e) for e in _positions(mask)] for mask in inc]
     others = [[c for c in range(r) if c != a] for a in range(r)]
@@ -252,9 +249,9 @@ def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
             where[e] = j
         for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
             if not mono:
-                return colors
-            if flip % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
-                return None
+                break
+            if flip % _CLOCK_EVERY == 0:
+                yield None
             slots = members[mono[int(draw() * len(mono))]]
             least = n_edges + 1
             for j in slots:  # moves in order, each with its tie-break draw
@@ -285,8 +282,8 @@ def _local_search(inc: list[int], n_edges: int, r: int, deadline: float):
             near[a], near[c] = near_a, near_c
             colors[i] = c
         if not mono:
-            return colors
-    return None
+            yield colors
+            return
 
 
 def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> ArrowVerdict:
@@ -323,12 +320,11 @@ def _verdict(r: int, q_copies: list[int], p_in_q, max_nodes: int, deadline: floa
     """Decide whether every r-coloring of the slots makes some Q-copy monochromatic:
     (slots, colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic,
     or None when no such coloring exists (the arrow holds).  The Q-copies and the copies
-    p_in_q of P in Q itself come as _incidence takes them, and it refuses the query past
-    _SLOT_CEILING slots; everything after enumeration happens here, by the query's
-    deadline.  The slots are the P-copies inside some Q-copy, by image ascending (exact
-    by the slot lemma, see _enumerated_candidates).  One exact search decides, on
-    max_nodes; past the walk's gate it pauses after min(_FIRST_LOOK, max_nodes) nodes
-    for the walk (a FAILS of 0 nodes), and then resumes."""
+    p_in_q of P in Q itself come as _incidence takes them; the slots are the P-copies
+    inside some Q-copy, by image ascending (the slot lemma).  One exact search decides
+    on max_nodes, sent stops _CLOCK_EVERY nodes apart; past the walk's gate, the walk
+    runs at its first pause (a FAILS of 0 nodes).  Only this loop reads the clock, at
+    each pause of either search, and a passed deadline ends the query there."""
     if not q_copies:
         return [], [], 0
     if not p_in_q:
@@ -337,17 +333,21 @@ def _verdict(r: int, q_copies: list[int], p_in_q, max_nodes: int, deadline: floa
     held = _incidence(q_copies, p_in_q)
     slots = sorted(held)
     inc, n_edges = [held[s] for s in slots], len(q_copies)
-    walk = len(slots) > 16 and r >= 2
-    look = min(_FIRST_LOOK, max_nodes) if walk else max_nodes
-    search = _proper_coloring_search(inc, n_edges, r, look, deadline)
+    walk = _local_search(inc, n_edges, r) if len(slots) > 16 and r >= 2 else iter(())
+    stop = min(_CLOCK_EVERY, max_nodes)
+    search = _proper_coloring_search(inc, n_edges, r, stop)
     done = next(search)
-    if done is None and walk:
-        colors = _local_search(inc, n_edges, r, deadline)
-        if colors is not None:
+    while done is None:  # the exact search paused at stop, and the walk maybe too
+        if time.monotonic() > deadline:
+            raise ResourceExceeded(f"arrow search time budget after {stop} nodes")
+        colors = next(walk, False)  # None at a pause, False once it has given up
+        if colors:
             return slots, colors, 0
-        done = search.send(max_nodes)
-    if done is None:
-        raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
+        if colors is False and stop == max_nodes:
+            raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
+        if colors is False:
+            stop = min(stop + _CLOCK_EVERY, max_nodes)
+            done = search.send(stop)
     return slots, *done
 
 

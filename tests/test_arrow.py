@@ -52,8 +52,8 @@ C3 = poset_to_complete_rn(chain(3))
 POINT = poset_to_complete_rn(chain(1))
 A2 = poset_to_complete_rn(antichain(2))
 V = poset_to_complete_rn(make_ordered_poset(3, {(0, 2), (1, 2)}))
-# the private searches take a node budget and an absolute deadline
-MAX_NODES, NEVER = SearchLimits.max_nodes, float("inf")
+# the private verdict takes an absolute deadline, which its searches never read
+NEVER = float("inf")
 MAX_COPIES = SearchLimits.max_copies
 
 
@@ -214,29 +214,45 @@ def test_time_budget_fires():
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
 
 
-@pytest.fixture
-def searches(monkeypatch):
-    """The searches a query starts, by name in the order started; the walk gives up."""
+def _spy(monkeypatch, walk: bool) -> list:
+    """The searches a query runs, by name in the order first stepped, and each stop the
+    exact search is sent when it resumes; the walk gives up at once unless walk."""
     calls = []
+    exact, local = arrow._proper_coloring_search, arrow._local_search
 
-    def spy(name):
-        search = getattr(arrow, name)
+    def resumed(*args):
+        calls.append("_proper_coloring_search")
+        search = exact(*args)
+        stop = yield next(search)
+        while True:
+            calls.append(stop)
+            stop = yield search.send(stop)
 
-        def recorded(*args):
-            calls.append(name)
-            return None if name == "_local_search" else search(*args)
+    def walked(*args):
+        calls.append("_local_search")
+        if walk:
+            yield from local(*args)
 
-        monkeypatch.setattr(arrow, name, recorded)
-
-    spy("_proper_coloring_search")
-    spy("_local_search")
+    monkeypatch.setattr(arrow, "_proper_coloring_search", resumed)
+    monkeypatch.setattr(arrow, "_local_search", walked)
     return calls
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    return _spy(monkeypatch, walk=False)
+
+
 def test_a_look_stopped_on_the_deadline_ends_the_query(searches):
-    # the look stops on the deadline at its first clock read: no walk, no more search
+    # the look stops on the deadline at its first pause: no walk, no more search
     with pytest.raises(ResourceExceeded, match="time budget after 4096 nodes"):
         check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=0))
+    assert searches == ["_proper_coloring_search"]
+    # under 4,096 nodes the look pauses on the node budget, and reads the clock there
+    searches.clear()
+    limits = SearchLimits(max_nodes=1_000, time_budget=0)
+    with pytest.raises(ResourceExceeded, match="^arrow search time budget after 1000 nodes$"):
+        check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, limits)
     assert searches == ["_proper_coloring_search"]
     # a look on the whole node budget still gets the walk, and then stops at once:
     # v[v[v]] -> (v)^point_3 HOLDS only after 1,041,559 nodes
@@ -246,19 +262,38 @@ def test_a_look_stopped_on_the_deadline_ends_the_query(searches):
     with pytest.raises(ResourceExceeded, match=r"node budget \(4096\)"):
         check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=4_096))
     assert searches == ["_proper_coloring_search", "_local_search"]
-    # past the look's nodes the same search resumes on the whole budget
+    # past the look's nodes the same search resumes, up to the whole budget
     searches.clear()
     with pytest.raises(ResourceExceeded, match=r"node budget \(5000\)"):
         check_arrow(target, V, POINT, 3, SearchLimits(max_nodes=5_000))
-    assert searches == ["_proper_coloring_search", "_local_search"]
+    assert searches == ["_proper_coloring_search", "_local_search", 5_000]
 
 
 def test_the_search_resumes_after_the_walk(searches):
     # chain(8) -> (C3)^C2_2 has 28 slots, past the walk's gate, and HOLDS in 12,015
-    # nodes: the look's 4,096 are the first of them, counted once, in one search
+    # nodes: the look's 4,096 are the first of them, counted once, in one search that
+    # resumes 4,096 nodes at a time
     verdict = check_arrow(_rn_chain(8), C3, C2, 2)
     assert verdict.holds and verdict.nodes_explored == 12_015
+    assert searches == ["_proper_coloring_search", "_local_search", 8_192, 12_288]
+
+
+def test_a_deadline_met_in_the_walk_ends_the_query(monkeypatch):
+    # the walk finds chain(12) -> (C4)^C3_2 only in its 4th try, and pauses every
+    # 4,096 flips before that; a clock that passes the deadline at its second pause
+    # ends the query there, and the exact search, paused at 4,096 nodes, is not resumed
+    searches = _spy(monkeypatch, walk=True)
+    ticks = itertools.count()  # the query's start, then one tick per clock read
+    monkeypatch.setattr(arrow, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(ResourceExceeded, match="^arrow search time budget after 4096 nodes$"):
+        check_arrow(_rn_chain(12), _rn_chain(4), C3, 2, SearchLimits(time_budget=2))
     assert searches == ["_proper_coloring_search", "_local_search"]
+    assert next(ticks) == 4  # the look's pause, then the walk's first two
+    # alone, the walk pauses at flips 0, 4,096 and 8,192 of each 9,900-flip try, and
+    # finds its coloring after the 11th pause, in its 4th try
+    _, q_copies, inc = _hypergraph(_rn_chain(12), _rn_chain(4), C3)
+    walk = arrow._local_search(inc, len(q_copies), 2)
+    assert sum(1 for _ in itertools.takewhile(lambda colors: colors is None, walk)) == 11
 
 
 def _hypergraph(target, Q, P):
@@ -272,12 +307,30 @@ def _hypergraph(target, Q, P):
     return p_copies, q_copies, [held[slot] for slot in slots]
 
 
+def _run(search):
+    """A search run to its end as _verdict runs it, with no clock and no node budget:
+    each pause is sent a stop _CLOCK_EVERY nodes past the last, which the walk ignores.
+    The exact search's (colors or None, nodes), the walk's coloring, or None when the
+    walk gives up."""
+    stop = 0
+    try:
+        answer = next(search)
+        while answer is None:
+            stop += arrow._CLOCK_EVERY
+            answer = search.send(stop)
+    except StopIteration:  # only the walk ends without an answer
+        return None
+    return answer
+
+
 def _exact(inc, n_edges: int, r: int):
-    """The exact search alone, run to its end on the whole node budget: (colors or
-    None, nodes)."""
-    done = next(arrow._proper_coloring_search(inc, n_edges, r, MAX_NODES, NEVER))
-    assert done is not None, "the search paused at its node budget"
-    return done
+    """The exact search alone, run to its end from a pause before its first node."""
+    return _run(arrow._proper_coloring_search(inc, n_edges, r, 0))
+
+
+def _walk(inc, n_edges: int, r: int):
+    """The walk alone, run to its end: its coloring, or None when it gives up."""
+    return _run(arrow._local_search(inc, n_edges, r))
 
 
 def _search(n: int, q: int, p: int, r: int):
@@ -327,15 +380,13 @@ def _lex(X, Y):
 
 def test_exact_search_looks_before_the_walk(monkeypatch):
     # v[v[v]] -> (v)^point_2 has 27 slots, past the walk's gate, and HOLDS in 85 nodes:
-    # the exact search's first look settles it, and the walk is never called
-    def no_walk(*args):
-        raise AssertionError("the walk ran")
-
+    # the exact search's first look settles it, and the walk never runs
+    searches = _spy(monkeypatch, walk=False)
     v = make_ordered_poset(3, {(0, 2), (1, 2)})
     target = poset_to_complete_rn(_lex(v, _lex(v, v)))
-    monkeypatch.setattr(arrow, "_local_search", no_walk)
     verdict = check_arrow(target, V, POINT, 2)
     assert verdict.holds and verdict.nodes_explored == 85
+    assert searches == ["_proper_coloring_search"]
     monkeypatch.undo()
     # a FAILS the walk finds is found under any node budget, the look's included
     for max_nodes in (0, 1, 4_096, 12_457, 10**6):
@@ -397,8 +448,8 @@ def test_local_search_agrees_with_brute_force():
             for _ in range(rng.randint(0, 14))
         ]
         inc = incidence_masks(m, edges)
-        colors = arrow._local_search(inc, len(edges), r, NEVER)
-        assert colors == arrow._local_search(inc, len(edges), r, NEVER)
+        colors = _walk(inc, len(edges), r)
+        assert colors == _walk(inc, len(edges), r)
         walked.append(colors)
         exists = brute_proper_coloring_exists(m, edges, r)
         solvable += exists
@@ -425,20 +476,12 @@ def test_local_search_is_pinned_on_longer_walks():
             frozenset(rng.sample(range(m), rng.randint(2, 4)))
             for _ in range(rng.randint(0, 60))
         ]
-        colors = arrow._local_search(incidence_masks(m, edges), len(edges), r, NEVER)
+        colors = _walk(incidence_masks(m, edges), len(edges), r)
         walked.append(colors)
         if colors is not None:
             assert all(len({colors[i] for i in e}) > 1 for e in edges)
     assert sum(colors is not None for colors in walked) == 73
     assert _digest(walked) == "58d8566d679eda9a"
-
-
-def test_local_search_gives_up_at_its_deadline():
-    # the walk finds a coloring of chain(12) -> (C4)^C3_2 (pinned above), but not
-    # past its deadline, the one check_arrow fixed for the whole query
-    _, q_copies, inc = _hypergraph(_rn_chain(12), _rn_chain(4), _rn_chain(3))
-    assert arrow._local_search(inc, len(q_copies), 2, NEVER) is not None
-    assert arrow._local_search(inc, len(q_copies), 2, float("-inf")) is None
 
 
 def test_check_arrow_refuses_a_forged_q_copy(monkeypatch):

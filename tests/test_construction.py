@@ -36,7 +36,7 @@ from rnramsey import (
     run_partite_construction,
     save_structure,
 )
-from rnramsey import construction, partite
+from rnramsey import arrow, construction, partite
 from rnramsey.construction import amalgamate
 from rnramsey.partite import product_construction
 from helpers import brute_closure, random_coloring
@@ -386,6 +386,42 @@ def test_finish_stage_closure_conflict():
         finish_stage(bad, 3, C2)
 
 
+def _copies_miscomposed(monkeypatch):
+    # inside each Q-copy the extractor finds no P-copy, where Q itself holds one
+    edgeless = lambda target, image: make_rn_graph(len(image), (), ())
+    monkeypatch.setattr(arrow, "induced_substructure", edgeless)
+    coloring = make_coloring(enumerate_copies(C2, C3), [0, 0, 0], 2)
+    run = lambda: find_monochromatic(C3, coloring, C2, C2)
+    return run, "^copy composition mismatch$"
+
+
+def _bad_starting_picture(monkeypatch):
+    monkeypatch.setattr(construction, "is_ell_rn", lambda graph, ell: False)
+    run = lambda: run_partite_construction(C2, C2, C2, BaseOracle(), ell=3)
+    return run, "^a good starting picture cannot fail this$"
+
+
+def _stage_not_free(monkeypatch):
+    stub = SimpleNamespace(picture=SimpleNamespace(base=C2))
+    monkeypatch.setattr(construction, "run_partite_construction", lambda *args, **kw: stub)
+    monkeypatch.setattr(construction, "is_ell_rn", lambda graph, ell: False)
+    run = lambda: build_tower(chain(1), chain(2), 3, BaseOracle(), stabilize=False)
+    return run, "^completed stage failed its freedom check$"
+
+
+def _map_down_broken(monkeypatch):
+    monkeypatch.setattr(construction, "check_homomorphism", lambda h: False)
+    run = lambda: build_tower(chain(1), chain(2), 3, BaseOracle())
+    return run, "^the map down from stage 3 is not a homomorphism$"
+
+
+def _lift_not_an_embedding(monkeypatch):
+    pattern = partite.make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))
+    monkeypatch.setattr(partite, "is_embedding", lambda *args: False)
+    run = lambda: product_construction(C2, pattern, BaseOracle())
+    return run, r"^lift of witness copy \(0, 1\) is not an embedding$"
+
+
 def _parts_reversed(monkeypatch):
     pattern = partite.make_apartite(C2, make_rn_graph(2, {(0, 1)}, set()), ((0,), (1,)))
     monkeypatch.setattr(
@@ -437,6 +473,11 @@ def _copy_broken_by_closure(monkeypatch):
         _stage_without_the_pattern,
         _long_r_path,
         _copy_broken_by_closure,
+        _copies_miscomposed,
+        _bad_starting_picture,
+        _stage_not_free,
+        _map_down_broken,
+        _lift_not_an_embedding,
     ],
     ids=lambda damage: damage.__name__.strip("_"),
 )

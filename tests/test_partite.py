@@ -476,34 +476,69 @@ def test_no_private_imports_between_sources():
     ) == ["_verdict", "_dumps", "_x"]
 
 
-def _deadline_makers(source: str) -> list[str]:
-    """Names of the functions of source that add to the clock, time.monotonic() or a
-    bare monotonic(): each such sum makes a deadline."""
-    def reads_clock(node) -> bool:
-        func = node.func if isinstance(node, ast.Call) else None
-        return getattr(func, "attr", getattr(func, "id", None)) == "monotonic"
+def _reads_clock(node) -> bool:
+    """Whether node calls the clock, time.monotonic() or a bare monotonic()."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "attr", getattr(func, "id", None)) == "monotonic"
 
+
+def _functions(source: str):
     return [
-        function.name
+        function
         for function in ast.walk(ast.parse(source))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _deadline_makers(source: str) -> list[str]:
+    """Names of the functions of source that add to the clock: each such sum makes a
+    deadline."""
+    return [
+        function.name
+        for function in _functions(source)
         for node in ast.walk(function)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-        and (reads_clock(node.left) or reads_clock(node.right))
+        and (_reads_clock(node.left) or _reads_clock(node.right))
     ]
+
+
+def _clock_readers(source: str) -> list[str]:
+    """Names of the functions of source that call the clock at all, each once; a
+    function that holds a reader reads it too."""
+    return [
+        function.name
+        for function in _functions(source)
+        if any(_reads_clock(node) for node in ast.walk(function))
+    ]
+
+
+def _over_sources(names) -> list[str]:
+    return sorted(
+        name
+        for path in Path(rnramsey.__file__).parent.glob("*.py")
+        for name in names(path.read_text())
+    )
 
 
 def test_only_the_query_entry_points_make_a_deadline():
     """A query runs on one deadline, fixed where it starts; a function below an entry
     point that adds to the clock would start a second one.  The check fires on each
-    form, and not on a clock read that makes no deadline."""
+    form, and not on a clock read that makes no deadline.  Likewise the searches only
+    pause, and _verdict alone reads the clock below the entry points, so that a query
+    has one clock: a search that read it would be a second."""
     entry_points = ["certify_witness", "check_arrow", "oracle_ramsey"]
-    made = sorted(
-        name
-        for path in Path(rnramsey.__file__).parent.glob("*.py")
-        for name in _deadline_makers(path.read_text())
-    )
-    assert made == entry_points
+    assert _over_sources(_deadline_makers) == entry_points
+    assert _over_sources(_clock_readers) == sorted([*entry_points, "_verdict"])
+    assert _clock_readers(textwrap.dedent("""
+        def f(deadline):
+            return time.monotonic() > deadline
+        def g():
+            def h():
+                return monotonic()
+            return h
+        def k(clock):
+            return clock.perf_counter(), monotonic
+    """)) == ["f", "g", "h"]
     assert _deadline_makers(textwrap.dedent("""
         def f(budget):
             return time.monotonic() + budget
