@@ -38,61 +38,6 @@ class HomomorphismDoc:
     target_digest: str
 
 
-def _pairs(rel) -> list[list[int]]:
-    return [list(p) for p in sorted(rel)]
-
-
-def to_doc(obj) -> dict:
-    if isinstance(obj, Homomorphism):
-        obj = HomomorphismDoc(obj.map, digest(obj.source), digest(obj.target))
-    if isinstance(obj, OrderedPoset):
-        return {
-            "kind": "poset",
-            "n": obj.n,
-            "order": list(obj.order),
-            "R": _pairs(obj.R),
-        }
-    if isinstance(obj, RNGraph):
-        return {
-            "kind": "rn",
-            "n": obj.n,
-            "order": list(obj.order),
-            "R": _pairs(obj.R),
-            "N": _pairs(obj.N),
-        }
-    if isinstance(obj, APartiteRNGraph):
-        return {
-            "kind": "apartite",
-            "A": to_doc(obj.A),
-            "base": to_doc(obj.base),
-            "parts": [list(part) for part in obj.parts],
-        }
-    if isinstance(obj, Picture):
-        return {
-            "kind": "picture",
-            "D": to_doc(obj.D),
-            "base": to_doc(obj.base),
-            "parts": [list(part) for part in obj.parts],
-            "f": list(obj.f.map),
-        }
-    if isinstance(obj, HomomorphismDoc):
-        return {
-            "kind": "homomorphism",
-            "map": list(obj.map),
-            "source_digest": obj.source_digest,
-            "target_digest": obj.target_digest,
-        }
-    if isinstance(obj, Coloring):
-        return {
-            "kind": "coloring",
-            "r": obj.r,
-            "entries": [
-                {"copy": list(image), "color": color} for image, color in obj.assignment
-            ],
-        }
-    raise TypeError(f"no canonical form for {type(obj).__name__}")
-
-
 def dumps_canonical(doc: dict) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", written directly:
     with an indent json drops to its pure-Python encoder, and files here are large."""
@@ -139,6 +84,10 @@ def _ints(value, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _need_ints(doc: dict, key: str) -> tuple[int, ...]:
+    return _ints(_need(doc, key, list), key)
+
+
 def _pair_set(doc: dict, key: str) -> set[tuple[int, int]]:
     out = set()
     for entry in _need(doc, key, list):
@@ -151,6 +100,13 @@ def _pair_set(doc: dict, key: str) -> set[tuple[int, int]]:
     return out
 
 
+def _positive(doc: dict, key: str) -> int:
+    value = _need(doc, key, int)
+    if value < 1:
+        raise ParseError(f"field {key!r} must be positive, got {value}")
+    return value
+
+
 def _only(doc: dict, *fields: str) -> None:
     """Each kind, and each coloring entry, takes exactly the keys to_doc writes."""
     extra = doc.keys() - set(fields)
@@ -158,63 +114,91 @@ def _only(doc: dict, *fields: str) -> None:
         raise ParseError(f"unknown field {min(extra)!r}")
 
 
+def _picture(D: RNGraph, base: RNGraph, parts, f: tuple[int, ...]) -> Picture:
+    """The picture, whose stored collapse map must be the one its parts determine."""
+    picture = Picture(base, D, parts)
+    picture.validate()
+    if f != picture.f.map:
+        raise ParseError("field 'f' is not the collapse map of the parts")
+    return picture
+
+
+def _coloring(r: int, entries: list) -> Coloring:
+    """Each copy listed once, as an object holding just its image and a color below r."""
+    table: dict[tuple[int, ...], int] = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ParseError("coloring entries must be objects")
+        _only(entry, "copy", "color")
+        image, color = _need_ints(entry, "copy"), _need(entry, "color", int)
+        if not 0 <= color < r:
+            raise ParseError(f"copy {list(image)} has color {color}, outside 0..{r - 1}")
+        if image in table:
+            raise ParseError(f"copy {list(image)} is listed twice")
+        table[image] = color
+    return Coloring(tuple(sorted(table.items())), r)
+
+
+# Per field name, its writer (object, name -> JSON value) and its reader (doc, name ->
+# checked value), shared by every kind that carries the field.
+_NESTED = (
+    lambda obj, key: to_doc(getattr(obj, key)),
+    lambda doc, key: from_doc(_need(doc, key, dict)),
+)
+_INT_LIST = (lambda obj, key: list(getattr(obj, key)), _need_ints)
+_PAIRS = (lambda obj, key: [list(p) for p in sorted(getattr(obj, key))], _pair_set)
+_STRING = (getattr, lambda doc, key: _need(doc, key, str))
+_FIELDS = {
+    "n": (getattr, lambda doc, key: _need(doc, key, int)),
+    "R": _PAIRS,
+    "N": _PAIRS,
+    "order": _INT_LIST,
+    "A": _NESTED,
+    "base": _NESTED,
+    "D": _NESTED,
+    "parts": (
+        lambda obj, key: [list(part) for part in getattr(obj, key)],
+        lambda doc, key: tuple(_ints(part, key) for part in _need(doc, key, list)),
+    ),
+    "f": (lambda obj, key: list(getattr(obj, key).map), _need_ints),
+    "map": _INT_LIST,
+    "source_digest": _STRING,
+    "target_digest": _STRING,
+    "r": (getattr, _positive),
+    "entries": (
+        lambda obj, key: [{"copy": list(image), "color": color} for image, color in obj.assignment],
+        lambda doc, key: _need(doc, key, list),
+    ),
+}
+
+# Per kind: its class, its field names in from_doc's read order, and the builder of the
+# reads; the graph builders are looked up at each call, so perfbench's tracer sees them.
+_KINDS = {
+    "poset": (OrderedPoset, ("n", "R", "order"), lambda *reads: make_ordered_poset(*reads)),
+    "rn": (RNGraph, ("n", "R", "N", "order"), lambda *reads: make_rn_graph(*reads)),
+    "apartite": (APartiteRNGraph, ("A", "base", "parts"), make_apartite),
+    "picture": (Picture, ("D", "base", "parts", "f"), _picture),
+    "homomorphism": (HomomorphismDoc, ("map", "source_digest", "target_digest"), HomomorphismDoc),
+    "coloring": (Coloring, ("r", "entries"), _coloring),
+}
+
+
+def to_doc(obj) -> dict:
+    if isinstance(obj, Homomorphism):
+        obj = HomomorphismDoc(obj.map, digest(obj.source), digest(obj.target))
+    for kind, (cls, fields, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **{key: _FIELDS[key][0](obj, key) for key in fields}}
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
 def from_doc(doc: dict):
     kind = _need(doc, "kind", str)
-    if kind == "poset":
-        _only(doc, "kind", "n", "order", "R")
-        return make_ordered_poset(
-            _need(doc, "n", int), _pair_set(doc, "R"), _ints(_need(doc, "order", list), "order")
-        )
-    if kind == "rn":
-        _only(doc, "kind", "n", "order", "R", "N")
-        return make_rn_graph(
-            _need(doc, "n", int),
-            _pair_set(doc, "R"),
-            _pair_set(doc, "N"),
-            _ints(_need(doc, "order", list), "order"),
-        )
-    if kind == "apartite":
-        _only(doc, "kind", "A", "base", "parts")
-        A = from_doc(_need(doc, "A", dict))
-        base = from_doc(_need(doc, "base", dict))
-        parts = [_ints(part, "parts") for part in _need(doc, "parts", list)]
-        return make_apartite(A, base, parts)
-    if kind == "picture":
-        _only(doc, "kind", "D", "base", "parts", "f")
-        D = from_doc(_need(doc, "D", dict))
-        base = from_doc(_need(doc, "base", dict))
-        parts = tuple(_ints(part, "parts") for part in _need(doc, "parts", list))
-        collapse = _ints(_need(doc, "f", list), "f")
-        picture = Picture(base, D, parts)
-        picture.validate()
-        if collapse != picture.f.map:
-            raise ParseError("field 'f' is not the collapse map of the parts")
-        return picture
-    if kind == "homomorphism":
-        _only(doc, "kind", "map", "source_digest", "target_digest")
-        return HomomorphismDoc(
-            _ints(_need(doc, "map", list), "map"),
-            _need(doc, "source_digest", str),
-            _need(doc, "target_digest", str),
-        )
-    if kind == "coloring":
-        _only(doc, "kind", "r", "entries")
-        r = _need(doc, "r", int)
-        if r < 1:
-            raise ParseError(f"field 'r' must be positive, got {r}")
-        table: dict[tuple[int, ...], int] = {}
-        for entry in _need(doc, "entries", list):
-            if not isinstance(entry, dict):
-                raise ParseError("coloring entries must be objects")
-            _only(entry, "copy", "color")
-            image, color = _ints(_need(entry, "copy", list), "copy"), _need(entry, "color", int)
-            if not 0 <= color < r:
-                raise ParseError(f"copy {list(image)} has color {color}, outside 0..{r - 1}")
-            if image in table:
-                raise ParseError(f"copy {list(image)} is listed twice")
-            table[image] = color
-        return Coloring(tuple(sorted(table.items())), r)
-    raise ParseError(f"unknown kind {kind!r}")
+    if kind not in _KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    _, fields, build = _KINDS[kind]
+    _only(doc, "kind", *fields)
+    return build(*[_FIELDS[key][1](doc, key) for key in fields])
 
 
 def save_structure(path, obj) -> str:
@@ -235,13 +219,14 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_structure(path):
+    """The structure a file holds; nesting too deep to decode or to build is a ParseError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
+        if not isinstance(doc, dict):
+            raise ParseError("top level must be an object")
+        return from_doc(doc)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    return from_doc(doc)
 
 
 def format_manifest(entries: dict[str, str]) -> str:

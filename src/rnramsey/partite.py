@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from .analysis import is_good
 from .arrow import BaseOracle, oracle_ramsey
@@ -89,13 +90,13 @@ class ProductResult:
     """Partite product of a template with a base witness, plus its lift bookkeeping.
 
     lifts[i] is the part-respecting copy of the pattern obtained from base E-copy i.
-    The oracle certifies every witness it returns, so certified is always true.
+    The oracle certifies every witness it returns, so certified is a constant.
     """
 
     apartite: APartiteRNGraph
     base_witness: RNGraph
-    certified: bool
     lifts: tuple[Copy, ...]
+    certified: ClassVar[bool] = True
 
 
 def product_relations(A: RNGraph, witness: RNGraph):
@@ -150,4 +151,4 @@ def product_construction(A: RNGraph, pattern: APartiteRNGraph, oracle: BaseOracl
         return Copy(tuple(sorted(vmap, key=lambda x: base.rank[x])), vmap)
 
     lifts = tuple(lift(c) for c in enumerate_copies(fused_e, witness))
-    return ProductResult(apartite, witness, True, lifts)
+    return ProductResult(apartite, witness, lifts)

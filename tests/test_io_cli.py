@@ -290,6 +290,18 @@ def test_cli_validate_rejects(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("depth", [400, 1_500, 6_000])
+def test_deep_nesting_is_a_parse_error_on_every_python(tmp_path, capsys, depth):
+    # an apartite chain through "A", built by concatenation since json.dumps recurses
+    # too: the decoder or from_doc runs out of recursion first, by Python version
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kind": "apartite", "A": ' * depth + "{}" + "}" * depth)
+    with pytest.raises(ParseError):
+        load_structure(deep)
+    assert main(["validate", str(deep)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID deep.json: ")
+
+
 def test_cli_structure_error_prints_one_short_line(tmp_path, capsys):
     # the message, and the witness only when it is short: never a 100,000-entry tuple
     long = tmp_path / "long.json"

@@ -11,6 +11,7 @@ from rnramsey import (
     BaseOracle,
     ParseError,
     StructureError,
+    build_picture_zero,
     chain,
     digest,
     dumps_canonical,
@@ -36,13 +37,18 @@ def _structure(kind: str, rng: random.Random):
         return random_poset(rng, 6)
     if kind == "apartite":
         return random_apartite(rng, 3, 2)
+    if kind in ("picture", "homomorphism"):
+        host = random_rn(rng, 5)
+        picture = build_picture_zero(host, poset_to_complete_rn(chain(2 if host.R else 1)))
+        # a map is stored as the HomomorphismDoc to_doc makes, its endpoints as digests
+        return picture if kind == "picture" else from_doc(to_doc(picture.f))
     target = random_poset(rng, 3)
     copies = enumerate_copies(chain(rng.randint(1, 2)), target)
     r = rng.randint(1, 3)
     return make_coloring(copies, [rng.randrange(r) for _ in copies], r)
 
 
-KINDS = st.sampled_from(("rn", "poset", "apartite", "coloring"))
+KINDS = st.sampled_from(("rn", "poset", "apartite", "picture", "homomorphism", "coloring"))
 SEEDS = st.integers(0, 2**32 - 1)
 
 
