@@ -143,7 +143,7 @@ def _coloring(r: int, entries: list) -> Coloring:
 # checked value), shared by every kind that carries the field.
 _NESTED = (
     lambda obj, key: to_doc(getattr(obj, key)),
-    lambda doc, key: from_doc(_need(doc, key, dict)),
+    lambda doc, key: _build(_need(doc, key, dict)),
 )
 _INT_LIST = (lambda obj, key: list(getattr(obj, key)), _need_ints)
 _PAIRS = (lambda obj, key: [list(p) for p in sorted(getattr(obj, key))], _pair_set)
@@ -193,6 +193,15 @@ def to_doc(obj) -> dict:
 
 
 def from_doc(doc: dict):
+    """The structure a decoded document describes; nesting too deep to build is a
+    ParseError, with the text load_structure gives it."""
+    try:
+        return _build(doc)
+    except RecursionError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+
+
+def _build(doc: dict):
     kind = _need(doc, "kind", str)
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}")

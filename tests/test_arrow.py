@@ -594,12 +594,25 @@ def _certifications(monkeypatch) -> list:
     calls = []
     is_witness = arrow._is_witness
 
-    def recording(e_copies, p_in_e, deadline):
+    def recording(e_copies, p_in_e, deadline, shared=0, kept=None):
         calls.append((sorted(e_copies), deadline))
-        return is_witness(e_copies, p_in_e, deadline)
+        return is_witness(e_copies, p_in_e, deadline, shared, kept)
 
     monkeypatch.setattr(arrow, "_is_witness", recording)
     return calls
+
+
+def _verdicts(monkeypatch) -> list:
+    """Record every run of _verdict by its number of Q-copies."""
+    runs = []
+    verdict = arrow._verdict
+
+    def recording(r, q_copies, p_in_q, max_nodes, deadline):
+        runs.append(len(q_copies))
+        return verdict(r, q_copies, p_in_q, max_nodes, deadline)
+
+    monkeypatch.setattr(arrow, "_verdict", recording)
+    return runs
 
 
 def _covered(E, F) -> set:
@@ -655,6 +668,7 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     # the tower point v query: a deterministic count of the filter's work, which a
     # timing could hide; the witness is a 6-vertex poset, and 324 prefixes are grown
     calls = _certifications(monkeypatch)
+    runs = _verdicts(monkeypatch)
     grown = _grown(monkeypatch)
     w = oracle_ramsey(BaseOracle(), POINT, V)
     assert w.source == "search:enumeration" and w.graph.n == 6 and brute_is_poset(w.graph)
@@ -664,6 +678,9 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     ]
     certified = _certified(POINT, V, w.graph.n, calls)
     assert len(certified) == len(calls) == 775
+    # the sibling lemma: 508 of the 774 rejected candidates are rejected by extending a
+    # sibling's counterexample, so _verdict runs on 267 of them (775 before it)
+    assert len(runs) == 267
     assert certified[0] == V and certified[-1] == w.graph
     # 3,765 candidates are met up to the witness, none below |V| = 3 vertices; the
     # budget stop names how far the scan got
@@ -674,6 +691,200 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
         r"2990 skipped by the minimal-witness lemma$",
     ):
         oracle_ramsey(BaseOracle(candidate_budget=3764), POINT, V)
+
+
+def _siblings(monkeypatch) -> list:
+    """Record every certification as (its E-copy image masks, sorted, its route): the
+    kept coloring it was given, what _extend returned (False when it did not run), the
+    _verdict runs, and what it returned."""
+    calls = []
+    is_witness, extend, verdict = arrow._is_witness, arrow._extend, arrow._verdict
+
+    def certifying(e_copies, p_in_e, deadline, shared=0, kept=None):
+        route = SimpleNamespace(kept=kept, extended=False, verdicts=0)
+        calls.append((sorted(e_copies), route))
+        route.holds, route.out = is_witness(e_copies, p_in_e, deadline, shared, kept)
+        return route.holds, route.out
+
+    def extending(red, blue, edges):
+        calls[-1][1].extended = found = extend(red, blue, edges)
+        return found
+
+    def deciding(*args):
+        calls[-1][1].verdicts += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(arrow, "_is_witness", certifying)
+    monkeypatch.setattr(arrow, "_extend", extending)
+    monkeypatch.setattr(arrow, "_verdict", deciding)
+    return calls
+
+
+def _numbers(index, a_copies) -> dict:
+    """Each A-copy (brute force's image, ascending) to its slot number in the sibling
+    route's numbering: the vertex itself for a one-vertex A, else index's number for
+    its positions, given in A's vertex order."""
+    if index is None:
+        return {c: c[0] for c in a_copies}
+    by_set = {tuple(sorted(slot)): number for slot, number in index.items()}
+    return {c: by_set[c] for c in a_copies if c in by_set}
+
+
+def _extended_colorings(A, E, F, route):
+    """The colors, per A-copy of F, that the kept coloring gave (old) and that the
+    extension gave (all, 0 where it left a slot free), checked by brute force: the
+    kept coloring colors exactly the A-copies inside the E-copies that miss F's last
+    vertex, and the extension leaves no E-copy of F with its A-copies in one color."""
+    index, red, blue = route.kept
+    a_copies = brute_copies(A, F)
+    numbers = _numbers(index, a_copies)
+    e_images = [set(q) for q in brute_copies(E, F)]
+    inside = [[c for c in a_copies if set(c) <= q] for q in e_images]
+    shared = {c for q, held in zip(e_images, inside) if F.n - 1 not in q for c in held}
+    assert {c for c, i in numbers.items() if (red | blue) >> i & 1} == shared
+    red, blue = route.extended
+    assert not red & blue and red & route.kept[1] == route.kept[1]
+    assert blue & route.kept[2] == route.kept[2]
+    colors = {c: blue >> numbers[c] & 1 if c in numbers else 0 for c in a_copies}
+    for held in inside:
+        assert len({colors[c] for c in held}) == 2
+    return colors
+
+
+def test_extend_agrees_with_brute_force():
+    # _extend against every coloring of the uncolored slots, on random slot masks:
+    # it finds an extension exactly when one exists, and what it finds is one
+    rng = random.Random(41)
+    found = {True: 0, False: 0}
+    for _ in range(600):
+        k = rng.randint(1, 8)
+        colored = [rng.choice((None, 0, 1)) for _ in range(k)]
+        red = sum(1 << i for i, c in enumerate(colored) if c == 0)
+        blue = sum(1 << i for i, c in enumerate(colored) if c == 1)
+        edges = [rng.randint(1, (1 << k) - 1) for _ in range(rng.randint(1, 6))]
+        free = [i for i, c in enumerate(colored) if c is None]
+        exists = any(
+            all(m & r and m & b for m in edges)
+            for bits in itertools.product((0, 1), repeat=len(free))
+            for b in [blue | sum(1 << i for i, x in zip(free, bits) if x)]
+            for r in [red | sum(1 << i for i, x in zip(free, bits) if not x)]
+        )
+        grown = arrow._extend(red, blue, edges)
+        assert (grown is not None) == exists
+        found[exists] += 1
+        if grown:
+            r, b = grown
+            assert not r & b and r & red == red and b & blue == blue
+            assert all(m & r and m & b for m in edges)
+    assert min(found.values()) >= 150
+    # past _CLOCK_EVERY nodes it gives up, though this one has an extension: 12 pairs
+    # of free slots, each a 2-slot edge, then an edge from each even slot to a slot of
+    # color 0, which the depth-first order colors 0 first
+    pairs = [0b11 << 2 * i for i in range(12)]
+    evens = [1 << 2 * i | 1 << 24 for i in range(12)]
+    assert arrow._extend(1 << 24, 0, pairs + evens) is None
+    assert arrow._extend(1 << 24, 0, evens + pairs) is not None
+
+
+def test_extensions_are_counterexamples(monkeypatch):
+    # on random small queries of both families, every candidate rejected by extending a
+    # sibling's counterexample has, by brute force, no E-copy whose A-copies share one
+    # color under the extended coloring; a failed extension goes on to _verdict
+    calls = _siblings(monkeypatch)
+    rng = random.Random(42)
+    extended = collections.Counter()
+    for family in ("N-free", "poset") * 20:
+        E = None
+        while E is None or E.n < 3:
+            E = fuse(random_rn(rng, 3)) if family == "N-free" else random_good_complete(rng, 3)
+        A = rng.choice((POINT, C2) if family == "N-free" else (POINT, C2, A2))
+        calls.clear()
+        try:
+            oracle_ramsey(BaseOracle(size_bound=5, candidate_budget=400), A, E)
+        except ValueError:
+            continue  # a query in neither family
+        except ResourceExceeded:
+            pass
+        for F, (_, route) in zip(_certified(A, E, 5, calls), calls):
+            assert route.verdicts == (not route.extended)
+            if route.extended:
+                assert not route.holds
+                _extended_colorings(A, E, F, route)
+            extended[family, A.n, bool(route.extended)] += 1
+    rejected = {key[:2]: count for key, count in extended.items() if key[2]}
+    assert len(rejected) == 4 and min(rejected.values()) >= 50
+
+
+def test_a_failed_extension_falls_back_to_the_verdict(monkeypatch):
+    # A = point over E = 0 < 1, 2 (N-free, up to 5 vertices): one candidate's kept
+    # coloring has no extension, by brute force, though the candidate has a
+    # counterexample; _verdict finds one, and its restriction becomes the kept one
+    E = make_rn_graph(3, {(0, 1)}, ())
+    calls = _siblings(monkeypatch)
+    with pytest.raises(NotFoundWithinBounds):
+        oracle_ramsey(BaseOracle(size_bound=5), POINT, E)
+    certified = _certified(POINT, E, 5, calls)
+    failed = [i for i, (_, route) in enumerate(calls) if route.kept and not route.extended]
+    assert len(failed) == 1 and len(calls) == 168
+    F, (_, route) = certified[failed[0]], calls[failed[0]]
+    assert F.n == 5 and route.verdicts == 1 and not route.holds
+    assert not brute_arrow(F, E, POINT, 2)
+    _, red, blue = route.kept  # vertices: a slot is a vertex for a one-vertex A
+    e_images = brute_copies(E, F)
+    assert not any(
+        all(len({(x >> v & 1) for v in q}) == 2 for q in e_images)
+        for x in range(1 << F.n)
+        if x & (red | blue) == blue
+    )
+    # the new kept coloring colors the same slots otherwise, and leaves no E-copy
+    # that misses the last vertex in one color
+    _, red, blue = route.out
+    assert route.out != route.kept and red | blue == route.kept[1] | route.kept[2]
+    for q in e_images:
+        if F.n - 1 not in q:
+            assert len({blue >> v & 1 for v in q}) == 2
+
+
+@pytest.mark.parametrize(
+    "A, E",
+    [
+        (POINT, A2),  # posets
+        (C2, make_rn_graph(3, {(0, 1), (0, 2)}, ())),  # N-free graphs
+    ],
+)
+def test_a_holding_sibling_follows_rejected_ones(monkeypatch, A, E):
+    # the witness is certified right after a sibling (the same columns but the last)
+    # that extending a counterexample rejected; its own extension fails, and HOLDS comes
+    # from _verdict's exhaustion
+    calls = _siblings(monkeypatch)
+    w = oracle_ramsey(BaseOracle(), A, E)
+    certified = _certified(A, E, w.graph.n, calls)
+    (_, before), (_, last) = calls[-2:]
+    assert certified[-1] == w.graph and brute_arrow(w.graph, E, A, 2)
+    assert before.extended and not before.holds and before.verdicts == 0
+    assert last.kept is before.kept and not last.extended and last.verdicts == 1 and last.holds
+    F, G = certified[-2:]
+    assert F.n == G.n and {p for p in F.R | F.N if p[1] < F.n - 1} == {
+        p for p in G.R | G.N if p[1] < G.n - 1
+    }
+
+
+@pytest.mark.parametrize(
+    "ceiling, stop",
+    [(9, "in the first 3 of 5 Q-copies"), (13, "in the first 5 of 9 Q-copies")],
+)
+def test_a_sibling_past_the_slot_ceiling_is_refused_as_before(monkeypatch, ceiling, stop):
+    # 2-antichain over the 4-antichain under a lowered slot ceiling: the first
+    # candidate with more slots has a sibling's coloring to extend, and is refused by
+    # _verdict as it is with no extension at all
+    E = poset_to_complete_rn(antichain(4))
+    monkeypatch.setattr(arrow, "_SLOT_CEILING", ceiling)
+    text = f"^more than {ceiling} P-copies, the exact search ceiling, {stop}$"
+    with pytest.raises(ResourceExceeded, match=text):
+        oracle_ramsey(BaseOracle(candidate_budget=3000), A2, E)
+    monkeypatch.setattr(arrow, "_extend", lambda red, blue, edges: None)
+    with pytest.raises(ResourceExceeded, match=text):
+        oracle_ramsey(BaseOracle(candidate_budget=3000), A2, E)
 
 
 def test_oracle_exhaustion_and_budget():
@@ -1166,7 +1377,7 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
                 A, E, F = (random_good_complete(rng, k) for k in (2, 3, 6))
             holds = check_arrow(F, E, A, 2).holds
             e_copies = arrow._e_copies(F, E, MAX_COPIES)
-            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER)[0] == holds
             # the slots, as positions in F's order, and the edges that hold each
             maps = [arrow._positions(image) for image in e_copies]
             held = arrow._incidence(e_copies, arrow._ranked(A, E))
@@ -1191,7 +1402,7 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
         for n, run, cols, e_copies in arrow._enumerated_candidates(E, size_bound, family):
             if cols is not None:
                 holds = check_arrow(_candidate(cols, family == "poset"), E, A, 2).holds
-                assert arrow._is_witness(e_copies, p_in_e, NEVER) == holds
+                assert arrow._is_witness(e_copies, p_in_e, NEVER)[0] == holds
                 verdicts[holds] += 1
     # the first two queries have no witness up to 5 vertices; the third has 18
     assert verdicts == {False: 72 + 48 + 11, True: 18}
@@ -1225,7 +1436,7 @@ def test_certification_of_degenerate_queries():
         for F in targets:
             holds = check_arrow(F, E, A, 2).holds
             e_copies = arrow._e_copies(F, E, MAX_COPIES)
-            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER)[0] == holds
             outcomes.add(holds)
         # the oracle's first seed, E itself, is then its witness
         assert oracle_ramsey(BaseOracle(), A, E) == OracleWitness(E, "search:identity")
@@ -1437,7 +1648,7 @@ def test_oracle_loop_agrees_with_check_arrow():
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(arrow._e_copies(F, E, MAX_COPIES), p_in_e, NEVER) == holds
+            assert arrow._is_witness(arrow._e_copies(F, E, MAX_COPIES), p_in_e, NEVER)[0] == holds
             if holds and member(F):
                 witnesses.append(F)
         family = "poset" if member is brute_is_poset else "N-free"

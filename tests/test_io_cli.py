@@ -302,6 +302,21 @@ def test_deep_nesting_is_a_parse_error_on_every_python(tmp_path, capsys, depth):
     assert capsys.readouterr().out.startswith("INVALID deep.json: ")
 
 
+def test_from_doc_refuses_deep_nesting_itself(tmp_path):
+    # a library caller's in-memory dict nested 1,500 deep through "A" is a ParseError
+    # from from_doc too, not a RecursionError, with the text load_structure gives the
+    # same document read from a file
+    depth, doc = 1_500, {}
+    for _ in range(depth):
+        doc = {"kind": "apartite", "A": doc}
+    with pytest.raises(ParseError, match="^not valid JSON: maximum recursion depth exceeded"):
+        from_doc(doc)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kind": "apartite", "A": ' * depth + "{}" + "}" * depth)
+    with pytest.raises(ParseError, match="^not valid JSON: maximum recursion depth exceeded"):
+        load_structure(deep)
+
+
 def test_cli_structure_error_prints_one_short_line(tmp_path, capsys):
     # the message, and the witness only when it is short: never a 100,000-entry tuple
     long = tmp_path / "long.json"
