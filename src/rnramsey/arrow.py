@@ -33,20 +33,17 @@ one run per last-level prefix for posets; the scan yields one item per run of sk
 candidates, each still counted against the budget, and the deadline is read once per
 item.  A covered candidate comes as its columns and its E-copies' image masks, and is
 certified from those (_is_witness): no copy is listed for it, and only the witness
-becomes a graph.  Its siblings, the candidates with the same prefix, share the
-prefix's E-copies; the loop keeps a rejected sibling's counterexample on their slots
-(_restrict), and the next sibling first tries to extend it over the slots only its
-other E-copies hold (_extend, the sibling lemma), a FAILS without _verdict.  A failed
-extension, or a sibling with no kept coloring, runs _verdict, whose counterexample is
-kept next.  The seeds, and a supplied witness in certify_witness, go to _verdict with
-the E-copies enumerate_copies lists; a supplied witness passes, is refuted
-(CertificationFailed), or runs past a budget (ResourceExceeded), so an OracleWitness
-carries only its graph and its source.
+becomes a graph.  Every certification, of a scanned candidate, a seed or a supplied
+witness in certify_witness (with the E-copies enumerate_copies lists), first looks for
+a counterexample by a depth-first backtrack over its slot masks (_extend) that examines
+at most _CLOCK_EVERY edges and reads no clock.  A coloring it finds is a FAILS without
+_verdict; a miss proves nothing, and _verdict decides.  A supplied witness passes, is
+refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so an
+OracleWitness carries only its graph and its source.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 import random
@@ -64,7 +61,7 @@ _WALK_TRIES = 5
 _WALK_FLIPS_PER_EDGE = 20  # flips per try, per edge
 _WALK_NOISE = 0.1
 _SLOT_CEILING = 2000  # slots (P-copies inside some Q-copy) the exact search takes on
-_CLOCK_EVERY = 4096  # nodes or flips between the searches' pauses, each a clock read
+_CLOCK_EVERY = 4096  # nodes or flips between clock reads; edges a look (_extend) examines
 
 
 class NotFoundWithinBounds(ResourceExceeded):
@@ -552,16 +549,11 @@ def _enumerated_candidates(E: RNGraph, size_bound: int, family: str):
     are the A-copies inside some E-copy, and F's own A-copies are never listed
     (_is_witness).
 
-    Sibling lemma (exact).  Candidates with the same prefix (all columns but the
-    last) share the prefix's E-copies, the image masks without bit n - 1, which come
-    first in e_copies; their other E-copies pass through the new vertex.  A rejected
-    sibling's counterexample, restricted to the slots of the shared E-copies, leaves
-    none of them in one color, and they hold no other slot.  So a coloring of the
-    other slots that leaves no other E-copy in one color is a counterexample for the
-    candidate, whose restriction to the shared slots is unchanged: FAILS.  An
-    extension that is not found proves nothing, and _verdict decides, so HOLDS is still
-    proved by exhausting the search, and the first witness, the certified and skipped
-    counts and the scan's items are those without the lemma.
+    Look (exact).  A coloring of the slots under which every E-copy holds A-copies of
+    both colors is a counterexample, so a candidate that the look (_extend) so colors
+    FAILS.  A miss proves nothing, and _verdict decides, so HOLDS is still proved by
+    exhausting the search, and the first witness, the certified and skipped counts and
+    the scan's items are those without the look.
 
     Walk.  Each size is one depth-first walk from the empty prefix (_walk), in which a
     prefix on q vertices keeps only its copies of E[:j] with j >= E.n - (n - q), the
@@ -620,80 +612,56 @@ def _e_copies(graph: RNGraph, E: RNGraph, limit: int) -> list[int]:
     return [sum(1 << rank[v] for v in c.image) for c in enumerate_copies(E, graph, limit=limit)]
 
 
-def _is_witness(e_copies, p_in_e, deadline: float, shared: int = 0, kept=None):
+def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
     """Whether a graph arrows (E)^A_2, given the image masks of its E-copies and the
     A-copies in E as ranks (_ranked), on _verdict's path within SearchLimits' default
-    counts, as (holds, kept).  Each E-copy carries each A-copy in E to the positions of
-    its image; the slots are the A-copies so met, the ones inside some E-copy (the slot
-    lemma, see _enumerated_candidates).  A graph without an E-copy is no witness.
-
-    The first `shared` E-copies are the ones its siblings have too, and kept, when
-    given, is a rejected sibling's counterexample on their slots (_restrict).  It is
-    first extended over the other E-copies (_extend, the sibling lemma), a FAILS without
-    _verdict, unless the candidate has more than _SLOT_CEILING slots; else _verdict
-    decides, and a FAILS returns its counterexample on the shared slots as the next
-    kept (None when shared is 0)."""
+    counts.  Each E-copy carries each A-copy in E to the positions of its image; the
+    slots are the A-copies so met, the ones inside some E-copy (the slot lemma, see
+    _enumerated_candidates).  A graph without an E-copy is no witness.  A coloring the
+    look (_extend) finds over the slot masks is a FAILS; else _verdict decides, also on
+    a graph with more than _SLOT_CEILING slots, which the look leaves to it."""
     limit = SearchLimits.max_copies
     if len(e_copies) > limit:
         raise ResourceExceeded(f"more than {limit} copies of the pattern in a candidate")
-    if kept is not None:
-        index, red, blue = kept
-        edges = _slot_masks(e_copies[shared:], p_in_e, index)
-        total = reduce(operator.or_, edges, red | blue).bit_count()  # the candidate's slots
-        if total <= _SLOT_CEILING and _extend(red, blue, edges):
-            return False, kept
-    slots, colors, _ = _verdict(2, e_copies, p_in_e, SearchLimits.max_nodes, deadline)
-    if colors is None:
-        return True, None
-    if not shared:
-        return False, None
-    return False, _restrict(e_copies[:shared], p_in_e, slots, colors)
+    edges = _slot_masks(e_copies, p_in_e)
+    if edges is not None and _extend(edges):
+        return False
+    return _verdict(2, e_copies, p_in_e, SearchLimits.max_nodes, deadline)[1] is None
 
 
-def _slot_masks(images: list[int], p_in_e, index: dict | None) -> list[int]:
-    """Each E-copy's slots as a mask over slot numbers.  With a one-vertex A (index
-    None) a slot is a vertex, numbered by its position, so each image is its own mask;
-    else index numbers each slot, the tuple of its positions, when first met."""
-    if index is None:
-        return images
-    masks = []
+def _slot_masks(images: list[int], p_in_e) -> list[int] | None:
+    """Each E-copy's slots as a mask over slot numbers, or None past _SLOT_CEILING
+    slots.  With a one-vertex A a slot is a vertex, numbered by its position, so each
+    image is its own mask; else each slot, the tuple of its positions, is numbered when
+    first met, and the numbering stops at the E-copy that brings the slots past the
+    ceiling, where _incidence refuses."""
+    if p_in_e and len(p_in_e[0]) == 1:
+        slots = reduce(operator.or_, images, 0).bit_count()
+        return images if slots <= _SLOT_CEILING else None
+    index, masks = {}, []
     for image in images:
         at, mask = _positions(image), 0
         for c in p_in_e:
             mask |= 1 << index.setdefault(tuple([at[u] for u in c]), len(index))
+        if len(index) > _SLOT_CEILING:
+            return None
         masks.append(mask)
     return masks
 
 
-def _restrict(images: list[int], p_in_e, slots, colors) -> tuple:
-    """A counterexample (_verdict's slots and colors) on the slots of these E-copies:
-    (index, red, blue), the slot numbering (_slot_masks) and the masks of the slots of
-    colors 0 and 1."""
-    index = None if len(p_in_e[0]) == 1 else {}
-    held = reduce(operator.or_, _slot_masks(images, p_in_e, index), 0)
-    blue = 0
-    for slot, color in zip(slots, colors):
-        number = slot[0] if index is None else index.get(slot)
-        if color and number is not None:
-            blue |= 1 << number
-    blue &= held
-    return index, held ^ blue, blue
-
-
-def _extend(red: int, blue: int, edges: list[int]):
-    """(red, blue) grown over the other slots of the edges (slot masks) so that every
-    edge has a member of each color, or None: no such coloring, or none found within
-    _CLOCK_EVERY nodes, so that it runs no longer unclocked than a search between two
-    of _verdict's clock reads.  Depth first: a node takes the first edge that lacks a color,
-    and branches on its first uncolored member, color 0 first; an edge left with no
-    uncolored member that lacks a color kills the branch."""
-    edges = [m for m in edges if not (m & red and m & blue)]
-    stack = [(red, blue)]
-    for _ in range(_CLOCK_EVERY):
-        if not stack:
-            return None
+def _extend(edges):
+    """The empty coloring extended over the slots of the edges (slot masks) so that
+    every edge has a member of each color, as (red, blue), the masks of the slots of
+    colors 0 and 1 (a slot in neither may take either), or None: no such coloring, or
+    none found within _CLOCK_EVERY edges examined, so that it runs no longer unclocked
+    than a search between two of _verdict's clock reads.  Depth first: a node takes the
+    first edge that lacks a color, and branches on its first uncolored member, color 0
+    first; an edge left with no uncolored member that lacks a color kills the branch."""
+    stack, left = [(0, 0)], _CLOCK_EVERY
+    while stack:
         red, blue = stack.pop()
-        for m in edges:
+        for m in itertools.islice(edges, left):
+            left -= 1
             r, b = m & red, m & blue
             if not (r and b):
                 free = m ^ r ^ b
@@ -701,8 +669,8 @@ def _extend(red: int, blue: int, edges: list[int]):
                     free &= -free
                     stack += ((red, blue | free), (red | free, blue))
                 break
-        else:
-            return red, blue
+        else:  # every edge has both colors, unless the cap cut the scan short
+            return (red, blue) if left else None
     return None
 
 
@@ -712,7 +680,7 @@ def certify_witness(graph: RNGraph, A: RNGraph, E: RNGraph) -> OracleWitness:
     runs past its budgets raises ResourceExceeded, like every other ceiling."""
     deadline = time.monotonic() + SearchLimits.time_budget
     p_in_e = _ranked(A, E)
-    if not _is_witness(_e_copies(graph, E, SearchLimits.max_copies), p_in_e, deadline)[0]:
+    if not _is_witness(_e_copies(graph, E, SearchLimits.max_copies), p_in_e, deadline):
         raise CertificationFailed(
             f"supplied {graph.n}-vertex witness is refuted by the exact arrow search: "
             f"it does not arrow the {E.n}-vertex pattern ({len(E.R)} R, {len(E.N)} N "
@@ -729,12 +697,11 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
     _enumerated_candidates), which passes over a seed met again (the same columns) and
     skips, uncertified, a candidate with a vertex in no E-copy: its first witness is
     still the one returned.  Every candidate is certified on one route (_is_witness),
-    from the scan's E-copies or, for a seed, those enumerate_copies lists; a scanned
-    candidate is first offered the counterexample the loop keeps from a rejected
-    sibling (the sibling lemma).  Only the witness becomes a graph.  Every candidate met counts against candidate_budget, one
-    at a time also inside a run of skipped ones; the deadline is read once per item, a
-    seed, a candidate or a run.  A budget stop names the size of the first candidate
-    past the budget and how many were certified and skipped.
+    from the scan's E-copies or, for a seed, those enumerate_copies lists, the look
+    first.  Only the witness becomes a graph.  Every candidate met counts against
+    candidate_budget, one at a time also inside a run of skipped ones; the deadline is
+    read once per item, a seed, a candidate or a run.  A budget stop names the size of
+    the first candidate past the budget and how many were certified and skipped.
     """
     family = _family(A, E)
     if E.n > oracle.size_bound:
@@ -760,7 +727,6 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
         if cols not in met  # a seed is never skipped as uncovered, so it is met here
     )
     certified = skipped = 0
-    prefix = kept = None  # a rejected candidate's columns but its last, and _restrict's
     for n, run, made, e_copies, source in itertools.chain(seeded(), scan):
         room = oracle.candidate_budget - certified - skipped
         if run > room:  # the budget runs out before this item or inside its run
@@ -774,14 +740,7 @@ def oracle_ramsey(oracle: BaseOracle, A: RNGraph, E: RNGraph) -> OracleWitness:
             skipped += run
             continue
         certified += 1
-        shared = 0
-        if isinstance(made, tuple):  # the sibling lemma, see _enumerated_candidates
-            if made[:-1] != prefix:
-                prefix, kept = made[:-1], None
-            # the shared masks, those below bit n - 1, come first: bisect finds their end
-            shared = bisect.bisect_left(e_copies, 1 << n - 1)
-        holds, kept = _is_witness(e_copies, p_in_e, deadline, shared, kept)
-        if holds:
+        if _is_witness(e_copies, p_in_e, deadline):
             graph = _graph(made, posets) if isinstance(made, tuple) else made
             return OracleWitness(graph, source)
     raise NotFoundWithinBounds(

@@ -5,8 +5,10 @@ one for each A in {point, 2-chain, 2-antichain} and each of the 40 naturally lab
 posets B on 4 vertices into which A embeds, under the default BaseOracle, and writes
 one line per query: the witness's size, R and source, or the text of the stop.  The
 SHA-256 of those lines must equal PINNED, so that a change to the oracle that moves a
-witness, a certified or skipped count, or a stop shows.  It takes several seconds and
-is not part of tier-1.
+witness, a certified or skipped count, or a stop shows.  The number of exact searches
+(arrow._verdict runs) over all queries must equal PINNED_VERDICTS, a count of work that
+timing noise cannot hide: it shows a look that stops refuting candidates.  It takes
+several seconds and is not part of tier-1.
 
     PYTHONPATH=src python tests/stage2_outcomes.py [--lines]
 """
@@ -17,10 +19,11 @@ import hashlib
 import itertools
 import sys
 
-from rnramsey import BaseOracle, ResourceExceeded, antichain, chain, enumerate_copies
+from rnramsey import BaseOracle, ResourceExceeded, antichain, arrow, chain, enumerate_copies
 from rnramsey import make_ordered_poset, oracle_ramsey, poset_to_complete_rn
 
 PINNED = "f0df3b6ef930be524ea2b9df473b96671e9b24d2fe3d96b4019ef5225c435d1d"
+PINNED_VERDICTS = 42  # 79,441 with no look before _verdict
 
 
 def naturally_labelled(n: int) -> list:
@@ -53,16 +56,28 @@ def outcomes() -> list[str]:
 
 
 def main() -> int:
+    runs = []
+    verdict = arrow._verdict
+
+    def counted(*args):
+        runs.append(1)
+        return verdict(*args)
+
+    arrow._verdict = counted
     lines = outcomes()
     if "--lines" in sys.argv[1:]:
         print("\n".join(lines))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     closed = sum("stop:" not in line for line in lines)
-    print(f"{len(lines)} queries, {closed} closed, digest {digest}")
+    print(f"{len(lines)} queries, {closed} closed, {len(runs)} verdict runs, digest {digest}")
+    failed = False
     if digest != PINNED:
         print(f"digest differs from the pin {PINNED}", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if len(runs) != PINNED_VERDICTS:
+        print(f"verdict runs differ from the pin {PINNED_VERDICTS}", file=sys.stderr)
+        failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -594,9 +594,9 @@ def _certifications(monkeypatch) -> list:
     calls = []
     is_witness = arrow._is_witness
 
-    def recording(e_copies, p_in_e, deadline, shared=0, kept=None):
+    def recording(e_copies, p_in_e, deadline):
         calls.append((sorted(e_copies), deadline))
-        return is_witness(e_copies, p_in_e, deadline, shared, kept)
+        return is_witness(e_copies, p_in_e, deadline)
 
     monkeypatch.setattr(arrow, "_is_witness", recording)
     return calls
@@ -630,7 +630,8 @@ def _certified(A, E, size_bound: int, calls: list) -> list:
     """The candidates of the reference loop (_met) that reach certification, as many
     as there were calls, each checked against its call: the call got the candidate's
     E-copies, those brute force lists."""
-    certified = [F for _, F, _ in _met(A, E, size_bound) if F is not None][:len(calls)]
+    met = (F for _, F, _ in _met(A, E, size_bound) if F is not None)
+    certified = list(itertools.islice(met, len(calls)))
     assert [masks for masks, _ in calls] == [_masks(E, F) for F in certified]
     return certified
 
@@ -678,9 +679,9 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
     ]
     certified = _certified(POINT, V, w.graph.n, calls)
     assert len(certified) == len(calls) == 775
-    # the sibling lemma: 508 of the 774 rejected candidates are rejected by extending a
-    # sibling's counterexample, so _verdict runs on 267 of them (775 before it)
-    assert len(runs) == 267
+    # the look refutes each of the 774 rejected candidates, so _verdict runs on the
+    # witness alone (775 runs with no look)
+    assert len(runs) == 1
     assert certified[0] == V and certified[-1] == w.graph
     # 3,765 candidates are met up to the witness, none below |V| = 3 vertices; the
     # budget stop names how far the scan got
@@ -693,106 +694,124 @@ def test_oracle_certifies_a_pinned_number_of_candidates(monkeypatch):
         oracle_ramsey(BaseOracle(candidate_budget=3764), POINT, V)
 
 
-def _siblings(monkeypatch) -> list:
+def _looks(monkeypatch) -> list:
     """Record every certification as (its E-copy image masks, sorted, its route): the
-    kept coloring it was given, what _extend returned (False when it did not run), the
-    _verdict runs, and what it returned."""
+    E-copies in the order given, what the look returned (False when it did not run),
+    the _verdict runs and the last one's result, and whether it holds."""
     calls = []
     is_witness, extend, verdict = arrow._is_witness, arrow._extend, arrow._verdict
 
-    def certifying(e_copies, p_in_e, deadline, shared=0, kept=None):
-        route = SimpleNamespace(kept=kept, extended=False, verdicts=0)
+    def certifying(e_copies, p_in_e, deadline):
+        route = SimpleNamespace(e_copies=list(e_copies), looked=False, verdicts=0)
         calls.append((sorted(e_copies), route))
-        route.holds, route.out = is_witness(e_copies, p_in_e, deadline, shared, kept)
-        return route.holds, route.out
+        route.holds = is_witness(e_copies, p_in_e, deadline)
+        return route.holds
 
-    def extending(red, blue, edges):
-        calls[-1][1].extended = found = extend(red, blue, edges)
+    def looking(edges):
+        calls[-1][1].looked = found = extend(edges)
         return found
 
     def deciding(*args):
-        calls[-1][1].verdicts += 1
-        return verdict(*args)
+        route = calls[-1][1]
+        route.verdicts += 1
+        route.verdict = verdict(*args)
+        return route.verdict
 
     monkeypatch.setattr(arrow, "_is_witness", certifying)
-    monkeypatch.setattr(arrow, "_extend", extending)
+    monkeypatch.setattr(arrow, "_extend", looking)
     monkeypatch.setattr(arrow, "_verdict", deciding)
     return calls
 
 
-def _numbers(index, a_copies) -> dict:
-    """Each A-copy (brute force's image, ascending) to its slot number in the sibling
-    route's numbering: the vertex itself for a one-vertex A, else index's number for
-    its positions, given in A's vertex order."""
-    if index is None:
-        return {c: c[0] for c in a_copies}
-    by_set = {tuple(sorted(slot)): number for slot, number in index.items()}
-    return {c: by_set[c] for c in a_copies if c in by_set}
-
-
-def _extended_colorings(A, E, F, route):
-    """The colors, per A-copy of F, that the kept coloring gave (old) and that the
-    extension gave (all, 0 where it left a slot free), checked by brute force: the
-    kept coloring colors exactly the A-copies inside the E-copies that miss F's last
-    vertex, and the extension leaves no E-copy of F with its A-copies in one color."""
-    index, red, blue = route.kept
-    a_copies = brute_copies(A, F)
-    numbers = _numbers(index, a_copies)
-    e_images = [set(q) for q in brute_copies(E, F)]
-    inside = [[c for c in a_copies if set(c) <= q] for q in e_images]
-    shared = {c for q, held in zip(e_images, inside) if F.n - 1 not in q for c in held}
-    assert {c for c, i in numbers.items() if (red | blue) >> i & 1} == shared
-    red, blue = route.extended
-    assert not red & blue and red & route.kept[1] == route.kept[1]
-    assert blue & route.kept[2] == route.kept[2]
-    colors = {c: blue >> numbers[c] & 1 if c in numbers else 0 for c in a_copies}
-    for held in inside:
-        assert len({colors[c] for c in held}) == 2
+def _look_colors(A, E, F, e_copies, found) -> dict:
+    """The color, per A-copy of F (brute force's image), that the look's coloring found
+    = (red, blue) gives, 0 where it leaves a slot free, checked by brute force: every
+    E-copy of F holds A-copies of both colors.  A slot is numbered as the look numbers
+    it: by its position for a one-vertex A, else in the order first met over e_copies."""
+    red, blue = found
+    assert not red & blue
+    numbers = {}
+    for image in e_copies:
+        at = arrow._positions(image)
+        for c in arrow._ranked(A, E):
+            numbers.setdefault(frozenset(at[u] for u in c), len(numbers))
+    colors = {}
+    for c in brute_copies(A, F):
+        ranks = frozenset(F.rank[v] for v in c)
+        number = min(ranks) if A.n == 1 else numbers.get(ranks)
+        colors[c] = 0 if number is None else blue >> number & 1
+    for q in brute_copies(E, F):
+        assert {colors[c] for c in colors if set(c) <= set(q)} == {0, 1}
     return colors
 
 
 def test_extend_agrees_with_brute_force():
-    # _extend against every coloring of the uncolored slots, on random slot masks:
-    # it finds an extension exactly when one exists, and what it finds is one
+    # the look against every coloring of the slots, on random slot masks: it finds a
+    # coloring that gives every edge both colors exactly when one exists, and what it
+    # finds is one
     rng = random.Random(41)
     found = {True: 0, False: 0}
     for _ in range(600):
         k = rng.randint(1, 8)
-        colored = [rng.choice((None, 0, 1)) for _ in range(k)]
-        red = sum(1 << i for i, c in enumerate(colored) if c == 0)
-        blue = sum(1 << i for i, c in enumerate(colored) if c == 1)
-        edges = [rng.randint(1, (1 << k) - 1) for _ in range(rng.randint(1, 6))]
-        free = [i for i, c in enumerate(colored) if c is None]
-        exists = any(
-            all(m & r and m & b for m in edges)
-            for bits in itertools.product((0, 1), repeat=len(free))
-            for b in [blue | sum(1 << i for i, x in zip(free, bits) if x)]
-            for r in [red | sum(1 << i for i, x in zip(free, bits) if not x)]
-        )
-        grown = arrow._extend(red, blue, edges)
+        edges = [rng.randint(1, (1 << k) - 1) for _ in range(rng.randint(1, 8))]
+        exists = any(all(m & ~blue and m & blue for m in edges) for blue in range(1 << k))
+        grown = arrow._extend(edges)
         assert (grown is not None) == exists
         found[exists] += 1
         if grown:
-            r, b = grown
-            assert not r & b and r & red == red and b & blue == blue
-            assert all(m & r and m & b for m in edges)
+            red, blue = grown
+            assert not red & blue and all(m & red and m & blue for m in edges)
     assert min(found.values()) >= 150
-    # past _CLOCK_EVERY nodes it gives up, though this one has an extension: 12 pairs
-    # of free slots, each a 2-slot edge, then an edge from each even slot to a slot of
-    # color 0, which the depth-first order colors 0 first
+    # past _CLOCK_EVERY edges examined it gives up, though this one has a coloring: an
+    # edge {24, 25} that colors slot 24 red first, 12 pairs of slots, each a 2-slot edge,
+    # then an edge from each even slot to slot 24, which the depth-first order colors
+    # red first; the same edges in another order are colored at once
     pairs = [0b11 << 2 * i for i in range(12)]
     evens = [1 << 2 * i | 1 << 24 for i in range(12)]
-    assert arrow._extend(1 << 24, 0, pairs + evens) is None
-    assert arrow._extend(1 << 24, 0, evens + pairs) is not None
+    assert arrow._extend([0b11 << 24] + pairs + evens) is None
+    red, blue = arrow._extend(evens + pairs + [0b11 << 24])
+    assert all(m & red and m & blue for m in pairs + evens + [0b11 << 24])
+
+
+class _Handed:
+    """A sequence that counts the items it hands out, by iteration or by index."""
+
+    def __init__(self, items: list):
+        self.items, self.handed = items, 0
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.handed += 1
+        return self.items[i]
+
+    def __iter__(self):
+        for item in self.items:
+            self.handed += 1
+            yield item
+
+
+def test_a_look_examines_at_most_clock_every_edges(monkeypatch):
+    # 20,000 edges with no coloring that gives each both colors, the last having one
+    # member: 14 pairs of slots, then copies of the first pair.  Each node past the
+    # pairs would scan them all, but the look hands over _CLOCK_EVERY edges in all and
+    # gives up, and it reads no clock
+    monkeypatch.setattr(arrow, "time", None)
+    pairs = [0b11 << 2 * i for i in range(14)]
+    edges = _Handed(pairs + [0b11] * (20_000 - 15) + [1 << 28])
+    assert len(edges) == 20_000
+    assert arrow._extend(edges) is None
+    assert edges.handed == arrow._CLOCK_EVERY
 
 
 def test_extensions_are_counterexamples(monkeypatch):
-    # on random small queries of both families, every candidate rejected by extending a
-    # sibling's counterexample has, by brute force, no E-copy whose A-copies share one
-    # color under the extended coloring; a failed extension goes on to _verdict
-    calls = _siblings(monkeypatch)
+    # on random small queries of both families, with |A| 1 and 2, every candidate the
+    # look refutes has, by brute force, no E-copy whose A-copies share one color under
+    # its coloring; a look that finds nothing goes on to _verdict
+    calls = _looks(monkeypatch)
     rng = random.Random(42)
-    extended = collections.Counter()
+    refuted = collections.Counter()
     for family in ("N-free", "poset") * 20:
         E = None
         while E is None or E.n < 3:
@@ -800,49 +819,41 @@ def test_extensions_are_counterexamples(monkeypatch):
         A = rng.choice((POINT, C2) if family == "N-free" else (POINT, C2, A2))
         calls.clear()
         try:
-            oracle_ramsey(BaseOracle(size_bound=5, candidate_budget=400), A, E)
+            oracle_ramsey(BaseOracle(size_bound=6, candidate_budget=400), A, E)
         except ValueError:
             continue  # a query in neither family
         except ResourceExceeded:
             pass
-        for F, (_, route) in zip(_certified(A, E, 5, calls), calls):
-            assert route.verdicts == (not route.extended)
-            if route.extended:
+        for F, (_, route) in zip(_certified(A, E, 6, calls), calls):
+            assert route.verdicts == (not route.looked)
+            if route.looked:
                 assert not route.holds
-                _extended_colorings(A, E, F, route)
-            extended[family, A.n, bool(route.extended)] += 1
-    rejected = {key[:2]: count for key, count in extended.items() if key[2]}
-    assert len(rejected) == 4 and min(rejected.values()) >= 50
+                _look_colors(A, E, F, route.e_copies, route.looked)
+            refuted[family, A.n, bool(route.looked)] += 1
+    looked = {key[:2]: count for key, count in refuted.items() if key[2]}
+    assert len(looked) == 4 and min(looked.values()) >= 50
 
 
 def test_a_failed_extension_falls_back_to_the_verdict(monkeypatch):
-    # A = point over E = 0 < 1, 2 (N-free, up to 5 vertices): one candidate's kept
-    # coloring has no extension, by brute force, though the candidate has a
-    # counterexample; _verdict finds one, and its restriction becomes the kept one
-    E = make_rn_graph(3, {(0, 1)}, ())
-    calls = _siblings(monkeypatch)
-    with pytest.raises(NotFoundWithinBounds):
-        oracle_ramsey(BaseOracle(size_bound=5), POINT, E)
-    certified = _certified(POINT, E, 5, calls)
-    failed = [i for i, (_, route) in enumerate(calls) if route.kept and not route.extended]
-    assert len(failed) == 1 and len(calls) == 168
-    F, (_, route) = certified[failed[0]], calls[failed[0]]
-    assert F.n == 5 and route.verdicts == 1 and not route.holds
-    assert not brute_arrow(F, E, POINT, 2)
-    _, red, blue = route.kept  # vertices: a slot is a vertex for a one-vertex A
-    e_images = brute_copies(E, F)
-    assert not any(
-        all(len({(x >> v & 1) for v in q}) == 2 for q in e_images)
-        for x in range(1 << F.n)
-        if x & (red | blue) == blue
-    )
-    # the new kept coloring colors the same slots otherwise, and leaves no E-copy
-    # that misses the last vertex in one color
-    _, red, blue = route.out
-    assert route.out != route.kept and red | blue == route.kept[1] | route.kept[2]
-    for q in e_images:
-        if F.n - 1 not in q:
-            assert len({blue >> v & 1 for v in q}) == 2
+    # 2-chain over the 4-chain: the 8-vertex chain seed, 28 slots in 70 edges, has a
+    # counterexample (it takes 18 vertices for every 2-coloring of the pairs to make a
+    # 4-set in one color) that the look does not find within its cap; _verdict finds
+    # one, which leaves no E-copy in one color by brute force
+    C4, F = poset_to_complete_rn(chain(4)), poset_to_complete_rn(chain(8))
+    e_copies, p_in_e = arrow._e_copies(F, C4, MAX_COPIES), arrow._ranked(C2, C4)
+    calls = _looks(monkeypatch)
+    assert not arrow._is_witness(e_copies, p_in_e, NEVER)
+    (_, route), = calls
+    assert route.looked is None and route.verdicts == 1 and not route.holds
+    slots, colors, _ = route.verdict
+    color = dict(zip(slots, colors))
+    for q in brute_copies(C4, F):
+        assert {color[pair] for pair in itertools.combinations(q, 2)} == {0, 1}
+    # the miss is the cap's: with room for 100,000 edges the look finds a coloring
+    monkeypatch.setattr(arrow, "_CLOCK_EVERY", 100_000)
+    assert not arrow._is_witness(e_copies, p_in_e, NEVER)
+    _look_colors(C2, C4, F, e_copies, calls[-1][1].looked)
+    assert calls[-1][1].verdicts == 0
 
 
 @pytest.mark.parametrize(
@@ -854,15 +865,15 @@ def test_a_failed_extension_falls_back_to_the_verdict(monkeypatch):
 )
 def test_a_holding_sibling_follows_rejected_ones(monkeypatch, A, E):
     # the witness is certified right after a sibling (the same columns but the last)
-    # that extending a counterexample rejected; its own extension fails, and HOLDS comes
-    # from _verdict's exhaustion
-    calls = _siblings(monkeypatch)
+    # that the look refuted; its own look finds nothing, and HOLDS comes from
+    # _verdict's exhaustion
+    calls = _looks(monkeypatch)
     w = oracle_ramsey(BaseOracle(), A, E)
     certified = _certified(A, E, w.graph.n, calls)
     (_, before), (_, last) = calls[-2:]
     assert certified[-1] == w.graph and brute_arrow(w.graph, E, A, 2)
-    assert before.extended and not before.holds and before.verdicts == 0
-    assert last.kept is before.kept and not last.extended and last.verdicts == 1 and last.holds
+    assert before.looked and not before.holds and before.verdicts == 0
+    assert last.looked is None and last.verdicts == 1 and last.holds
     F, G = certified[-2:]
     assert F.n == G.n and {p for p in F.R | F.N if p[1] < F.n - 1} == {
         p for p in G.R | G.N if p[1] < G.n - 1
@@ -874,17 +885,35 @@ def test_a_holding_sibling_follows_rejected_ones(monkeypatch, A, E):
     [(9, "in the first 3 of 5 Q-copies"), (13, "in the first 5 of 9 Q-copies")],
 )
 def test_a_sibling_past_the_slot_ceiling_is_refused_as_before(monkeypatch, ceiling, stop):
-    # 2-antichain over the 4-antichain under a lowered slot ceiling: the first
-    # candidate with more slots has a sibling's coloring to extend, and is refused by
-    # _verdict as it is with no extension at all
+    # 2-antichain over the 4-antichain under a lowered slot ceiling: the look leaves the
+    # first candidate with more slots to _verdict, which refuses it as it does with no
+    # look at all, and the look never ran on it
     E = poset_to_complete_rn(antichain(4))
     monkeypatch.setattr(arrow, "_SLOT_CEILING", ceiling)
     text = f"^more than {ceiling} P-copies, the exact search ceiling, {stop}$"
+    calls = _looks(monkeypatch)
     with pytest.raises(ResourceExceeded, match=text):
         oracle_ramsey(BaseOracle(candidate_budget=3000), A2, E)
-    monkeypatch.setattr(arrow, "_extend", lambda red, blue, edges: None)
+    assert calls[-1][1].looked is False and calls[-1][1].verdicts == 1
+    looked = sum(route.looked is not False for _, route in calls)
+    monkeypatch.setattr(arrow, "_extend", lambda edges: None)
     with pytest.raises(ResourceExceeded, match=text):
         oracle_ramsey(BaseOracle(candidate_budget=3000), A2, E)
+    assert looked >= 1
+
+
+def test_a_look_leaves_a_graph_past_the_ceiling_to_the_verdict(monkeypatch):
+    # with a one-vertex A a slot is a vertex: the 4-antichain over the 3-antichain has a
+    # counterexample the look finds (two vertices of each color), but under a ceiling of
+    # 3 its 4 slots go to _verdict, which refuses them as it does with no look
+    A3, F = (poset_to_complete_rn(antichain(k)) for k in (3, 4))
+    e_copies, p_in_e = arrow._e_copies(F, A3, MAX_COPIES), arrow._ranked(POINT, A3)
+    assert arrow._extend(arrow._slot_masks(e_copies, p_in_e))
+    monkeypatch.setattr(arrow, "_SLOT_CEILING", 3)
+    assert arrow._slot_masks(e_copies, p_in_e) is None
+    text = "^more than 3 P-copies, the exact search ceiling, in the first 2 of 4 Q-copies$"
+    with pytest.raises(ResourceExceeded, match=text):
+        certify_witness(F, POINT, A3)
 
 
 def test_oracle_exhaustion_and_budget():
@@ -1146,20 +1175,19 @@ def _candidate(cols, posets: bool):
     return make_rn_graph(len(cols), R, [p for p in pairs if p not in R] if posets else ())
 
 
-def _scan(E, size_bound: int, family: str) -> list:
+def _scan(E, size_bound: int, family: str):
     """The scan with every run of skipped candidates expanded into Nones, one (n, F)
-    per candidate, F built from its columns.  A candidate comes alone, with the image
-    masks of its E-copies, those brute force lists; a run holds at least one."""
-    out = []
+    per candidate as it is asked for, F built from its columns.  A candidate comes
+    alone, with the image masks of its E-copies, those brute force lists; a run holds
+    at least one."""
     for n, run, cols, e_copies in arrow._enumerated_candidates(E, size_bound, family):
         if cols is None:
             assert run >= 1 and e_copies is None
-            out.extend([(n, None)] * run)
+            yield from itertools.repeat((n, None), run)
             continue
         F = _candidate(cols, family == "poset")
         assert run == 1 and F.n == n and sorted(e_copies) == _masks(E, F)
-        out.append((n, F))
-    return out
+        yield n, F
 
 
 def _identity_posets(max_n: int):
@@ -1187,7 +1215,7 @@ def test_scan_runs_in_column_order():
             for F in reference
             if F.n >= E.n
         ]
-        assert _scan(E, 4, family) == expected
+        assert list(_scan(E, 4, family)) == expected
 
 
 def test_poset_scan_meets_the_naturally_labelled_posets():
@@ -1237,7 +1265,7 @@ def test_poset_scan_grows_only_posets(monkeypatch):
     # naturally labelled posets at depths 1-5, and no prefix the scan grows, at any
     # size up to 6, is anything but a poset
     grown = _grown(monkeypatch)
-    assert len(_scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
+    assert sum(1 for _ in _scan(POINT, 6, "poset")) == 1 + 2 + 7 + 40 + 357 + 4824
     depths = collections.Counter(len(cols) for n, cols, _, _ in grown if n == 6)
     assert [depths[depth] for depth in range(1, 6)] == [1, 2, 7, 40, 357]
     distinct = {cols for _, cols, _, _ in grown}
@@ -1325,15 +1353,18 @@ def test_prefix_coverage_lemma(monkeypatch):
     assert any(any(_ruled_out(E, family, 6, grown, rng)) for family, E in queries)
 
 
-def _met(A, E, size_bound: int) -> list:
-    """The candidates of the oracle's loop, one (n, F, source) at a time: the seeds,
-    then the scan with each run expanded into Nones, every seed met again passed over."""
+def _met(A, E, size_bound: int):
+    """The candidates of the oracle's loop, one (n, F, source) at a time, as they are
+    asked for: the seeds, then the scan with each run expanded into Nones, every seed
+    met again passed over."""
     seeds = {}
     for F, source in arrow._seed_candidates(A, E, size_bound):
         seeds.setdefault(F, source)
-    scan = _scan(E, size_bound, arrow._family(A, E))
-    met = [(F.n, F, source) for F, source in seeds.items()]
-    return met + [(n, F, "search:enumeration") for n, F in scan if F not in seeds]
+    for F, source in seeds.items():
+        yield F.n, F, source
+    for n, F in _scan(E, size_bound, arrow._family(A, E)):
+        if F not in seeds:
+            yield n, F, "search:enumeration"
 
 
 def _down_sets(cols) -> list:
@@ -1377,7 +1408,7 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
                 A, E, F = (random_good_complete(rng, k) for k in (2, 3, 6))
             holds = check_arrow(F, E, A, 2).holds
             e_copies = arrow._e_copies(F, E, MAX_COPIES)
-            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER)[0] == holds
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
             # the slots, as positions in F's order, and the edges that hold each
             maps = [arrow._positions(image) for image in e_copies]
             held = arrow._incidence(e_copies, arrow._ranked(A, E))
@@ -1402,7 +1433,7 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
         for n, run, cols, e_copies in arrow._enumerated_candidates(E, size_bound, family):
             if cols is not None:
                 holds = check_arrow(_candidate(cols, family == "poset"), E, A, 2).holds
-                assert arrow._is_witness(e_copies, p_in_e, NEVER)[0] == holds
+                assert arrow._is_witness(e_copies, p_in_e, NEVER) == holds
                 verdicts[holds] += 1
     # the first two queries have no witness up to 5 vertices; the third has 18
     assert verdicts == {False: 72 + 48 + 11, True: 18}
@@ -1436,7 +1467,7 @@ def test_certification_of_degenerate_queries():
         for F in targets:
             holds = check_arrow(F, E, A, 2).holds
             e_copies = arrow._e_copies(F, E, MAX_COPIES)
-            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER)[0] == holds
+            assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
             outcomes.add(holds)
         # the oracle's first seed, E itself, is then its witness
         assert oracle_ramsey(BaseOracle(), A, E) == OracleWitness(E, "search:identity")
@@ -1648,7 +1679,7 @@ def test_oracle_loop_agrees_with_check_arrow():
         witnesses = []
         for F in _identity_graphs(4):
             holds = check_arrow(F, E, A, 2).holds
-            assert arrow._is_witness(arrow._e_copies(F, E, MAX_COPIES), p_in_e, NEVER)[0] == holds
+            assert arrow._is_witness(arrow._e_copies(F, E, MAX_COPIES), p_in_e, NEVER) == holds
             if holds and member(F):
                 witnesses.append(F)
         family = "poset" if member is brute_is_poset else "N-free"
