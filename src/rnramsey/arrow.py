@@ -12,12 +12,12 @@ holds only (holds, counterexample, nodes); colorings replay through find_monochr
 
 Every query takes one route.  The Q-copies come as image masks over the target's order
 (_e_copies), the copies of P in Q as ranks (_ranked), and the P-copies that some Q-copy
-carries are the slots, the Q-copies the edges of a hypergraph, built once as int masks
-over the edges (_incidence) unless a 2,001st slot refuses the query.  A P-copy in no
-Q-copy is in no edge, so its color never matters (the slot lemma, see
-_enumerated_candidates): check_arrow gives it color 0.  The search keeps its edge state
-in such masks: per color, the edges with a member of that color, and the edges that
-carry two colors; the local search keeps, per color, the edges one member short of it.
+carries are the slots, the Q-copies the edges of a hypergraph, decoded once per query
+(_hypergraph) unless a 2,001st slot refuses the query.  A P-copy in no Q-copy is in no
+edge, so its color never matters (the slot lemma, see _enumerated_candidates):
+check_arrow gives it color 0.  The search keeps its edge state in int masks: per
+color, the edges with a member of that color, and the edges that carry two colors; the
+local search keeps, per color, the edges one member short of it.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -35,11 +35,12 @@ item.  A covered candidate comes as its columns and its E-copies' image masks, a
 certified from those (_is_witness): no copy is listed for it, and only the witness
 becomes a graph.  Every certification, of a scanned candidate, a seed or a supplied
 witness in certify_witness (with the E-copies enumerate_copies lists), first looks for
-a counterexample by a depth-first backtrack over its slot masks (_extend) that examines
-at most _CLOCK_EVERY edges and reads no clock.  A coloring it finds is a FAILS without
-_verdict; a miss proves nothing, and _verdict decides.  A supplied witness passes, is
-refuted (CertificationFailed), or runs past a budget (ResourceExceeded), so an
-OracleWitness carries only its graph and its source.
+a counterexample by a depth-first backtrack over its edges (_extend) that examines at
+most _CLOCK_EVERY of them and reads no clock.  A coloring it finds is a FAILS without
+_verdict; a miss proves nothing, and _verdict decides on the same hypergraph.
+check_arrow takes no look, which would move its pinned counterexamples.  A supplied
+witness passes, is refuted (CertificationFailed), or runs past a budget
+(ResourceExceeded), so an OracleWitness carries only its graph and its source.
 """
 
 from __future__ import annotations
@@ -127,27 +128,35 @@ class ArrowVerdict:
     nodes_explored: int = field(compare=False, default=0)
 
 
-def _incidence(q_copies: list[int], p_in_q) -> dict:
-    """The hypergraph: per slot, the image of a P-copy inside some Q-copy, the int mask
-    of the edges that hold it, bit e for the e-th Q-copy.
-
-    q_copies[e] is the e-th Q-copy's image mask, and each copy of P in Q itself comes
-    as the tuple of its u (p_in_q); carried to the positions of the image, it is a
-    P-copy's image.  The slots are the carried images, in the order first met, and the
-    query is refused as soon as they pass _SLOT_CEILING, with no more Q-copies read.
-    """
-    held = {}
-    for e, image in enumerate(q_copies):
-        at, bit = _positions(image), 1 << e
-        for c in p_in_q:
-            slot = tuple([at[u] for u in c])
-            held[slot] = held.get(slot, 0) | bit
-        if len(held) > _SLOT_CEILING:
-            raise ResourceExceeded(
-                f"more than {_SLOT_CEILING} P-copies, the exact search ceiling, "
-                f"in the first {e + 1} of {len(q_copies)} Q-copies"
-            )
-    return held
+def _hypergraph(q_copies: list[int], p_in_q) -> tuple[dict | int, list[int]]:
+    """The hypergraph as (slots, edges), edges[e] masking the slot numbers of the slots
+    in the e-th Q-copy.  q_copies[e] is that Q-copy's image mask, and each copy of P in
+    Q itself comes as the tuple of its u (p_in_q); carried to the positions of the
+    image, it is a slot.  slots maps each slot to its number, given when first met;
+    with a one-vertex P it is the mask of the slot positions, slot (p,) being number p,
+    so that each image is its own mask and a look that refutes lists no slot.  The
+    query is refused at the Q-copy that brings the slots past _SLOT_CEILING."""
+    if p_in_q and len(p_in_q[0]) == 1:
+        slots = reduce(operator.or_, q_copies, 0)
+        if slots.bit_count() <= _SLOT_CEILING:
+            return slots, q_copies
+        met = map(int.bit_count, itertools.accumulate(q_copies, operator.or_))
+        e = next(e for e, count in enumerate(met) if count > _SLOT_CEILING)
+    else:
+        slots, edges = {}, []
+        for e, image in enumerate(q_copies):
+            at, mask = _positions(image), 0
+            for c in p_in_q:
+                mask |= 1 << slots.setdefault(tuple([at[u] for u in c]), len(slots))
+            if len(slots) > _SLOT_CEILING:
+                break
+            edges.append(mask)
+        else:
+            return slots, edges
+    raise ResourceExceeded(
+        f"more than {_SLOT_CEILING} P-copies, the exact search ceiling, "
+        f"in the first {e + 1} of {len(q_copies)} Q-copies"
+    )
 
 
 def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int):
@@ -294,9 +303,9 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
 
     FAILS verdicts carry a counterexample coloring admitting no monochromatic Q-copy,
     replayable through find_monochromatic.  HOLDS verdicts are proofs by exhaustion of
-    the counterexample search.  The slots are _verdict's, each one of the listed P-copies
-    (composed embeddings are embeddings, so a miss means a Q-copy that is not a copy),
-    and a P-copy in no Q-copy takes color 0.
+    the counterexample search.  The slots are the hypergraph's (_hypergraph), each one
+    of the listed P-copies (composed embeddings are embeddings, so a miss means a Q-copy
+    that is not a copy), and a P-copy in no Q-copy takes color 0.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an int of at least 1, got {r!r}")
@@ -305,8 +314,8 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
     rank = target.rank
     index = {tuple([rank[v] for v in c.image]): i for i, c in enumerate(p_copies)}
-    q_copies = _e_copies(target, Q, limits.max_copies)
-    slots, colors, nodes = _verdict(r, q_copies, _ranked(P, Q), limits.max_nodes, deadline)
+    hypergraph = _hypergraph(_e_copies(target, Q, limits.max_copies), _ranked(P, Q))
+    slots, colors, nodes = _verdict(r, *hypergraph, limits.max_nodes, deadline)
     where = [index.get(slot) for slot in slots]
     if None in where:
         image = tuple(target.order[p] for p in slots[where.index(None)])
@@ -319,24 +328,30 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     return ArrowVerdict(False, make_coloring(p_copies, assignment, r), nodes)
 
 
-def _verdict(r: int, q_copies: list[int], p_in_q, max_nodes: int, deadline: float):
-    """Decide whether every r-coloring of the slots makes some Q-copy monochromatic:
-    (slots, colors, nodes), with colors, one per slot, leaving no Q-copy monochromatic,
-    or None when no such coloring exists (the arrow holds).  The Q-copies and the copies
-    p_in_q of P in Q itself come as _incidence takes them; the slots are the P-copies
-    inside some Q-copy, by image ascending (the slot lemma).  One exact search decides
-    on max_nodes, sent stops _CLOCK_EVERY nodes apart; past the walk's gate, the walk
-    runs at its first pause (a FAILS of 0 nodes).  Only this loop reads the clock, at
-    each pause of either search, and a passed deadline ends the query there."""
-    if not q_copies:
+def _verdict(r: int, slots, edges: list[int], max_nodes: int, deadline: float):
+    """Decide whether every r-coloring of the slots makes some edge monochromatic:
+    (slots, colors, nodes), the slots by image ascending, with colors, one per slot,
+    leaving no edge monochromatic, or None when no such coloring exists (the arrow
+    holds).  The slots and edges come from _hypergraph, transposed here into each
+    slot's mask of edges.  One exact search decides on max_nodes, sent stops
+    _CLOCK_EVERY nodes apart; past the walk's gate, the walk runs at its first pause (a
+    FAILS of 0 nodes).  Only this loop reads the clock, at each pause of either search,
+    and a passed deadline ends the query there."""
+    if not edges:
         return [], [], 0
-    if not p_in_q:
-        # every Q-copy holds no P-copy, so every coloring leaves it monochromatic
+    if not slots:  # every edge holds no slot, so every coloring leaves it monochromatic
         return [], None, 0
-    held = _incidence(q_copies, p_in_q)
-    slots = sorted(held)
-    inc, n_edges = [held[s] for s in slots], len(q_copies)
-    walk = _local_search(inc, n_edges, r) if len(slots) > 16 and r >= 2 else iter(())
+    if isinstance(slots, int):  # a one-vertex P's slots, numbered by position
+        slots = {(p,): p for p in _positions(slots)}
+    held = [0] * (max(slots.values()) + 1)  # per slot number, the edges that hold it
+    for e, mask in enumerate(edges):
+        bit = 1 << e
+        for k in _positions(mask):
+            held[k] |= bit
+    order = sorted(slots)
+    inc, n_edges = [held[slots[s]] for s in order], len(edges)
+    r = min(r, len(order))  # the exact search's cap never passes the slot count
+    walk = _local_search(inc, n_edges, r) if len(order) > 16 and r >= 2 else iter(())
     stop = min(_CLOCK_EVERY, max_nodes)
     search = _proper_coloring_search(inc, n_edges, r, stop)
     done = next(search)
@@ -345,13 +360,13 @@ def _verdict(r: int, q_copies: list[int], p_in_q, max_nodes: int, deadline: floa
             raise ResourceExceeded(f"arrow search time budget after {stop} nodes")
         colors = next(walk, False)  # None at a pause, False once it has given up
         if colors:
-            return slots, colors, 0
+            return order, colors, 0
         if colors is False and stop == max_nodes:
             raise ResourceExceeded(f"arrow search node budget ({max_nodes})")
         if colors is False:
             stop = min(stop + _CLOCK_EVERY, max_nodes)
             done = search.send(stop)
-    return slots, *done
+    return order, *done
 
 
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
@@ -615,38 +630,17 @@ def _e_copies(graph: RNGraph, E: RNGraph, limit: int) -> list[int]:
 def _is_witness(e_copies, p_in_e, deadline: float) -> bool:
     """Whether a graph arrows (E)^A_2, given the image masks of its E-copies and the
     A-copies in E as ranks (_ranked), on _verdict's path within SearchLimits' default
-    counts.  Each E-copy carries each A-copy in E to the positions of its image; the
-    slots are the A-copies so met, the ones inside some E-copy (the slot lemma, see
-    _enumerated_candidates).  A graph without an E-copy is no witness.  A coloring the
-    look (_extend) finds over the slot masks is a FAILS; else _verdict decides, also on
-    a graph with more than _SLOT_CEILING slots, which the look leaves to it."""
+    counts.  Its hypergraph (_hypergraph) is built once: the slots are the A-copies
+    inside some E-copy (the slot lemma, see _enumerated_candidates).  A graph without
+    an E-copy is no witness.  A coloring the look (_extend) finds over the edges is a
+    FAILS; else _verdict decides on the same hypergraph."""
     limit = SearchLimits.max_copies
     if len(e_copies) > limit:
         raise ResourceExceeded(f"more than {limit} copies of the pattern in a candidate")
-    edges = _slot_masks(e_copies, p_in_e)
-    if edges is not None and _extend(edges):
+    slots, edges = _hypergraph(e_copies, p_in_e)
+    if _extend(edges):
         return False
-    return _verdict(2, e_copies, p_in_e, SearchLimits.max_nodes, deadline)[1] is None
-
-
-def _slot_masks(images: list[int], p_in_e) -> list[int] | None:
-    """Each E-copy's slots as a mask over slot numbers, or None past _SLOT_CEILING
-    slots.  With a one-vertex A a slot is a vertex, numbered by its position, so each
-    image is its own mask; else each slot, the tuple of its positions, is numbered when
-    first met, and the numbering stops at the E-copy that brings the slots past the
-    ceiling, where _incidence refuses."""
-    if p_in_e and len(p_in_e[0]) == 1:
-        slots = reduce(operator.or_, images, 0).bit_count()
-        return images if slots <= _SLOT_CEILING else None
-    index, masks = {}, []
-    for image in images:
-        at, mask = _positions(image), 0
-        for c in p_in_e:
-            mask |= 1 << index.setdefault(tuple([at[u] for u in c]), len(index))
-        if len(index) > _SLOT_CEILING:
-            return None
-        masks.append(mask)
-    return masks
+    return _verdict(2, slots, edges, SearchLimits.max_nodes, deadline)[1] is None
 
 
 def _extend(edges):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 from .analysis import (
     check_homomorphism,
@@ -229,10 +230,12 @@ def run_partite_construction(
     When ell is given, each round is required to preserve ell-freedom; a violation is
     an internal invariant failure, not an input error.  Oracle and resource failures
     propagate unless allow_truncated is set, in which case the completed prefix comes
-    back with the reason recorded.
+    back with the reason recorded.  max_steps, when given, caps the rounds run.
     """
     _require_pattern(A, "A")
     _require_pattern(B, "B")
+    if max_steps is not None:
+        require_budgets(SimpleNamespace(max_steps=max_steps), ("max_steps",))
     limits = limits or BuildLimits()
     picture = build_picture_zero(D, B)
     if ell is not None and not is_ell_rn(picture.base, ell):

@@ -5,7 +5,9 @@ import inspect
 import itertools
 import random
 import re
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -169,6 +171,24 @@ def test_r_is_a_plain_int_of_at_least_one(r):
         check_arrow(_rn_chain(6), C3, C2, r)
 
 
+def test_memory_grows_with_the_slots_not_with_r():
+    # chain(3) -> (C2)^C1 has 3 slots, so both searches take at most 3 colors, and a
+    # huge r allocates nothing per color (a mask per color took 8 MB at r = 10**6); the
+    # verdict, its nodes and its coloring are those at r = 3, and the coloring keeps r
+    target, r = _rn_chain(3), 10**6
+    small = check_arrow(target, C2, POINT, 3)
+    tracemalloc.start()
+    try:
+        verdict = check_arrow(target, C2, POINT, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (verdict.holds, verdict.nodes_explored) == (small.holds, small.nodes_explored)
+    assert verdict.counterexample.assignment == small.counterexample.assignment
+    assert verdict.counterexample.r == r and small.counterexample.r == 3
+
+
 def test_slot_ceiling_fires_before_any_search(monkeypatch):
     # chain(24) has 2,024 copies of C3, each inside one of its 10,626 copies of C4:
     # the 2,001st slot is met in the 1,748th, and the query is refused there, before
@@ -296,15 +316,29 @@ def test_a_deadline_met_in_the_walk_ends_the_query(monkeypatch):
     assert sum(1 for _ in itertools.takewhile(lambda colors: colors is None, walk)) == 11
 
 
+def _searched(slots, edges) -> tuple[list, list]:
+    """_verdict's view of a hypergraph (_hypergraph's slots and edges): the slots
+    ascending, and per slot the mask of the edges that hold it, as _verdict hands them
+    to the exact search."""
+    seen = []
+
+    def search(inc, n_edges, r, stop):
+        seen.append(inc)
+        yield [0] * len(inc), 0
+
+    with mock.patch.object(arrow, "_proper_coloring_search", search):
+        order, _, _ = arrow._verdict(1, slots, edges, 0, NEVER)
+    return order, seen[0] if seen else []
+
+
 def _hypergraph(target, Q, P):
     """The P-copies and Q-copies of target, with check_arrow's masks of the edges that
     hold each P-copy: on the chains here every P-copy is a slot, in enumeration order."""
     p_copies = enumerate_copies(P, target)
     q_copies = arrow._e_copies(target, Q, MAX_COPIES)
-    held = arrow._incidence(q_copies, arrow._ranked(P, Q))
-    slots = sorted(held)
+    slots, inc = _searched(*arrow._hypergraph(q_copies, arrow._ranked(P, Q)))
     assert slots == [c.image for c in p_copies]
-    return p_copies, q_copies, [held[slot] for slot in slots]
+    return p_copies, q_copies, inc
 
 
 def _run(search):
@@ -603,13 +637,13 @@ def _certifications(monkeypatch) -> list:
 
 
 def _verdicts(monkeypatch) -> list:
-    """Record every run of _verdict by its number of Q-copies."""
+    """Record every run of _verdict by its number of edges (Q-copies)."""
     runs = []
     verdict = arrow._verdict
 
-    def recording(r, q_copies, p_in_q, max_nodes, deadline):
-        runs.append(len(q_copies))
-        return verdict(r, q_copies, p_in_q, max_nodes, deadline)
+    def recording(r, slots, edges, max_nodes, deadline):
+        runs.append(len(edges))
+        return verdict(r, slots, edges, max_nodes, deadline)
 
     monkeypatch.setattr(arrow, "_verdict", recording)
     return runs
@@ -885,16 +919,16 @@ def test_a_holding_sibling_follows_rejected_ones(monkeypatch, A, E):
     [(9, "in the first 3 of 5 Q-copies"), (13, "in the first 5 of 9 Q-copies")],
 )
 def test_a_sibling_past_the_slot_ceiling_is_refused_as_before(monkeypatch, ceiling, stop):
-    # 2-antichain over the 4-antichain under a lowered slot ceiling: the look leaves the
-    # first candidate with more slots to _verdict, which refuses it as it does with no
-    # look at all, and the look never ran on it
+    # 2-antichain over the 4-antichain under a lowered slot ceiling: _hypergraph
+    # refuses the first candidate with more slots, before the look and _verdict run
+    # on it, as it does with no look at all
     E = poset_to_complete_rn(antichain(4))
     monkeypatch.setattr(arrow, "_SLOT_CEILING", ceiling)
     text = f"^more than {ceiling} P-copies, the exact search ceiling, {stop}$"
     calls = _looks(monkeypatch)
     with pytest.raises(ResourceExceeded, match=text):
         oracle_ramsey(BaseOracle(candidate_budget=3000), A2, E)
-    assert calls[-1][1].looked is False and calls[-1][1].verdicts == 1
+    assert calls[-1][1].looked is False and calls[-1][1].verdicts == 0
     looked = sum(route.looked is not False for _, route in calls)
     monkeypatch.setattr(arrow, "_extend", lambda edges: None)
     with pytest.raises(ResourceExceeded, match=text):
@@ -905,15 +939,48 @@ def test_a_sibling_past_the_slot_ceiling_is_refused_as_before(monkeypatch, ceili
 def test_a_look_leaves_a_graph_past_the_ceiling_to_the_verdict(monkeypatch):
     # with a one-vertex A a slot is a vertex: the 4-antichain over the 3-antichain has a
     # counterexample the look finds (two vertices of each color), but under a ceiling of
-    # 3 its 4 slots go to _verdict, which refuses them as it does with no look
+    # 3 _hypergraph refuses its 4 slots before the look, as it does with no look
     A3, F = (poset_to_complete_rn(antichain(k)) for k in (3, 4))
     e_copies, p_in_e = arrow._e_copies(F, A3, MAX_COPIES), arrow._ranked(POINT, A3)
-    assert arrow._extend(arrow._slot_masks(e_copies, p_in_e))
+    slots, edges = arrow._hypergraph(e_copies, p_in_e)
+    assert (slots, edges) == (0b1111, e_copies) and arrow._extend(edges)
     monkeypatch.setattr(arrow, "_SLOT_CEILING", 3)
-    assert arrow._slot_masks(e_copies, p_in_e) is None
     text = "^more than 3 P-copies, the exact search ceiling, in the first 2 of 4 Q-copies$"
     with pytest.raises(ResourceExceeded, match=text):
+        arrow._hypergraph(e_copies, p_in_e)
+    calls = _looks(monkeypatch)
+    with pytest.raises(ResourceExceeded, match=text):
         certify_witness(F, POINT, A3)
+    assert calls[-1][1].looked is False and calls[-1][1].verdicts == 0
+
+
+def test_one_hypergraph_per_query(monkeypatch):
+    # check_arrow and every certification build their hypergraph once, the latter also
+    # when the look misses and _verdict decides on it
+    built = []
+    build = arrow._hypergraph
+
+    def counting(q_copies, p_in_q):
+        built.append(len(q_copies))
+        return build(q_copies, p_in_q)
+
+    monkeypatch.setattr(arrow, "_hypergraph", counting)
+    assert check_arrow(_rn_chain(6), C3, C2, 2).holds
+    assert not check_arrow(_rn_chain(5), C3, C2, 2).holds
+    assert built == [20, 10]
+    # the look misses the 8-vertex chain seed of 2-chain over the 4-chain (70 E-copies)
+    C4, F = poset_to_complete_rn(chain(4)), poset_to_complete_rn(chain(8))
+    e_copies, p_in_e = arrow._e_copies(F, C4, MAX_COPIES), arrow._ranked(C2, C4)
+    calls = _looks(monkeypatch)
+    built.clear()
+    assert not arrow._is_witness(e_copies, p_in_e, NEVER)
+    (_, route), = calls
+    assert built == [70] and route.looked is None and route.verdicts == 1
+    # on tower point v, one per certification: the look refutes 774, _verdict the last
+    built.clear()
+    oracle_ramsey(BaseOracle(), POINT, V)
+    assert len(built) == len(calls) - 1 == 775
+    assert sum(route.verdicts for _, route in calls[1:]) == 1
 
 
 def test_oracle_exhaustion_and_budget():
@@ -1393,10 +1460,32 @@ def test_down_sets_follow_from_the_parent(monkeypatch):
     assert arrow._columns([1, 0], 1, 2) == [3, 1, 0]
 
 
+def _check_views(A, E, F, e_copies) -> int:
+    """Check both views of _hypergraph against brute force on F's E-copies: its slots,
+    as positions in F's order, with the slot mask of each edge, and _verdict's, per
+    slot ascending, the mask of the edges that hold it.  Returns the slot count."""
+    maps = [set(arrow._positions(image)) for image in e_copies]
+    slots, edges = arrow._hypergraph(e_copies, arrow._ranked(A, E))
+    numbers = slots
+    if A.n == 1:  # slot (p,) is number p, and each image is its own mask
+        assert edges == e_copies
+        numbers = {(p,): p for p in arrow._positions(slots)}
+    images = [set(image) for image in brute_copies(E, F)]
+    inside = {c for c in brute_copies(A, F) if any(set(c) <= q for q in images)}
+    assert set(numbers) == {tuple(sorted(F.rank[v] for v in c)) for c in inside}
+    for at, mask in zip(maps, edges, strict=True):
+        assert mask == sum(1 << k for slot, k in numbers.items() if set(slot) <= at)
+    order, inc = _searched(slots, edges)
+    assert order == sorted(numbers) and len(inc) == len(order)
+    for slot, mask in zip(order, inc):
+        assert mask == sum(1 << e for e, at in enumerate(maps) if set(slot) <= at)
+    return len(order)
+
+
 def test_certification_needs_only_the_slots_in_some_e_copy():
     # the slot lemma: an A-copy in no E-copy is in no edge, so the route, whose slots are
     # the A-copies inside some E-copy, decides as check_arrow does over every A-copy; on
-    # random graphs of both families, in any order
+    # random graphs of both families, in any order, where _hypergraph's views hold too
     rng = random.Random(38)
     dropped = dropped_holds = 0
     for family in ("N-free", "poset"):
@@ -1409,18 +1498,19 @@ def test_certification_needs_only_the_slots_in_some_e_copy():
             holds = check_arrow(F, E, A, 2).holds
             e_copies = arrow._e_copies(F, E, MAX_COPIES)
             assert arrow._is_witness(e_copies, arrow._ranked(A, E), NEVER) == holds
-            # the slots, as positions in F's order, and the edges that hold each
-            maps = [arrow._positions(image) for image in e_copies]
-            held = arrow._incidence(e_copies, arrow._ranked(A, E))
+            _check_views(A, E, F, e_copies)
             images = [set(image) for image in brute_copies(E, F)]
-            inside = {c for c in brute_copies(A, F) if any(set(c) <= q for q in images)}
-            assert set(held) == {tuple(sorted(F.rank[v] for v in c)) for c in inside}
-            for slot, mask in held.items():
-                assert mask == sum(1 << e for e, at in enumerate(maps) if set(slot) <= set(at))
             outside = [c for c in brute_copies(A, F) if not any(set(c) <= q for q in images)]
             dropped += bool(outside and images)
             dropped_holds += bool(outside and images and holds)
     assert dropped >= 100 and dropped_holds >= 80
+    # _hypergraph's views for a 3-chain A, which a 3-vertex E seldom holds
+    rng = random.Random(39)
+    slotted = 0
+    for _ in range(150):
+        E, F = rng.choice((C3, _rn_chain(4))), fuse(random_rn(rng, 7))
+        slotted += bool(_check_views(C3, E, F, arrow._e_copies(F, E, MAX_COPIES)))
+    assert slotted >= 20
     # and on every covered candidate of the scan, from the E-copies it hands over
     verdicts = collections.Counter()
     for A, E, size_bound in (

@@ -263,6 +263,24 @@ def test_nful_pipeline_over_antichains():
     assert res.b_copies_before == res.b_copies_intact == 3
 
 
+@pytest.mark.parametrize(
+    "steps, text",
+    [
+        (-1, "must be non-negative, got -1"),  # once ran 2 of the 3 rounds
+        (-2, "must be non-negative, got -2"),  # once ran 1 round
+        (True, "must be an int, got True"),  # once ran 1 round
+        (1.0, "must be an int, got 1.0"),
+    ],
+)
+def test_max_steps_is_a_count(steps, text):
+    with pytest.raises(ValueError, match=f"^max_steps {text}$"):
+        run_partite_construction(C3, POINT, C2, BaseOracle(), max_steps=steps)
+    # 0 runs no round, 1 the first of the 3
+    assert run_partite_construction(C3, POINT, C2, BaseOracle(), max_steps=0).steps == ()
+    run = run_partite_construction(C3, POINT, C2, BaseOracle(), max_steps=1)
+    assert len(run.steps) == 1 and run.picture.base.n == 15
+
+
 def test_resource_guard_on_picture_size():
     with pytest.raises(ResourceExceeded) as exc_info:
         run_partite_construction(
