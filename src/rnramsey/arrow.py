@@ -11,13 +11,14 @@ each pause against the one deadline the query's entry point fixes.  An ArrowVerd
 holds only (holds, counterexample, nodes); colorings replay through find_monochromatic.
 
 Every query takes one route.  The Q-copies come as image masks over the target's order
-(_e_copies), the copies of P in Q as ranks (_ranked), and the P-copies that some Q-copy
-carries are the slots, the Q-copies the edges of a hypergraph, decoded once per query
-(_hypergraph) unless a 2,001st slot refuses the query.  A P-copy in no Q-copy is in no
-edge, so its color never matters (the slot lemma, see _enumerated_candidates):
-check_arrow gives it color 0.  The search keeps its edge state in int masks: per
-color, the edges with a member of that color, and the edges that carry two colors; the
-local search keeps, per color, the edges one member short of it.
+ORed from iter_copies' ranks (_e_copies), the copies of P in Q as those ranks (_ranked),
+and the P-copies that some Q-copy carries are the slots, the Q-copies the edges of a
+hypergraph, decoded once per query with one getter per copy of P in Q (_hypergraph)
+unless a 2,001st slot refuses the query.  A P-copy in no Q-copy is in no edge, so its
+color never matters (the slot lemma, see _enumerated_candidates): check_arrow gives it
+color 0.  The search keeps its edge state in int masks: per color, the edges with a
+member of that color, and the edges that carry two colors; the local search keeps, per
+color, the edges one member short of it.
 
 The oracle (oracle_ramsey) only searches, within the bounds of a BaseOracle, one of two
 candidate families (_family): N-free graphs for product rounds, and naturally labelled
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
 from .analysis import is_good
-from .embeddings import Copy, ResourceExceeded, enumerate_copies
+from .embeddings import Copy, ResourceExceeded, enumerate_copies, iter_copies
 from .structures import InvariantViolation, RNGraph, chain, induced_substructure
 from .structures import is_complete, make_rn_graph, poset_to_complete_rn
 
@@ -131,23 +132,24 @@ class ArrowVerdict:
 def _hypergraph(q_copies: list[int], p_in_q) -> tuple[dict | int, list[int]]:
     """The hypergraph as (slots, edges), edges[e] masking the slot numbers of the slots
     in the e-th Q-copy.  q_copies[e] is that Q-copy's image mask, and each copy of P in
-    Q itself comes as the tuple of its u (p_in_q); carried to the positions of the
-    image, it is a slot.  slots maps each slot to its number, given when first met;
-    with a one-vertex P it is the mask of the slot positions, slot (p,) being number p,
-    so that each image is its own mask and a look that refutes lists no slot.  The
-    query is refused at the Q-copy that brings the slots past _SLOT_CEILING."""
+    Q itself comes as the tuple of its u (p_in_q); carried to the positions of the image
+    by its getter, it is a slot.  slots maps each slot to its number, given when first
+    met; with a one-vertex P it is the mask of the slot positions, slot (p,) being
+    number p, so that each image is its own mask and a look that refutes lists no slot.
+    The query is refused at the Q-copy that brings the slots past _SLOT_CEILING."""
     if p_in_q and len(p_in_q[0]) == 1:
         slots = reduce(operator.or_, q_copies, 0)
         if slots.bit_count() <= _SLOT_CEILING:
             return slots, q_copies
         met = map(int.bit_count, itertools.accumulate(q_copies, operator.or_))
         e = next(e for e, count in enumerate(met) if count > _SLOT_CEILING)
-    else:
+    else:  # itemgetter() refuses the empty copy of a 0-vertex P
         slots, edges = {}, []
+        getters = [operator.itemgetter(*c) if c else lambda at: () for c in p_in_q]
         for e, image in enumerate(q_copies):
             at, mask = _positions(image), 0
-            for c in p_in_q:
-                mask |= 1 << slots.setdefault(tuple([at[u] for u in c]), len(slots))
+            for get in getters:
+                mask |= 1 << slots.setdefault(get(at), len(slots))
             if len(slots) > _SLOT_CEILING:
                 break
             edges.append(mask)
@@ -228,18 +230,18 @@ def _proper_coloring_search(inc: list[int], n_edges: int, r: int, stop: int):
 
 
 def _local_search(inc: list[int], n_edges: int, r: int):
-    """Yields an assignment of slots 0..len(inc)-1 with no monochromatic edge if it finds
-    one, and ends when it gives up, which proves nothing; r >= 2.  WalkSAT with the
-    Selman-Kautz-Cohen rule: take a random monochromatic edge; make a move of a member
-    that breaks no other edge (makes it monochromatic) if there is one, else with
+    """Yields an assignment of slots 0..len(inc)-1 with no monochromatic edge if it
+    finds one, and ends when it gives up, which proves nothing; r >= 2.  WalkSAT with
+    the Selman-Kautz-Cohen rule: take a random monochromatic edge; make a move of a
+    member that breaks no other edge (makes it monochromatic) if there is one, else with
     probability _WALK_NOISE a random move, else one that breaks the fewest, ties at
     random.  Try t draws from Random(_WALK_SEED + t) and makes _WALK_FLIPS_PER_EDGE *
-    n_edges flips, pausing (yielding None) before flips 0, _CLOCK_EVERY, ...  count[c][e]
-    counts the members of edge e with color c; near[c] masks the edges with all members
-    but one of color c, so recoloring slot i to c breaks the edges of inc[i] & near[c].
-    A flip scans the moves (the edge's members, then colors ascending), one tie-break
-    draw each, and keeps the first with the least (breaks, draw); only a noise move
-    lists them.
+    n_edges flips in runs of _CLOCK_EVERY, pausing (yielding None) before each.
+    count[c][e] counts the members of edge e with color c (held[e] & of[c] at a try's
+    start); near[c] masks the edges with all members but one of color c, so recoloring
+    slot i to c breaks the edges of inc[i] & near[c].  A flip scans the moves (the
+    edge's members, then colors ascending), one tie-break draw each, and keeps the first
+    with the least (breaks, draw); only a noise move lists them.
     """
     members: list[list[int]] = [[] for _ in range(n_edges)]
     for i, mask in enumerate(inc):
@@ -248,51 +250,56 @@ def _local_search(inc: list[int], n_edges: int, r: int):
     if any(len(slots) < 2 for slots in members):
         return  # a one-member edge is monochromatic under every coloring
     need = [len(slots) - 1 for slots in members]
-    edges_of = [[(e, need[e], 1 << e) for e in _positions(mask)] for mask in inc]
+    held = [sum(1 << i for i in slots) for slots in members]  # per edge, its slots
+    edges_of = [[(e, need[e] - 1, 1 << e) for e in _positions(mask)] for mask in inc]
     others = [[c for c in range(r) if c != a] for a in range(r)]
     for t in range(_WALK_TRIES):
         draw = random.Random(_WALK_SEED + t).random  # picks seq[int(draw() * len(seq))]
         colors = [int(draw() * r) for _ in inc]
-        count = [[sum(colors[i] == c for i in slots) for slots in members] for c in range(r)]
+        of = [sum(1 << i for i, a in enumerate(colors) if a == c) for c in range(r)]
+        count = [[(slots & mask).bit_count() for slots in held] for mask in of]
         near = [sum(1 << e for e in range(n_edges) if row[e] == need[e]) for row in count]
         mono = [e for e in range(n_edges) if any(row[e] > need[e] for row in count)]
         where = [0] * n_edges  # position of each edge of mono in mono
         for j, e in enumerate(mono):
             where[e] = j
-        for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
+        for left in range(_WALK_FLIPS_PER_EDGE * n_edges, 0, -_CLOCK_EVERY):  # flips left
             if not mono:
                 break
-            if flip % _CLOCK_EVERY == 0:
-                yield None
-            slots = members[mono[int(draw() * len(mono))]]
-            least = n_edges + 1
-            for j in slots:  # moves in order, each with its tie-break draw
-                mask = inc[j]
-                for k in others[colors[j]]:
-                    breaks, tie = (mask & near[k]).bit_count(), draw()
-                    if breaks < least or breaks == least and tie < first:
-                        least, first, i, c = breaks, tie, j, k
-            if least and draw() < _WALK_NOISE:
-                moves = [(j, k) for j in slots for k in others[colors[j]]]
-                i, c = moves[int(draw() * len(moves))]
-            a = colors[i]
-            old, new, near_a, near_c = count[a], count[c], near[a], near[c]
-            for e, top, bit in edges_of[i]:
-                x, y = old[e], new[e]
-                if x >= top:  # e leaves near[a], or was monochromatic in a and enters it
-                    near_a ^= bit
-                    if x > top:  # swap the last of mono into e's place
-                        last = mono.pop()
-                        if last != e:
-                            mono[where[e]], where[last] = last, where[e]
-                if y >= top - 1:  # e enters or leaves near[c]; y never exceeds top
-                    near_c ^= bit
-                    if y == top:  # e becomes monochromatic in c
-                        where[e] = len(mono)
-                        mono.append(e)
-                old[e], new[e] = x - 1, y + 1
-            near[a], near[c] = near_a, near_c
-            colors[i] = c
+            yield None
+            for _ in range(min(_CLOCK_EVERY, left)):
+                if not mono:
+                    break
+                slots = members[mono[int(draw() * len(mono))]]
+                least = n_edges + 1
+                for j in slots:  # moves in order, each with its tie-break draw
+                    mask = inc[j]
+                    for k in others[colors[j]]:
+                        breaks, tie = (mask & near[k]).bit_count(), draw()
+                        if breaks < least or breaks == least and tie < first:
+                            least, first = breaks, tie  # pairs: no tuple is built
+                            i, c = j, k
+                if least and draw() < _WALK_NOISE:
+                    moves = [(j, k) for j in slots for k in others[colors[j]]]
+                    i, c = moves[int(draw() * len(moves))]
+                a = colors[i]
+                old, new, near_a, near_c = count[a], count[c], near[a], near[c]
+                for e, low, bit in edges_of[i]:  # low: two short of e's size
+                    x, y = old[e], new[e]
+                    if x > low:  # e leaves near[a], or was monochromatic in a and enters it
+                        near_a ^= bit
+                        if x > low + 1:  # swap the last of mono into e's place
+                            last = mono.pop()
+                            if last != e:
+                                mono[where[e]], where[last] = last, where[e]
+                    if y >= low:  # e enters or leaves near[c]; y is never past one short
+                        near_c ^= bit
+                        if y > low:  # e becomes monochromatic in c
+                            where[e] = len(mono)
+                            mono.append(e)
+                    old[e], new[e] = x - 1, y + 1
+                near[a], near[c] = near_a, near_c
+                colors[i] = c
         if not mono:
             yield colors
             return
@@ -312,8 +319,7 @@ def check_arrow(target, Q, P, r: int, limits: SearchLimits | None = None) -> Arr
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
     p_copies = enumerate_copies(P, target, limit=limits.max_copies)
-    rank = target.rank
-    index = {tuple([rank[v] for v in c.image]): i for i, c in enumerate(p_copies)}
+    index = {tuple(map(target.rank.__getitem__, c.image)): i for i, c in enumerate(p_copies)}
     hypergraph = _hypergraph(_e_copies(target, Q, limits.max_copies), _ranked(P, Q))
     slots, colors, nodes = _verdict(r, *hypergraph, limits.max_nodes, deadline)
     where = [index.get(slot) for slot in slots]
@@ -372,14 +378,15 @@ def _verdict(r: int, slots, edges: list[int], max_nodes: int, deadline: float):
 def find_monochromatic(target, coloring: Coloring, Q, P) -> Copy | None:
     """First Q-copy (enumeration order) whose P-copies all share a color, else None.
 
-    P-copies are enumerated inside each Q-copy's induced substructure and mapped back,
-    a deliberately different route from the checker, which carries the P-copies of Q
-    itself through each Q-copy's map.
+    P-copies are enumerated inside each Q-copy's induced substructure, once per distinct
+    one (inside), and mapped back: a deliberately different route from the checker,
+    which carries the P-copies of Q itself through each Q-copy's map.
     """
     p_in_q = len(enumerate_copies(P, Q))
+    inside = cache(lambda sub: [c.image for c in enumerate_copies(P, sub)])
     for q in enumerate_copies(Q, target):
-        members = enumerate_copies(P, induced_substructure(target, q.image))
-        images = [tuple(q.image[local] for local in c.image) for c in members]
+        local = inside(induced_substructure(target, q.image))
+        images = [tuple([q.image[i] for i in c]) for c in local]
         if len(images) != p_in_q:
             raise InvariantViolation("copy composition mismatch")
         try:
@@ -617,14 +624,22 @@ def _positions(mask: int) -> list[int]:
 
 def _ranked(A: RNGraph, E: RNGraph) -> list[tuple[int, ...]]:
     """The copies of A in E, each as the ranks in E of its image."""
-    return [tuple(E.rank[u] for u in c.image) for c in enumerate_copies(A, E)]
+    return list(iter_copies(A, E))
 
 
 def _e_copies(graph: RNGraph, E: RNGraph, limit: int) -> list[int]:
     """The image masks of E's copies in graph (bit p for graph's p-th vertex in its
-    order), at most limit of them."""
-    rank = graph.rank
-    return [sum(1 << rank[v] for v in c.image) for c in enumerate_copies(E, graph, limit=limit)]
+    order), at most limit of them, ORed from iter_copies' ranks: no Copy is built."""
+    out = []
+    for ranks in iter_copies(E, graph):
+        mask = 0
+        for p in ranks:
+            mask |= 1 << p
+        out.append(mask)
+        if len(out) > limit:
+            raise ResourceExceeded(f"more than {limit} copies of a {E.n}-vertex pattern in a "
+                                   f"{graph.n}-vertex target")
+    return out
 
 
 def _is_witness(e_copies, p_in_e, deadline: float) -> bool:

@@ -3,7 +3,9 @@
 An embedding preserves and reflects every relation and the linear order, so a copy is
 identified with its image set: the increasing image sequence determines the map.
 Enumeration is deterministic, ascending in the lexicographic order of image position
-tuples.
+tuples.  One enumerator (iter_copies) yields each copy as those positions, its image's
+target ranks; enumerate_copies lists the same copies as Copy objects, and callers that
+need only image masks read the ranks.
 """
 
 from __future__ import annotations
@@ -64,21 +66,20 @@ def is_embedding(vertex_map, pattern, target) -> bool:
 
 
 def iter_copies(pattern, target):
-    """Yield copies of pattern in target, lexicographically by image position tuple.
+    """Yield each copy of pattern in target as the ascending target ranks of its
+    image, lexicographically.
 
-    Positions are target ranks.  The candidates for pattern position d are the AND of
-    the chosen positions' rows of the kind each pair (i, d) has in the pattern, cut to
-    the positions that leave room for the rest; they are walked lowest bit first.
+    The candidates for pattern position d are the AND of the chosen positions' rows of
+    the kind each pair (i, d) has in the pattern, cut to the positions that leave room
+    for the rest; they are walked lowest bit first.
     """
     _compatible_kinds(pattern, target)
     k, n = pattern.n, target.n
     if k == 0:
-        yield Copy((), ())
+        yield ()
         return
     if k > n:
         return
-    src = pattern.order  # source vertices, ascending in pattern order
-    tgt = target.order
     # For each pattern position d: the earlier positions that must reach it by an R,
     # an N, or by neither (an absent pair).
     p_R, p_N = pattern.rows
@@ -105,11 +106,7 @@ def iter_copies(pattern, target):
         chosen.append(low.bit_length() - 1)
         d = len(chosen)
         if d == k:
-            image = tuple(tgt[p] for p in chosen)
-            vmap = [0] * k
-            for i, v in enumerate(image):
-                vmap[src[i]] = v
-            yield Copy(image, tuple(vmap))
+            yield tuple(chosen)
             chosen.pop()
             continue
         # above the last chosen position, and at most n - (k - d)
@@ -125,13 +122,15 @@ def iter_copies(pattern, target):
 
 
 def enumerate_copies(pattern, target, limit: int | None = None) -> list[Copy]:
-    """All copies of pattern in target, in deterministic enumeration order.
+    """All copies of pattern in target, in iter_copies' order, as Copy objects.
 
     `limit` caps the count; exceeding it raises ResourceExceeded.
     """
+    tgt, rank = target.order, pattern.rank  # map[u] is image[rank[u]]
     out: list[Copy] = []
-    for copy in iter_copies(pattern, target):
-        out.append(copy)
+    for ranks in iter_copies(pattern, target):
+        image = tuple([tgt[p] for p in ranks])
+        out.append(Copy(image, tuple([image[i] for i in rank])))
         if limit is not None and len(out) > limit:
             raise ResourceExceeded(
                 f"more than {limit} copies of a {pattern.n}-vertex pattern in a "

@@ -21,6 +21,14 @@ from rnramsey import (
     make_ordered_poset,
     make_rn_graph,
 )
+from rnramsey.arrow import (
+    _CLOCK_EVERY,
+    _WALK_FLIPS_PER_EDGE,
+    _WALK_NOISE,
+    _WALK_SEED,
+    _WALK_TRIES,
+    _positions,
+)
 
 
 def random_order(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -185,6 +193,17 @@ def brute_arrow(target, Q, P, r: int) -> bool:
     return True
 
 
+def brute_monochromatic(target, coloring: Coloring, q_images, P):
+    """The first of q_images (each ascending in target order) whose P-copies, the
+    copies of P in target with every vertex inside it, all share a color, else None.
+    The P-copies inside an image are read off the target's own, by a subset test."""
+    p_images = brute_copies(P, target)
+    for image in q_images:
+        if len({coloring.of(a) for a in p_images if set(a) <= set(image)}) <= 1:
+            return image
+    return None
+
+
 def random_coloring(target, P, r: int, rng: random.Random) -> Coloring:
     """Uniform seeded coloring of the copies of P in target."""
     copies = enumerate_copies(P, target)
@@ -260,3 +279,77 @@ def brute_partite_arrow(
         any(len({colors[i] for i in held}) <= 1 for held in inside)
         for colors in itertools.product(range(r), repeat=len(a_copies))
     )
+
+
+def reference_local_search(inc: list[int], n_edges: int, r: int):
+    """The walk (arrow._local_search) as it stood before its flips were made cheaper,
+    kept verbatim as a frozen reference for its whole yielded sequence.
+
+    Yields an assignment of slots 0..len(inc)-1 with no monochromatic edge if it finds
+    one, and ends when it gives up, which proves nothing; r >= 2.  WalkSAT with the
+    Selman-Kautz-Cohen rule: take a random monochromatic edge; make a move of a member
+    that breaks no other edge (makes it monochromatic) if there is one, else with
+    probability _WALK_NOISE a random move, else one that breaks the fewest, ties at
+    random.  Try t draws from Random(_WALK_SEED + t) and makes _WALK_FLIPS_PER_EDGE *
+    n_edges flips, pausing (yielding None) before flips 0, _CLOCK_EVERY, ...  count[c][e]
+    counts the members of edge e with color c; near[c] masks the edges with all members
+    but one of color c, so recoloring slot i to c breaks the edges of inc[i] & near[c].
+    A flip scans the moves (the edge's members, then colors ascending), one tie-break
+    draw each, and keeps the first with the least (breaks, draw); only a noise move
+    lists them.
+    """
+    members: list[list[int]] = [[] for _ in range(n_edges)]
+    for i, mask in enumerate(inc):
+        for e in _positions(mask):
+            members[e].append(i)
+    if any(len(slots) < 2 for slots in members):
+        return  # a one-member edge is monochromatic under every coloring
+    need = [len(slots) - 1 for slots in members]
+    edges_of = [[(e, need[e], 1 << e) for e in _positions(mask)] for mask in inc]
+    others = [[c for c in range(r) if c != a] for a in range(r)]
+    for t in range(_WALK_TRIES):
+        draw = random.Random(_WALK_SEED + t).random  # picks seq[int(draw() * len(seq))]
+        colors = [int(draw() * r) for _ in inc]
+        count = [[sum(colors[i] == c for i in slots) for slots in members] for c in range(r)]
+        near = [sum(1 << e for e in range(n_edges) if row[e] == need[e]) for row in count]
+        mono = [e for e in range(n_edges) if any(row[e] > need[e] for row in count)]
+        where = [0] * n_edges  # position of each edge of mono in mono
+        for j, e in enumerate(mono):
+            where[e] = j
+        for flip in range(_WALK_FLIPS_PER_EDGE * n_edges):
+            if not mono:
+                break
+            if flip % _CLOCK_EVERY == 0:
+                yield None
+            slots = members[mono[int(draw() * len(mono))]]
+            least = n_edges + 1
+            for j in slots:  # moves in order, each with its tie-break draw
+                mask = inc[j]
+                for k in others[colors[j]]:
+                    breaks, tie = (mask & near[k]).bit_count(), draw()
+                    if breaks < least or breaks == least and tie < first:
+                        least, first, i, c = breaks, tie, j, k
+            if least and draw() < _WALK_NOISE:
+                moves = [(j, k) for j in slots for k in others[colors[j]]]
+                i, c = moves[int(draw() * len(moves))]
+            a = colors[i]
+            old, new, near_a, near_c = count[a], count[c], near[a], near[c]
+            for e, top, bit in edges_of[i]:
+                x, y = old[e], new[e]
+                if x >= top:  # e leaves near[a], or was monochromatic in a and enters it
+                    near_a ^= bit
+                    if x > top:  # swap the last of mono into e's place
+                        last = mono.pop()
+                        if last != e:
+                            mono[where[e]], where[last] = last, where[e]
+                if y >= top - 1:  # e enters or leaves near[c]; y never exceeds top
+                    near_c ^= bit
+                    if y == top:  # e becomes monochromatic in c
+                        where[e] = len(mono)
+                        mono.append(e)
+                old[e], new[e] = x - 1, y + 1
+            near[a], near[c] = near_a, near_c
+            colors[i] = c
+        if not mono:
+            yield colors
+            return

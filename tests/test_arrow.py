@@ -15,6 +15,7 @@ from rnramsey import (
     BaseOracle,
     BuildLimits,
     CertificationFailed,
+    Copy,
     NotFoundWithinBounds,
     OracleWitness,
     ResourceExceeded,
@@ -27,6 +28,7 @@ from rnramsey import (
     enumerate_copies,
     find_monochromatic,
     fuse,
+    iter_copies,
     load_structure,
     make_coloring,
     make_ordered_poset,
@@ -42,11 +44,14 @@ from helpers import (
     brute_closure,
     brute_copies,
     brute_is_poset,
+    brute_monochromatic,
     brute_proper_coloring_exists,
     incidence_masks,
     random_coloring,
     random_good_complete,
+    random_poset,
     random_rn,
+    reference_local_search,
 )
 
 C2 = poset_to_complete_rn(chain(2))
@@ -518,6 +523,45 @@ def test_local_search_is_pinned_on_longer_walks():
     assert _digest(walked) == "58d8566d679eda9a"
 
 
+def test_walk_matches_its_frozen_reference(monkeypatch):
+    # the walk's whole yielded sequence, pauses included, and the number of draws it
+    # takes are those of the walk as it stood before its flips were made cheaper
+    # (helpers.reference_local_search): on random hypergraphs with edges of 2 to 6
+    # slots at r = 2, 3 and 4, and on three chain queries: one found in the 4th try
+    # after 11 pauses, one given up (it holds), and one found at r = 3 in the 1st try
+    rng = random.Random(33)
+    draws = []
+
+    class Counted(random.Random):  # both walks draw from random.Random(seed).random
+        def random(self):
+            draws[-1] += 1
+            return super().random()
+
+    def walks(inc, n_edges, r):
+        outputs = []
+        for walk in (arrow._local_search, reference_local_search):
+            draws.append(0)
+            outputs.append((list(walk(inc, n_edges, r)), draws[-1]))
+        assert outputs[0] == outputs[1]
+        return outputs[0][0]
+
+    monkeypatch.setattr(random, "Random", Counted)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        m = rng.randint(2, 30)
+        r = rng.choice((2, 3, 4))
+        n_edges = rng.randint(0, 40)
+        edges = [frozenset(rng.sample(range(m), min(m, rng.randint(2, 6)))) for _ in range(n_edges)]
+        walked = walks(incidence_masks(m, edges), n_edges, r)
+        outcomes["gave up" if walked[-1] is None else "found"] += 1
+    assert outcomes == {"found": 383, "gave up": 17}
+    for n, q, p, r, pauses, found in ((12, 4, 3, 2, 11, True), (9, 3, 2, 2, 5, False),
+                                      (7, 3, 2, 3, 1, True)):
+        _, q_copies, inc = _hypergraph(*(_rn_chain(k) for k in (n, q, p)))
+        walked = walks(inc, len(q_copies), r)
+        assert walked.count(None) == pauses and (walked[-1] is not None) == found
+
+
 def test_check_arrow_refuses_a_forged_q_copy(monkeypatch):
     # 0<1<2 with the pair (0, 2) absent holds no C3, so a forged C3-copy on all three
     # points carries C3's copy (0, 2) of C2 onto a non-copy: refused on either verdict
@@ -560,6 +604,58 @@ def test_find_monochromatic_on_posets():
     assert find_monochromatic(chain(3), coloring, chain(2), chain(1)).image == (0, 2)
     rn_coloring = make_coloring(enumerate_copies(POINT, C3), [0, 1, 0], 2)
     assert find_monochromatic(C3, rn_coloring, C2, POINT).image == (0, 2)
+
+
+def test_replay_enumerates_once_per_substructure_and_agrees_with_brute_force(monkeypatch):
+    # find_monochromatic lists P's copies once per distinct induced substructure.  Every
+    # copy of Q induces the same one, so on its own listing one is listed; a forged
+    # listing of every |Q|-subset holding as many P-copies as Q does induces several,
+    # each listed once.  Either way the replay is the brute one's, on colorings with and
+    # without a monochromatic member, and subsets with fewer P-copies than Q are refused
+    rng = random.Random(36)
+    real = arrow.enumerate_copies
+    inside = []
+
+    def listing(pattern, target, *args, **kwargs):
+        if pattern is Q and forged is not None:  # the replay reads only the images
+            return [Copy(image, image) for image in forged]
+        if pattern is P and target is not Q:
+            inside.append(target)
+        return real(pattern, target, *args, **kwargs)
+
+    monkeypatch.setattr(arrow, "enumerate_copies", listing)
+    outcomes, several, refused = set(), 0, 0
+    for _ in range(60):
+        target, Q, P = random_poset(rng, 7), random_poset(rng, 3), random_poset(rng, 2)
+        p_in_q = len(real(P, Q))
+        same = lambda image: sum(set(a) <= set(image) for a in brute_copies(P, target))
+        subsets = list(itertools.combinations(target.order, Q.n))  # in target order
+        for forged in (None, [image for image in subsets if same(image) == p_in_q]):
+            images = brute_copies(Q, target) if forged is None else forged
+            colorings = [random_coloring(target, P, rng.choice((2, 3)), rng) for _ in range(3)]
+            verdict = check_arrow(target, Q, P, 2) if forged is None else None
+            if verdict is not None and not verdict.holds:
+                colorings.append(verdict.counterexample)
+            for coloring in colorings:
+                inside.clear()
+                found = find_monochromatic(target, coloring, Q, P)
+                expected = brute_monochromatic(target, coloring, images, P)
+                assert (found and found.image) == expected
+                outcomes.add((forged is None, expected is None))
+                distinct = {induced_substructure(target, image) for image in images}
+                assert len(set(inside)) == len(inside)  # each substructure listed once
+                if expected is None:  # a pass over every member meets every one
+                    assert len(inside) == len(distinct)
+                assert len(distinct) <= 1 or forged is not None
+                several += len(distinct) > 1
+        short = [image for image in subsets if same(image) < p_in_q]
+        if short:
+            forged = short
+            with pytest.raises(AssertionError, match="^copy composition mismatch$"):
+                find_monochromatic(target, random_coloring(target, P, 2, rng), Q, P)
+            refused += 1
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert (several, refused) == (39, 9)
 
 
 def test_oracle_seed_families():
@@ -1081,17 +1177,21 @@ def test_oracle_assume_and_file_modes(tmp_path):
 
 
 def test_oracle_file_mode_certifies_on_the_search_route(monkeypatch):
-    # a witness without a copy of E is refused before its A-copies are listed
+    # a witness without a copy of E is refused before its A-copies are listed; the
+    # A-copies in E and the witness's E-copies both come as ranks, with no Copy built
     listed = []
 
-    def recording_enumerate_copies(pattern, target, *args, **kwargs):
-        listed.append((pattern.n, target.n))
-        return enumerate_copies(pattern, target, *args, **kwargs)
+    def recording(listing):
+        def wrapper(pattern, target, *args, **kwargs):
+            listed.append((listing.__name__, pattern.n, target.n))
+            return listing(pattern, target, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(arrow, "enumerate_copies", recording_enumerate_copies)
+    monkeypatch.setattr(arrow, "enumerate_copies", recording(enumerate_copies))
+    monkeypatch.setattr(arrow, "iter_copies", recording(iter_copies))
     with pytest.raises(CertificationFailed):
         certify_witness(make_rn_graph(4, (), ()), POINT, C2)
-    assert listed == [(1, 2), (2, 4)]
+    assert listed == [("iter_copies", 1, 2), ("iter_copies", 2, 4)]
 
 
 def test_certification_ceiling_truncates_at_stage_two():
@@ -1564,6 +1664,45 @@ def test_certification_of_degenerate_queries():
     assert outcomes == {True, False}
 
 
+def test_a_zero_vertex_p_is_one_slot_in_every_q_copy():
+    # itemgetter() refuses the empty copy of a 0-vertex P, which _hypergraph takes on
+    # its own: one slot, numbered 0, in every edge, and none without an edge
+    empty = make_rn_graph(0, (), ())
+    for Q in (empty, POINT, C2, A2):
+        p_in_q = arrow._ranked(empty, Q)
+        assert p_in_q == [()]
+        assert arrow._hypergraph([0b011, 0b110, 0b101], p_in_q) == ({(): 0}, [1, 1, 1])
+        assert arrow._hypergraph([], p_in_q) == ({}, [])
+        for target in (empty, POINT, C3, make_rn_graph(3, (), ())):
+            verdict = check_arrow(target, Q, empty, 2)
+            assert verdict.holds == brute_arrow(target, Q, empty, 2)
+            assert verdict.holds == bool(enumerate_copies(Q, target))
+
+
+def test_e_copies_are_the_image_masks_of_the_listed_copies():
+    # _e_copies ORs masks from iter_copies' ranks and builds no Copy; its masks are
+    # those of enumerate_copies' copies, in order, on RN graphs and posets, for an empty
+    # pattern (one copy, the empty mask) and one larger than the target (no copy), and
+    # one past the limit is the listing's own refusal
+    rng = random.Random(37)
+    rn_pairs = [(random_rn(rng, 7), random_rn(rng, 4)) for _ in range(150)]
+    poset_pairs = [(random_poset(rng, 7), random_poset(rng, 4)) for _ in range(150)]
+    empties = [(graph, make_rn_graph(0, (), ())) for graph, _ in rn_pairs[:10]]
+    empties += [(poset, make_ordered_poset(0, (), ())) for poset, _ in poset_pairs[:10]]
+    seen = collections.Counter()
+    for graph, E in rn_pairs + poset_pairs + empties:
+        masks = [sum(1 << graph.rank[v] for v in c.image) for c in enumerate_copies(E, graph)]
+        assert arrow._e_copies(graph, E, MAX_COPIES) == masks
+        seen["empty" if E.n == 0 else "larger" if E.n > graph.n else min(len(masks), 2)] += 1
+        if masks:
+            limit = len(masks) - 1
+            with pytest.raises(ResourceExceeded) as listed:
+                enumerate_copies(E, graph, limit=limit)
+            with pytest.raises(ResourceExceeded, match=f"^{re.escape(str(listed.value))}$"):
+                arrow._e_copies(graph, E, limit)
+    assert seen == {0: 79, 1: 43, 2: 119, "empty": 20, "larger": 59}  # 2: two or more
+
+
 def test_the_scan_lists_no_copies_per_candidate(monkeypatch):
     # the tower point v query lists A's copies in E and its seed's E-copies, and nothing
     # per scanned candidate: the count is the same whether the budget stops the oracle
@@ -1576,16 +1715,22 @@ def test_the_scan_lists_no_copies_per_candidate(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
+    # every listing arrow makes goes through these two names of the one enumerator
+    bound = {
+        name for name, value in vars(arrow).items()
+        if inspect.isfunction(value) and value.__module__ == embeddings.__name__
+    }
+    assert bound == {"enumerate_copies", "iter_copies"}
     monkeypatch.setattr(arrow, "enumerate_copies", counting("enumerate", arrow.enumerate_copies))
-    assert not hasattr(arrow, "iter_copies")  # every listing goes through enumerate_copies
-    monkeypatch.setattr(embeddings, "iter_copies", counting("iter", embeddings.iter_copies))
+    for module in (arrow, embeddings):  # each walk, from arrow or from enumerate_copies
+        monkeypatch.setattr(module, "iter_copies", counting("walk", embeddings.iter_copies))
     for budget in (1, 3764, 60_000):
         listed.clear()
         try:
             oracle_ramsey(BaseOracle(candidate_budget=budget), POINT, V)
         except ResourceExceeded:
             assert budget < 3765
-        assert listed == {"enumerate": 2, "iter": 2}
+        assert listed == {"walk": 2}
 
 
 def test_certification_keeps_the_copy_limit_on_e_copies(monkeypatch):
